@@ -8,6 +8,7 @@ from .rings import (
     RingSpecError,
     associate_classes,
     crt_split,
+    factorize,
     in_principal_ideal,
     is_unit,
     is_von_neumann_regular,
@@ -19,7 +20,6 @@ from .rings import (
 from .graphs import (
     CozeroGraph,
     QuotientGraph,
-    adjacency_via_containment,
     build_cozero_graph,
     complement,
     induced_subgraph,
@@ -34,8 +34,6 @@ from .solvers import (
     ColoringResult,
     OddCycleCertificate,
     are_isomorphic,
-    brute_force_chromatic,
-    brute_force_clique,
     chromatic_number,
     find_odd_hole,
     is_perfect_desk_scale,

@@ -15,14 +15,14 @@ from . import graphs, rings, solvers, verify
 from .rings import CapExceededError, RingSpec, RingSpecError
 
 
-def _env_max_cardinality() -> int:
-    raw = os.environ.get("COZERO_MAX_CARDINALITY")
-    if raw is None:
-        return rings.DEFAULT_MAX_CARDINALITY
+def _positive_int(text: str) -> int:
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        return rings.DEFAULT_MAX_CARDINALITY
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,9 +37,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help='ring specs like "Z2xZ3xZ5"')
         p.add_argument("--rings", help="comma-separated ring specs")
         p.add_argument("--out", metavar="PATH", help="write output to PATH")
-        p.add_argument("--max-cardinality", type=int,
-                       default=_env_max_cardinality())
-        p.add_argument("--max-vertices", type=int,
+        # a string default goes through type=, so a bad environment value
+        # is rejected like a bad flag, but only when the flag is absent
+        p.add_argument("--max-cardinality", type=_positive_int,
+                       default=os.environ.get("COZERO_MAX_CARDINALITY",
+                                              rings.DEFAULT_MAX_CARDINALITY),
+                       help="ring size cap (default: $COZERO_MAX_CARDINALITY, "
+                            f"else {rings.DEFAULT_MAX_CARDINALITY})")
+        p.add_argument("--max-vertices", type=_positive_int,
                        default=solvers.DEFAULT_VERTEX_CAP)
 
     p_an = sub.add_parser("analyze", help="per-ring graph summary")

@@ -17,9 +17,9 @@ from .rings import (
     Element,
     RingSpec,
     associate_classes,
+    factorize,
     in_principal_ideal,
     is_von_neumann_regular,
-    principal_ideal,
     vertices,
 )
 
@@ -47,9 +47,6 @@ class CozeroGraph:
     def edge_count(self) -> int:
         return sum(self.degree(i) for i in range(self.n)) // 2
 
-    def neighbors(self, i: int) -> list[int]:
-        return _bits(self.adj[i])
-
     @staticmethod
     def from_edges(n: int, edges, labels=None, spec=None) -> "CozeroGraph":
         """Build a bare graph from an edge list (tests, negative controls)."""
@@ -64,7 +61,8 @@ class CozeroGraph:
         return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows))
 
 
-def _bits(mask: int) -> list[int]:
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
@@ -93,17 +91,6 @@ def build_cozero_graph(spec: RingSpec,
     return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows))
 
 
-def adjacency_via_containment(spec: RingSpec, a: Element, b: Element) -> bool:
-    """Adjacency by incomparability of the ideals Ra, Rb, enumerated explicitly.
-
-    Deliberately a separate, slower code path than the gcd membership test
-    used by build_cozero_graph; the two are cross-checked in the test suite.
-    """
-    ra = principal_ideal(spec, a)
-    rb = principal_ideal(spec, b)
-    return not ra.issubset(rb) and not rb.issubset(ra)
-
-
 def complement(g: CozeroGraph) -> CozeroGraph:
     full = (1 << g.n) - 1
     rows = tuple((full & ~g.adj[i]) & ~(1 << i) for i in range(g.n))
@@ -116,7 +103,7 @@ def induced_subgraph(g: CozeroGraph, keep) -> CozeroGraph:
     rows = []
     for old in keep:
         row = 0
-        for nb in _bits(g.adj[old]):
+        for nb in bits(g.adj[old]):
             if nb in remap:
                 row |= 1 << remap[nb]
         rows.append(row)
@@ -141,24 +128,13 @@ def nzc_partition(g: CozeroGraph) -> list[list[int]]:
     spec = g.spec
     if spec is None or not is_von_neumann_regular(spec):
         raise ValueError("zero-count partition requires a product of fields")
-    if any(not _is_prime(m) for m in spec.moduli):
+    if any(factorize(m) != [(m, 1)] for m in spec.moduli):
         raise ValueError("zero-count partition requires prime moduli (CRT-split spec)")
     n = len(spec.moduli)
     parts: list[list[int]] = [[] for _ in range(n - 1)]
     for i, label in enumerate(g.labels):
         parts[nzc(label) - 1].append(i)
     return parts
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 @dataclass(frozen=True, eq=False)

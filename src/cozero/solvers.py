@@ -7,10 +7,9 @@ reproducible.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
-from .graphs import CozeroGraph, _bits, complement
+from .graphs import CozeroGraph, bits, complement, induced_subgraph
 from .rings import CapExceededError
 
 DEFAULT_VERTEX_CAP = 512
@@ -79,15 +78,14 @@ def validate_certificate(g: CozeroGraph, cert: OddCycleCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 def _false_twin_reduce(g: CozeroGraph) -> list[int]:
-    """Keep one vertex per open-neighborhood class among non-adjacent twins."""
-    seen: dict[int, int] = {}
+    """Keep one vertex per open-neighborhood class; equal open
+    neighborhoods already make two vertices non-adjacent."""
+    seen: set[int] = set()
     keep = []
     for v in range(g.n):
-        key = g.adj[v]
-        if key in seen and not g.has_edge(v, seen[key]):
-            continue
-        seen.setdefault(key, v)
-        keep.append(v)
+        if g.adj[v] not in seen:
+            seen.add(g.adj[v])
+            keep.append(v)
     return keep
 
 
@@ -107,21 +105,9 @@ def _all_twin_reduce(g: CozeroGraph) -> list[int]:
     return keep
 
 
-def _subgraph_rows(g: CozeroGraph, keep: list[int]) -> list[int]:
-    remap = {old: new for new, old in enumerate(keep)}
-    rows = []
-    for old in keep:
-        row = 0
-        for nb in _bits(g.adj[old]):
-            if nb in remap:
-                row |= 1 << remap[nb]
-        rows.append(row)
-    return rows
-
-
-def _check_cap(g: CozeroGraph, cap: int) -> None:
-    if g.n > cap:
-        raise CapExceededError(f"graph has {g.n} vertices, cap is {cap}")
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceededError(f"graph has {n} vertices, cap is {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +115,11 @@ def _check_cap(g: CozeroGraph, cap: int) -> None:
 # ---------------------------------------------------------------------------
 
 def max_clique(g: CozeroGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> CliqueResult:
-    _check_cap(g, max_vertices)
+    _check_cap(g.n, max_vertices)
     if g.n == 0:
         return CliqueResult(size=0, witness=())
     keep = _false_twin_reduce(g)
-    adj = _subgraph_rows(g, keep)
-    best = _max_clique_core(adj)
+    best = _max_clique_core(induced_subgraph(g, keep).adj)
     return CliqueResult(size=len(best), witness=tuple(sorted(keep[v] for v in best)))
 
 
@@ -175,49 +160,35 @@ def _max_clique_core(adj: list[int]) -> list[int]:
                 bounds.append(color)
         return order, bounds
 
-    def expand(p: int) -> None:
-        nonlocal best
-        order, bounds = color_sort(p)
-        for i in range(len(order) - 1, -1, -1):
-            if len(current) + bounds[i] <= len(best):
-                return
+    # depth-first over candidate sets; stack holds the suspended levels
+    # above the current one, each as (p, order, bounds, i)
+    stack: list[tuple[int, list[int], list[int], int]] = []
+    p = (1 << n) - 1
+    order, bounds = color_sort(p)
+    i = len(order) - 1
+    while True:
+        if i >= 0 and len(current) + bounds[i] > len(best):
             v = order[i]
             current.append(v)
             sub = p & adj[v]
             if sub:
-                expand(sub)
-            elif len(current) > len(best):
+                stack.append((p, order, bounds, i))
+                p = sub
+                order, bounds = color_sort(p)
+                i = len(order) - 1
+                continue
+            if len(current) > len(best):
                 best = current.copy()
-            current.pop()
-            p &= ~(1 << v)
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n + 100))
-    try:
-        expand((1 << n) - 1)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        else:
+            # level exhausted or bounded out: resume the level above
+            if not stack:
+                break
+            p, order, bounds, i = stack.pop()
+            v = order[i]
+        current.pop()
+        p &= ~(1 << v)
+        i -= 1
     return sorted(best)
-
-
-def brute_force_clique(g: CozeroGraph) -> int:
-    """Exact clique number by enumerating every clique (test oracle, <= 20 vertices)."""
-    if g.n > 20:
-        raise CapExceededError(f"brute-force clique capped at 20 vertices, got {g.n}")
-    best = 0
-
-    def grow(size: int, cand: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand &= ~low
-            grow(size + 1, cand & g.adj[v])
-
-    grow(0, (1 << g.n) - 1)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +198,11 @@ def brute_force_clique(g: CozeroGraph) -> int:
 
 def chromatic_number(g: CozeroGraph,
                      max_vertices: int = DEFAULT_VERTEX_CAP) -> ColoringResult:
-    _check_cap(g, max_vertices)
+    _check_cap(g.n, max_vertices)
     if g.n == 0:
         return ColoringResult(count=0, assignment=())
     keep = _false_twin_reduce(g)
-    adj = _subgraph_rows(g, keep)
-    count, colors = _chromatic_core(adj)
+    count, colors = _chromatic_core(induced_subgraph(g, keep).adj)
     # removed false twins reuse their kept sibling's color
     sibling: dict[int, int] = {}
     for new, old in enumerate(keep):
@@ -255,7 +225,7 @@ def _dsatur(adj: list[int]) -> tuple[int, list[int]]:
         while c in neighbor_colors[u]:
             c += 1
         colors[u] = c
-        for nb in _bits(adj[u]):
+        for nb in bits(adj[u]):
             neighbor_colors[nb].add(c)
     return max(colors) + 1, colors
 
@@ -289,7 +259,7 @@ def _try_k_coloring(adj: list[int], k: int, clique: list[int]) -> list[int] | No
         uncolored.discard(v)
         touched = []
         bit = 1 << c
-        for nb in _bits(adj[v]):
+        for nb in bits(adj[v]):
             if colors[nb] == -1 and not forbidden[nb] & bit:
                 forbidden[nb] |= bit
                 touched.append(nb)
@@ -307,58 +277,30 @@ def _try_k_coloring(adj: list[int], k: int, clique: list[int]) -> list[int] | No
         assign(v, i)
 
     full = (1 << k) - 1
-
-    def search() -> bool:
-        if not uncolored:
-            return True
-        v = max(uncolored,
-                key=lambda u: (forbidden[u].bit_count(), degrees[u], -u))
-        avail = full & ~forbidden[v]
-        if not avail:
-            return False
-        max_used = max(colors) if any(c >= 0 for c in colors) else -1
-        while avail:
-            low = avail & -avail
-            c = low.bit_length() - 1
-            avail &= ~low
-            if c > max_used + 1:
-                break  # fresh colors are interchangeable; try only the first
-            touched = assign(v, c)
-            if search():
-                return True
+    # depth-first over color choices; stack holds one (v, avail, max_used,
+    # c, touched) per vertex colored by the search
+    stack: list[tuple[int, int, int, int, list[int]]] = []
+    descend = True
+    while True:
+        if descend:
+            if not uncolored:
+                return colors.copy()
+            v = max(uncolored,
+                    key=lambda u: (forbidden[u].bit_count(), degrees[u], -u))
+            avail = full & ~forbidden[v]
+            max_used = max(colors)
+        else:
+            if not stack:
+                return None
+            v, avail, max_used, c, touched = stack.pop()
             undo(v, c, touched)
-        return False
-
-    if search():
-        return colors.copy()
-    return None
-
-
-def brute_force_chromatic(g: CozeroGraph) -> int:
-    """Exact chromatic number by plain assignment backtracking (test oracle,
-    <= 12 vertices); no heuristics shared with the main solver."""
-    if g.n > 12:
-        raise CapExceededError(f"brute-force coloring capped at 12 vertices, got {g.n}")
-    if g.n == 0:
-        return 0
-    colors = [-1] * g.n
-
-    def feasible(k: int, v: int) -> bool:
-        if v == g.n:
-            return True
-        for c in range(k):
-            if all(colors[nb] != c for nb in g.neighbors(v) if nb < v):
-                colors[v] = c
-                if feasible(k, v + 1):
-                    colors[v] = -1
-                    return True
-                colors[v] = -1
-        return False
-
-    for k in range(1, g.n + 1):
-        if feasible(k, 0):
-            return k
-    return g.n
+        low = avail & -avail
+        c = low.bit_length() - 1
+        # fresh colors are interchangeable; try only the first
+        descend = bool(avail) and c <= max_used + 1
+        if descend:
+            avail &= ~low
+            stack.append((v, avail, max_used, c, assign(v, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +311,25 @@ def find_odd_hole(g: CozeroGraph, min_len: int = 5,
                   max_vertices: int = DEFAULT_VERTEX_CAP) -> OddCycleCertificate | None:
     """Minimal-length induced odd cycle of length >= min_len, or None.
 
-    Twin-reduced first (no induced cycle of length >= 5 uses two twins), then
-    a DFS over canonical induced paths, branch-and-bound on cycle length so
-    the returned certificate has minimal length.
+    Twin-reduced first (no induced cycle of length >= 5 uses two twins), and
+    the max_vertices cap applies to that reduced core; then a DFS over
+    canonical induced paths, branch-and-bound on cycle length so the
+    returned certificate has minimal length.
     """
-    _check_cap(g, max_vertices)
     if min_len < 5 or min_len % 2 == 0:
         raise ValueError("min_len must be odd and at least 5")
-    keep = _all_twin_reduce(g)
-    adj = _subgraph_rows(g, keep)
-    cycle = _min_odd_hole_core(adj, min_len)
+    keep, core = _twin_core(g, max_vertices)
+    cycle = _min_odd_hole_core(core.adj, min_len)
     if cycle is None:
         return None
     return OddCycleCertificate(where="graph",
                                cycle=tuple(keep[v] for v in cycle))
+
+
+def _twin_core(g: CozeroGraph, max_vertices: int) -> tuple[list[int], CozeroGraph]:
+    keep = _all_twin_reduce(g)
+    _check_cap(len(keep), max_vertices)
+    return keep, induced_subgraph(g, keep)
 
 
 def _min_odd_hole_core(adj: list[int], min_len: int) -> list[int] | None:
@@ -391,74 +338,68 @@ def _min_odd_hole_core(adj: list[int], min_len: int) -> list[int] | None:
         return None
     best: list[int] | None = None
     best_len = n + 1
-
-    # path = [s, v1, ..., tail]; avail holds vertices > s, unused, and
-    # non-adjacent to every interior vertex (path[1:-1])
-    path: list[int] = []
-
-    def dfs(avail: int) -> None:
-        nonlocal best, best_len
-        depth = len(path)
-        if depth + 1 >= best_len:
-            return
-        s, tail = path[0], path[-1]
-        if depth + 1 >= min_len and (depth + 1) % 2 == 1:
-            closers = avail & adj[tail] & adj[s]
-            if depth >= 2:
-                # one orientation per cycle: closer must exceed path[1]
-                closers &= -1 << (path[1] + 1)
-            if closers:
-                w = (closers & -closers).bit_length() - 1
-                best = path + [w]
-                best_len = depth + 1
-                if best_len == min_len:
-                    return
-        cand = avail & adj[tail]
-        if depth >= 2:
-            # later vertices are non-consecutive with s, so must avoid N(s);
-            # once tail becomes interior its neighbors are off limits too
-            cand &= ~adj[s]
-            tail_mask = ~adj[tail]
-        else:
-            tail_mask = -1  # tail is s itself, which never becomes interior
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            cand &= ~low
-            child_avail = avail & ~low & tail_mask
-            # a cycle still needs a closer adjacent to s and enough vertices
-            if (child_avail & adj[s]
-                    and depth + 2 + child_avail.bit_count() >= min_len):
-                path.append(w)
-                dfs(child_avail)
+    for s in range(n):
+        adj_s = adj[s]
+        # path = [s, v1, ..., tail]; avail holds vertices > s, unused, and
+        # non-adjacent to every interior vertex (path[1:-1]); cand holds the
+        # extensions of path still to try, and tail_mask is what the tail
+        # forbids once it becomes interior (nothing for s itself)
+        path = [s]
+        avail = ((1 << n) - 1) & (-1 << (s + 1))
+        cand = avail & adj_s
+        tail_mask = -1
+        stack: list[tuple[int, int, int]] = []  # (avail, cand, tail_mask) above
+        while True:
+            if not cand:
+                if not stack:
+                    break
+                avail, cand, tail_mask = stack.pop()
                 path.pop()
-                if best_len == min_len:
-                    return
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n + 100))
-    try:
-        for s in range(n):
-            if best_len == min_len:
-                break
-            path.append(s)
-            dfs(((1 << n) - 1) & (-1 << (s + 1)))
-            path.pop()
-    finally:
-        sys.setrecursionlimit(old_limit)
+                continue
+            low = cand & -cand
+            cand ^= low
+            child_avail = avail & ~low & tail_mask
+            depth = len(path) + 1
+            # a cycle through the extended path still needs a closer adjacent
+            # to s and enough vertices, and must be shorter than the best
+            if (depth + 1 >= best_len or not child_avail & adj_s
+                    or depth + 1 + child_avail.bit_count() < min_len):
+                continue
+            w = low.bit_length() - 1
+            path.append(w)
+            adj_w = adj[w]
+            if depth + 1 >= min_len and depth % 2 == 0:
+                # one orientation per cycle: closer must exceed path[1]
+                closers = child_avail & adj_w & adj_s & (-1 << (path[1] + 1))
+                if closers:
+                    best = path + [(closers & -closers).bit_length() - 1]
+                    best_len = depth + 1
+                    if best_len == min_len:
+                        return best
+            stack.append((avail, cand, tail_mask))
+            # later vertices are non-consecutive with s, so must avoid N(s);
+            # once w becomes interior its neighbors are off limits too
+            avail = child_avail
+            cand = child_avail & adj_w & ~adj_s
+            tail_mask = ~adj_w
     return best
 
 
 def is_perfect_desk_scale(g: CozeroGraph,
                           max_vertices: int = DEFAULT_VERTEX_CAP
                           ) -> tuple[bool, OddCycleCertificate | None]:
-    """Perfection by exhaustive odd-hole search in the graph and its complement."""
-    hole = find_odd_hole(g, max_vertices=max_vertices)
-    if hole is not None:
-        return False, hole
-    anti = find_odd_hole(complement(g), max_vertices=max_vertices)
-    if anti is not None:
-        return False, OddCycleCertificate(where="complement", cycle=anti.cycle)
+    """Perfection by exhaustive odd-hole search in the graph and its complement.
+
+    Both searches run on one all-twin-reduced core, and the max_vertices cap
+    applies to it: open twins of g are closed twins of its complement and
+    vice versa, so reducing the complement would keep the same vertices.
+    """
+    keep, core = _twin_core(g, max_vertices)
+    for where, h in (("graph", core), ("complement", complement(core))):
+        cycle = _min_odd_hole_core(h.adj, 5)
+        if cycle is not None:
+            return False, OddCycleCertificate(
+                where=where, cycle=tuple(keep[v] for v in cycle))
     return True, None
 
 
@@ -472,8 +413,8 @@ def are_isomorphic(g: CozeroGraph, h: CozeroGraph,
 
     Backtracking over candidates compatible under iterated degree refinement.
     """
-    _check_cap(g, max_vertices)
-    _check_cap(h, max_vertices)
+    _check_cap(g.n, max_vertices)
+    _check_cap(h.n, max_vertices)
     if g.n != h.n or g.edge_count() != h.edge_count():
         return None
     n = g.n
@@ -519,7 +460,7 @@ def _refine_colors(adj: list[int], n: int) -> list[int]:
     for _ in range(n):
         sigs = []
         for v in range(n):
-            sigs.append((colors[v], tuple(sorted(colors[w] for w in _bits(adj[v])))))
+            sigs.append((colors[v], tuple(sorted(colors[w] for w in bits(adj[v])))))
         canon = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [canon[sig] for sig in sigs]
         if new == colors:

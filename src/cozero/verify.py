@@ -111,9 +111,8 @@ def check_perfection(spec: RingSpec, caps: Caps = Caps(),
         g = graph_override if graph_override is not None else _build(spec, caps)
         if g.n > caps.max_vertices:
             raise CapExceededError("cap")
-        if len(solvers._all_twin_reduce(g)) > caps.max_hole_vertices:
-            raise CapExceededError("hole-search cap")
-        perfect, cert = solvers.is_perfect_desk_scale(g, max_vertices=caps.max_vertices)
+        perfect, cert = solvers.is_perfect_desk_scale(
+            g, max_vertices=caps.max_hole_vertices)
     except CapExceededError:
         return _skip(claim, spec, "cap-exceeded")
     witness = None
@@ -131,7 +130,8 @@ def check_perfection(spec: RingSpec, caps: Caps = Caps(),
 
 def _is_integral_domain(spec: RingSpec) -> bool:
     # a finite commutative ring is a domain iff it is a prime field
-    return len(spec.moduli) == 1 and graphs._is_prime(spec.moduli[0])
+    m = spec.moduli[0]
+    return len(spec.moduli) == 1 and rings.factorize(m) == [(m, 1)]
 
 
 def check_null_graph(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
@@ -237,8 +237,7 @@ def check_invariants(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
                         problems.append(f"associate neighborhoods differ: {a},{b}")
 
     nzc_note = "nzc=checked"
-    split_fields = (rings.is_von_neumann_regular(spec)
-                    and all(graphs._is_prime(m) for m in spec.moduli))
+    split_fields = all(rings.factorize(m) == [(m, 1)] for m in spec.moduli)
     if split_fields and len(spec.moduli) >= 2:
         parts = graphs.nzc_partition(g)
         covered = sorted(v for part in parts for v in part)
@@ -303,19 +302,19 @@ def run_suite(names: list[str], specs: list[RingSpec],
     return reports
 
 
-def _primes_upto(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if graphs._is_prime(p)]
-
-
 def default_ring_set(max_cardinality: int = 256) -> list[RingSpec]:
     """Every product of prime fields with cardinality <= max_cardinality,
     plus the standard local non-VNR examples."""
     out: list[tuple[int, ...]] = []
+    primes = [p for p in range(2, max_cardinality + 1)
+              if rings.factorize(p) == [(p, 1)]]
 
     def extend(prefix: tuple[int, ...], product: int, minimum: int) -> None:
         if prefix:
             out.append(prefix)
-        for p in _primes_upto(max_cardinality // product):
+        for p in primes:
+            if p > max_cardinality // product:
+                break
             if p >= minimum:
                 extend(prefix + (p,), product * p, p)
 

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from cozero.graphs import CozeroGraph
-from cozero.rings import RingSpec
+from cozero.graphs import CozeroGraph, bits
+from cozero.rings import CapExceededError, RingSpec
 
 
 # independent oracles, kept deliberately naive
@@ -26,6 +26,53 @@ def vnr_by_search(spec: RingSpec) -> bool:
 def adjacency_by_oracle(spec: RingSpec, a, b) -> bool:
     return (a not in ideal_by_enumeration(spec, b)
             and b not in ideal_by_enumeration(spec, a))
+
+
+def brute_force_clique(g: CozeroGraph) -> int:
+    """Exact clique number by enumerating every clique (<= 20 vertices)."""
+    if g.n > 20:
+        raise CapExceededError(f"brute-force clique capped at 20 vertices, got {g.n}")
+    best = 0
+
+    def grow(size: int, cand: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand &= ~low
+            grow(size + 1, cand & g.adj[v])
+
+    grow(0, (1 << g.n) - 1)
+    return best
+
+
+def brute_force_chromatic(g: CozeroGraph) -> int:
+    """Exact chromatic number by plain assignment backtracking (<= 12
+    vertices); no heuristics shared with the main solver."""
+    if g.n > 12:
+        raise CapExceededError(f"brute-force coloring capped at 12 vertices, got {g.n}")
+    if g.n == 0:
+        return 0
+    colors = [-1] * g.n
+
+    def feasible(k: int, v: int) -> bool:
+        if v == g.n:
+            return True
+        for c in range(k):
+            if all(colors[nb] != c for nb in bits(g.adj[v]) if nb < v):
+                colors[v] = c
+                if feasible(k, v + 1):
+                    colors[v] = -1
+                    return True
+                colors[v] = -1
+        return False
+
+    for k in range(1, g.n + 1):
+        if feasible(k, 0):
+            return k
+    return g.n
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> CozeroGraph:

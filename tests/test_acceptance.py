@@ -9,7 +9,6 @@ import time
 import pytest
 
 from cozero.graphs import (
-    adjacency_via_containment,
     build_cozero_graph,
     nzc_partition,
     quotient_by_associates,
@@ -23,8 +22,6 @@ from cozero.rings import (
 )
 from cozero.solvers import (
     are_isomorphic,
-    brute_force_chromatic,
-    brute_force_clique,
     chromatic_number,
     is_perfect_desk_scale,
     max_clique,
@@ -32,6 +29,8 @@ from cozero.solvers import (
 )
 from cozero import cli, verify
 from conftest import (
+    brute_force_chromatic,
+    brute_force_clique,
     cycle_graph,
     ideal_by_enumeration,
     random_graph,

@@ -49,6 +49,13 @@ class TestAnalyze:
         code, _, _ = run_cli(["analyze"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--max-cardinality", "--max-vertices"])
+    @pytest.mark.parametrize("value", ["0", "-1", "ten"])
+    def test_bad_cap_exit_2(self, capsys, flag, value):
+        code, out, err = run_cli(["analyze", "Z2xZ2", flag, value], capsys)
+        assert code == 2 and out == ""
+        assert "not a positive integer" in err
+
     def test_cap_violation_exit_1(self, capsys):
         code, out, _ = run_cli(["analyze", "Z2xZ2", "--max-cardinality", "3"],
                                capsys)
@@ -75,6 +82,12 @@ class TestVerify:
              "--rings", "Z8,Z3xZ3"], capsys)
         assert code == 0
         assert len(json.loads(out)) == 4
+
+    def test_negative_max_vertices_exit_2(self, capsys):
+        # not a run that skips every report as cap-exceeded
+        code, out, _ = run_cli(["verify", "--max-vertices", "-1",
+                                "--rings", "Z2xZ2"], capsys)
+        assert code == 2 and out == ""
 
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--suite", "graph-invariants",
@@ -138,3 +151,9 @@ class TestEnvCap:
         code, _, _ = run_cli(["analyze", "Z2xZ2",
                               "--max-cardinality", "100"], capsys)
         assert code == 0
+
+    def test_env_not_integer_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("COZERO_MAX_CARDINALITY", "abc")
+        code, out, err = run_cli(["analyze", "Z2xZ2"], capsys)
+        assert code == 2 and out == ""
+        assert "'abc' is not a positive integer" in err

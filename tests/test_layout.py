@@ -1,0 +1,60 @@
+"""Module boundaries inside the package: no module of src/cozero reads a
+private (underscore) name of another, whether by ``from .x import _name`` or
+by ``x._name`` on an imported module."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cozero"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_uses(source: str) -> list[str]:
+    """Every cross-module private name the given module source reads."""
+    tree = ast.parse(source)
+    found = []
+    aliases = {}  # local name -> package module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "cozero":
+                continue
+            # "from . import graphs" or "from cozero import graphs" binds a module
+            binds_modules = node.module in (None, "cozero")
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"from {'.' * node.level}{node.module or ''} "
+                                 f"import {alias.name}")
+                if binds_modules and alias.name in MODULES:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, tail = alias.name.partition(".")
+                if head == "cozero" and tail in MODULES and alias.asname:
+                    aliases[alias.asname] = tail
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.append(f"{aliases[node.value.id]}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_cross_module_private_names(module):
+    assert private_uses((SRC / f"{module}.py").read_text()) == []
+
+
+def test_checker_catches_both_forms():
+    source = ("from . import graphs, solvers as s\n"
+              "from .graphs import _bits, complement\n"
+              "import cozero.rings as r\n"
+              "x = graphs._is_prime(3) + s._all_twin_reduce + r._squarefree\n"
+              "y = graphs.complement, graphs.__name__\n")
+    assert sorted(private_uses(source)) == sorted([
+        "from .graphs import _bits", "graphs._is_prime",
+        "solvers._all_twin_reduce", "rings._squarefree"])

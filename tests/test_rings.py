@@ -8,6 +8,7 @@ from cozero.rings import (
     RingSpecError,
     associate_classes,
     crt_split,
+    factorize,
     in_principal_ideal,
     is_unit,
     is_von_neumann_regular,
@@ -43,6 +44,29 @@ class TestParseSpec:
     def test_roundtrip_str(self):
         spec = parse_spec("Z2xZ9xZ5")
         assert parse_spec(str(spec)) == spec
+
+
+class TestFactorize:
+    @pytest.mark.parametrize("n,factors", [
+        (1, []),
+        (2, [(2, 1)]),
+        (97, [(97, 1)]),
+        (360, [(2, 3), (3, 2), (5, 1)]),
+        (1001, [(7, 1), (11, 1), (13, 1)]),
+    ])
+    def test_examples(self, n, factors):
+        assert factorize(n) == factors
+
+    def test_matches_trial_division(self):
+        for n in range(2, 400):
+            factors = factorize(n)
+            assert [p for p, _ in factors] == [
+                p for p in range(2, n + 1)
+                if n % p == 0 and all(p % d for d in range(2, p))]
+            product = 1
+            for p, e in factors:
+                product *= p**e
+            assert product == n
 
 
 class TestCrtSplit:
@@ -117,12 +141,6 @@ class TestPrincipalIdeal:
         for a in elems:
             for b in elems:
                 assert in_principal_ideal(small_spec, a, b) == (a in ideals[b])
-
-    def test_paranoid_flag(self, small_spec):
-        elems = list(small_spec.elements())
-        for a in elems[:10]:
-            for b in elems[:10]:
-                in_principal_ideal(small_spec, a, b, paranoid=True)
 
     def test_principal_ideal_enumeration(self):
         spec = RingSpec((6,))

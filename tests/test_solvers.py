@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,8 @@ from cozero.graphs import CozeroGraph, build_cozero_graph, complement
 from cozero.rings import CapExceededError, RingSpec
 from cozero.solvers import (
     OddCycleCertificate,
+    _all_twin_reduce,
     are_isomorphic,
-    brute_force_chromatic,
-    brute_force_clique,
     chromatic_number,
     find_odd_hole,
     is_perfect_desk_scale,
@@ -20,6 +21,8 @@ from cozero.solvers import (
     validate_coloring,
 )
 from conftest import (
+    brute_force_chromatic,
+    brute_force_clique,
     complete_graph,
     cycle_graph,
     has_induced_odd_cycle_by_subsets,
@@ -102,6 +105,13 @@ class TestFindOddHole:
         cert = find_odd_hole(cycle_graph(5))
         assert cert is not None and len(cert.cycle) == 5
         assert validate_certificate(cycle_graph(5), cert)
+        # each vertex blown up into 10 false twins: the cap counts the core
+        blown = CozeroGraph.from_edges(50, [
+            (10 * i + a, 10 * ((i + 1) % 5) + b)
+            for i in range(5) for a in range(10) for b in range(10)])
+        cert = find_odd_hole(blown, max_vertices=5)
+        assert cert is not None and len(cert.cycle) == 5
+        assert validate_certificate(blown, cert)
 
     def test_even_cycle_none(self):
         assert find_odd_hole(cycle_graph(6)) is None
@@ -161,10 +171,82 @@ class TestIsPerfect:
         assert cert.where == "complement"
         assert validate_certificate(g, cert)
 
+    def test_complement_has_same_twin_core(self):
+        # is_perfect_desk_scale reduces once and searches both sides
+        rng = random.Random(13)
+        for _ in range(100):
+            g = random_graph(rng.randint(1, 12), rng.choice([0.1, 0.5, 0.9]), rng)
+            assert _all_twin_reduce(g) == _all_twin_reduce(complement(g))
+
     def test_bipartite_perfect(self):
         g = CozeroGraph.from_edges(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)])
         ok, cert = is_perfect_desk_scale(g)
         assert ok
+
+
+# DSATUR colors this 10-vertex graph with 4 colors, but omega = chi = 3, so
+# chromatic_number must search; the path makes that search 1,200 levels deep
+DSATUR_TRAP_EDGES = [(0, 1), (0, 4), (0, 6), (0, 9), (1, 3), (1, 5), (1, 6),
+                     (1, 8), (2, 3), (2, 4), (2, 8), (3, 4), (3, 7), (4, 5),
+                     (5, 6), (5, 7), (6, 7), (6, 8), (6, 9), (8, 9)]
+
+
+class TestDeepSearch:
+    """The exact searches keep their own stacks: deep inputs run at the
+    default recursion limit, and no solver changes that limit."""
+
+    def test_long_hole(self):
+        cert = find_odd_hole(cycle_graph(2001), max_vertices=2001)
+        assert cert is not None and sorted(cert.cycle) == list(range(2001))
+
+    def test_deep_coloring(self):
+        path = [(10 + i, 11 + i) for i in range(1199)]
+        g = CozeroGraph.from_edges(1210, DSATUR_TRAP_EDGES + path)
+        res = chromatic_number(g, max_vertices=2000)
+        assert res.count == 3
+        assert validate_coloring(g, res.assignment, res.count)
+
+    def test_recursion_limit_untouched(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"solver set the recursion limit to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        g = build_cozero_graph(RingSpec((2,) * 5))
+        assert max_clique(g).size == 10
+        assert chromatic_number(g).count == 10
+        assert is_perfect_desk_scale(g) == (True, None)
+
+    def test_concurrent_workers(self):
+        errors = []
+        holes = []
+
+        def deep():
+            try:
+                for _ in range(40):
+                    holes.append(find_odd_hole(cycle_graph(2001),
+                                               max_vertices=2001))
+            except Exception as exc:
+                errors.append(exc)
+
+        def shallow():
+            try:
+                for _ in range(8_000):
+                    assert max_clique(cycle_graph(7)).size == 2
+            except Exception as exc:
+                errors.append(exc)
+
+        limit = sys.getrecursionlimit()
+        threads = [threading.Thread(target=deep),
+                   threading.Thread(target=shallow)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert errors == []
+        assert sys.getrecursionlimit() == limit
+        assert len(holes) == 40
+        assert all(len(c.cycle) == 2001 for c in holes)
 
 
 class TestIsomorphism:
