@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rings import (
     AssociateClasses,
@@ -18,7 +18,6 @@ from .rings import (
     RingSpec,
     associate_classes,
     factorize,
-    in_principal_ideal,
     is_von_neumann_regular,
     vertices,
 )
@@ -79,16 +78,29 @@ def build_cozero_graph(spec: RingSpec,
             f"|{spec}| = {spec.cardinality} exceeds cardinality cap {max_cardinality}")
     labels = vertices(spec)
     n = len(labels)
-    # Ra = R*gcd-signature, so adjacency only depends on the componentwise gcds
+    # Ra = R*gcd-signature, and Rb is inside Ra iff gcd(a_i, n_i) divides
+    # gcd(b_i, n_i) for every i, so adjacency only depends on the signatures
     sigs = [tuple(math.gcd(x, m) for x, m in zip(v, spec.moduli)) for v in labels]
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = sigs[i], sigs[j]
-            if not in_principal_ideal(spec, a, b) and not in_principal_ideal(spec, b, a):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows))
+    members: dict[tuple[int, ...], int] = {}
+    for v, sig in enumerate(sigs):
+        members[sig] = members.get(sig, 0) | 1 << v
+    below, above = [], []  # [i][d]: vertices whose i-th gcd is a multiple / divisor of d
+    for i in range(len(spec.moduli)):
+        col: dict[int, int] = {}
+        for sig, mask in members.items():
+            col[sig[i]] = col.get(sig[i], 0) | mask
+        # each vertex has one i-th gcd, so the masks are disjoint and sum is union
+        below.append({d: sum(m for e, m in col.items() if e % d == 0) for d in col})
+        above.append({d: sum(m for e, m in col.items() if d % e == 0) for d in col})
+    full = (1 << n) - 1
+    rows = {}
+    for sig in members:
+        down = up = full  # the ideals inside Rs, and those containing it
+        for i, d in enumerate(sig):
+            down &= below[i][d]
+            up &= above[i][d]
+        rows[sig] = full & ~(down | up)
+    return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows[s] for s in sigs))
 
 
 def complement(g: CozeroGraph) -> CozeroGraph:

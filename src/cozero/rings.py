@@ -110,41 +110,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CrtSplit:
-    """A spec with every factor split into prime powers, plus the element bijection."""
+    """A spec and the spec with every factor split into prime powers."""
 
     original: RingSpec
     split: RingSpec
-    # _groups[i] = prime-power moduli that factor i of the original maps onto
-    _groups: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    def to_split(self, a: Element) -> Element:
-        self.original.validate_element(a)
-        out = []
-        for x, group in zip(a, self._groups):
-            out.extend(x % q for q in group)
-        return tuple(out)
-
-    def from_split(self, b: Element) -> Element:
-        self.split.validate_element(b)
-        out = []
-        pos = 0
-        for n, group in zip(self.original.moduli, self._groups):
-            residues = b[pos:pos + len(group)]
-            pos += len(group)
-            # CRT reconstruction over pairwise-coprime prime powers
-            x = 0
-            for r, q in zip(residues, group):
-                m = n // q
-                x = (x + r * m * pow(m, -1, q)) % n
-            out.append(x)
-        return tuple(out)
 
 
 def crt_split(spec: RingSpec) -> CrtSplit:
     """Split every Z_n factor into its prime-power components Z_{p^e}."""
-    groups = tuple(tuple(p**e for p, e in factorize(n)) for n in spec.moduli)
-    flat = tuple(q for group in groups for q in group)
-    return CrtSplit(original=spec, split=RingSpec(flat), _groups=groups)
+    flat = tuple(p**e for n in spec.moduli for p, e in factorize(n))
+    return CrtSplit(original=spec, split=RingSpec(flat))
 
 
 def is_unit(spec: RingSpec, a: Element) -> bool:

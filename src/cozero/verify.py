@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import graphs, rings, solvers
 from .rings import CapExceededError, RingSpec
@@ -73,6 +73,8 @@ def check_formula(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
     """omega = chi = C(n, floor(n/2)) for a product of n fields."""
     claim = "clique-formula"
     start = time.perf_counter()
+    if spec.cardinality > caps.max_cardinality:
+        return _skip(claim, spec, "cap-exceeded")
     if not rings.is_von_neumann_regular(spec):
         return _skip(claim, spec, "not-vnr")
     n = rings.min_prime_count(spec)
@@ -105,8 +107,11 @@ def check_perfection(spec: RingSpec, caps: Caps = Caps(),
     """
     claim = "perfection"
     start = time.perf_counter()
-    if graph_override is None and not rings.is_von_neumann_regular(spec):
-        return _skip(claim, spec, "not-vnr")
+    if graph_override is None:
+        if spec.cardinality > caps.max_cardinality:
+            return _skip(claim, spec, "cap-exceeded")
+        if not rings.is_von_neumann_regular(spec):
+            return _skip(claim, spec, "not-vnr")
     try:
         g = graph_override if graph_override is not None else _build(spec, caps)
         if g.n > caps.max_vertices:
@@ -142,6 +147,8 @@ def check_null_graph(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
     """
     claim = "null-graph"
     start = time.perf_counter()
+    if spec.cardinality > caps.max_cardinality:
+        return _skip(claim, spec, "cap-exceeded")
     if _is_integral_domain(spec):
         return _skip(claim, spec, "is-domain")
     try:
@@ -170,6 +177,8 @@ def check_reduction(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
     is isomorphic to the graph of Z2^n built directly."""
     claim = "quotient-reduction"
     start = time.perf_counter()
+    if spec.cardinality > caps.max_cardinality:
+        return _skip(claim, spec, "cap-exceeded")
     if not rings.is_von_neumann_regular(spec):
         return _skip(claim, spec, "not-vnr")
     n = rings.min_prime_count(spec)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cozero.graphs import CozeroGraph, bits
-from cozero.rings import CapExceededError, RingSpec
+from cozero.rings import CapExceededError, CrtSplit, RingSpec, factorize
 
 
 # independent oracles, kept deliberately naive
@@ -26,6 +26,32 @@ def vnr_by_search(spec: RingSpec) -> bool:
 def adjacency_by_oracle(spec: RingSpec, a, b) -> bool:
     return (a not in ideal_by_enumeration(spec, b)
             and b not in ideal_by_enumeration(spec, a))
+
+
+def _crt_groups(cs: CrtSplit):
+    """The prime-power moduli that each factor of cs.original splits into."""
+    return [[p**e for p, e in factorize(n)] for n in cs.original.moduli]
+
+
+def to_split(cs: CrtSplit, a):
+    """The image of an element of cs.original in cs.split."""
+    cs.original.validate_element(a)
+    return tuple(x % q for x, group in zip(a, _crt_groups(cs)) for q in group)
+
+
+def from_split(cs: CrtSplit, b):
+    """The preimage in cs.original of an element of cs.split (CRT)."""
+    cs.split.validate_element(b)
+    out = []
+    pos = 0
+    for n, group in zip(cs.original.moduli, _crt_groups(cs)):
+        x = 0
+        for r, q in zip(b[pos:pos + len(group)], group):
+            m = n // q
+            x = (x + r * m * pow(m, -1, q)) % n
+        pos += len(group)
+        out.append(x)
+    return tuple(out)
 
 
 def brute_force_clique(g: CozeroGraph) -> int:

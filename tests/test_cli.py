@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,21 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--max-vertices", "-1",
                                 "--rings", "Z2xZ2"], capsys)
         assert code == 2 and out == ""
+
+    def test_huge_prime_modulus_skips_fast(self):
+        # 2^61 - 1 is prime; no claim may factor it before testing the cap
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("COZERO_MAX_CARDINALITY", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "cozero.cli", "verify",
+             "--rings", "Z2305843009213693951"],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode == 0
+        reports = json.loads(done.stdout)
+        assert len(reports) == 5
+        assert all(r["skipped"] and r["reason"] == "cap-exceeded" for r in reports)
 
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--suite", "graph-invariants",

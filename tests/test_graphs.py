@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cozero.graphs import (
     CozeroGraph,
@@ -15,14 +16,33 @@ from cozero.graphs import (
     to_dot,
     to_json,
 )
-from cozero.rings import CapExceededError, RingSpec, vertices
-from conftest import adjacency_by_oracle
+from cozero.rings import CapExceededError, RingSpec, parse_spec, vertices
+from conftest import adjacency_by_oracle, ideal_by_enumeration
 
 
 def brute_edge_count(spec):
     vs = vertices(spec)
     return sum(1 for a, b in itertools.combinations(vs, 2)
                if adjacency_by_oracle(spec, a, b))
+
+
+def oracle_rows(spec):
+    """Adjacency rows from enumerated ideals: a-b iff a not in Rb, b not in Ra."""
+    vs = vertices(spec)
+    ideals = [ideal_by_enumeration(spec, v) for v in vs]
+    return tuple(sum(1 << j for j, b in enumerate(vs)
+                     if a not in ideals[j] and b not in ideals[i])
+                 for i, a in enumerate(vs))
+
+
+@st.composite
+def moduli_lists(draw, limit=200):
+    """Moduli lists of rings with at most limit elements."""
+    moduli = [draw(st.integers(2, limit))]
+    while limit // moduli[-1] >= 2 and draw(st.booleans()):
+        limit //= moduli[-1]
+        moduli.append(draw(st.integers(2, limit)))
+    return tuple(moduli)
 
 
 class TestBuild:
@@ -52,6 +72,39 @@ class TestBuild:
         for i, j in itertools.combinations(range(g.n), 2):
             assert g.has_edge(i, j) == \
                 adjacency_by_oracle(small_spec, g.labels[i], g.labels[j])
+
+    @pytest.mark.parametrize("text", ["Z4xZ9", "Z2xZ3xZ4", "Z6xZ10", "Z27",
+                                      "Z16", "Z4xZ4", "Z8xZ3"])
+    def test_mixed_and_non_vnr_match_oracle(self, text):
+        spec = parse_spec(text)
+        g = build_cozero_graph(spec)
+        assert g.labels == tuple(vertices(spec))
+        for i, j in itertools.combinations(range(g.n), 2):
+            assert g.has_edge(i, j) == \
+                adjacency_by_oracle(spec, g.labels[i], g.labels[j])
+
+    @settings(max_examples=60, deadline=None)
+    @given(moduli_lists())
+    def test_random_rings_match_oracle(self, moduli):
+        spec = RingSpec(moduli)
+        assert spec.cardinality <= 200
+        g = build_cozero_graph(spec)
+        assert g.labels == tuple(vertices(spec))
+        assert g.adj == oracle_rows(spec)
+
+    # vertex and edge counts of the analyze-classes benchmark rings
+    @pytest.mark.parametrize("text,n,edges", [
+        ("Z2xZ3xZ5xZ7xZ11", 1829, 880802),
+        ("Z3xZ3xZ3xZ3xZ3", 210, 14280),
+        ("Z4xZ9xZ25", 659, 106700),
+        ("Z5xZ5xZ5xZ5", 368, 42592),
+        ("Z7xZ7xZ7xZ7", 1104, 400680),
+        ("Z8xZ27", 143, 3822),
+        ("Z9xZ9xZ9", 512, 73200),
+    ])
+    def test_large_ring_counts(self, text, n, edges):
+        g = build_cozero_graph(parse_spec(text))
+        assert g.n == n and g.edge_count() == edges
 
     def test_cardinality_cap(self):
         with pytest.raises(CapExceededError):

@@ -58,3 +58,35 @@ def test_checker_catches_both_forms():
     assert sorted(private_uses(source)) == sorted([
         "from .graphs import _bits", "graphs._is_prime",
         "solvers._all_twin_reduce", "rings._squarefree"])
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the module source imports but never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.name
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported[name] for name in imported.keys() - used)
+
+
+# the package's __init__ imports only to re-export its public API
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_no_unused_imports(module):
+    assert unused_imports((SRC / f"{module}.py").read_text()) == []
+
+
+def test_unused_import_checker():
+    source = ("from __future__ import annotations\n"
+              "import math, os.path\n"
+              "from dataclasses import dataclass, field\n"
+              "from .rings import vertices as vs, factorize\n"
+              "@dataclass\n"
+              "class A:\n"
+              "    x: int = math.gcd(4, 6)\n"
+              "y = vs(None)\n")
+    assert unused_imports(source) == ["factorize", "field", "os.path"]

@@ -17,7 +17,13 @@ from cozero.rings import (
     principal_ideal,
     vertices,
 )
-from conftest import ideal_by_enumeration, unit_by_search, vnr_by_search
+from conftest import (
+    from_split,
+    ideal_by_enumeration,
+    to_split,
+    unit_by_search,
+    vnr_by_search,
+)
 
 
 class TestParseSpec:
@@ -87,17 +93,17 @@ class TestCrtSplit:
         # exhaustive: phi respects +, *, 0, 1 and round-trips
         cs = crt_split(small_spec)
         elems = list(small_spec.elements())
-        images = [cs.to_split(a) for a in elems]
+        images = [to_split(cs, a) for a in elems]
         assert len(set(images)) == len(elems)
-        assert cs.to_split(small_spec.zero) == cs.split.zero
-        assert cs.to_split(small_spec.one) == cs.split.one
+        assert to_split(cs, small_spec.zero) == cs.split.zero
+        assert to_split(cs, small_spec.one) == cs.split.one
         for a in elems:
-            assert cs.from_split(cs.to_split(a)) == a
+            assert from_split(cs, to_split(cs, a)) == a
         for a, b in itertools.product(elems[:40], elems[:40]):
-            assert cs.to_split(small_spec.add(a, b)) == \
-                cs.split.add(cs.to_split(a), cs.to_split(b))
-            assert cs.to_split(small_spec.mul(a, b)) == \
-                cs.split.mul(cs.to_split(a), cs.to_split(b))
+            assert to_split(cs, small_spec.add(a, b)) == \
+                cs.split.add(to_split(cs, a), to_split(cs, b))
+            assert to_split(cs, small_spec.mul(a, b)) == \
+                cs.split.mul(to_split(cs, a), to_split(cs, b))
 
 
 class TestIsUnit:

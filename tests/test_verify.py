@@ -145,6 +145,23 @@ class TestRunSuite:
         assert any(r.skipped for r in reports)
 
 
+class TestCapFirst:
+    # each ring would skip for another reason if the cap were tested later
+    @pytest.mark.parametrize("claim,moduli,later_reason", [
+        ("clique-formula", (4,), "not-vnr"),
+        ("clique-formula", (2,), "too-few-factors"),
+        ("perfection", (4,), "not-vnr"),
+        ("null-graph", (7,), "is-domain"),
+        ("quotient-reduction", (9,), "not-vnr"),
+        ("quotient-reduction", (3,), "too-few-factors"),
+    ])
+    def test_over_cap_skips_as_cap_exceeded(self, claim, moduli, later_reason):
+        spec = RingSpec(moduli)
+        assert CLAIMS[claim](spec).reason == later_reason
+        r = CLAIMS[claim](spec, Caps(max_cardinality=spec.cardinality - 1))
+        assert r.skipped and r.reason == "cap-exceeded"
+
+
 class TestDefaultRingSet:
     def test_contains_required_rings(self):
         specs = {str(s) for s in default_ring_set()}
