@@ -70,6 +70,37 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def _signature_masks(spec: RingSpec, labels) -> tuple[list[tuple[int, ...]], dict]:
+    """Each label's gcd signature, and for each signature s the masks
+    (members, down, up): the labels with signature s, those whose ideal lies
+    inside Rs, and those whose ideal contains Rs.
+
+    Ra = R*gcd-signature, and Rb is inside Ra iff gcd(a_i, n_i) divides
+    gcd(b_i, n_i) for every i, so containment only depends on the signatures.
+    """
+    sigs = [tuple(math.gcd(x, m) for x, m in zip(v, spec.moduli)) for v in labels]
+    members: dict[tuple[int, ...], int] = {}
+    for v, sig in enumerate(sigs):
+        members[sig] = members.get(sig, 0) | 1 << v
+    below, above = [], []  # [i][d]: labels whose i-th gcd is a multiple / divisor of d
+    for i in range(len(spec.moduli)):
+        col: dict[int, int] = {}
+        for sig, mask in members.items():
+            col[sig[i]] = col.get(sig[i], 0) | mask
+        # each label has one i-th gcd, so the masks are disjoint and sum is union
+        below.append({d: sum(m for e, m in col.items() if e % d == 0) for d in col})
+        above.append({d: sum(m for e, m in col.items() if d % e == 0) for d in col})
+    full = (1 << len(sigs)) - 1
+    masks = {}
+    for sig, mask in members.items():
+        down = up = full
+        for i, d in enumerate(sig):
+            down &= below[i][d]
+            up &= above[i][d]
+        masks[sig] = (mask, down, up)
+    return sigs, masks
+
+
 def build_cozero_graph(spec: RingSpec,
                        max_cardinality: int = DEFAULT_MAX_CARDINALITY) -> CozeroGraph:
     """The graph on the non-zero non-units, a-b an edge iff a not in Rb and b not in Ra."""
@@ -77,30 +108,27 @@ def build_cozero_graph(spec: RingSpec,
         raise CapExceededError(
             f"|{spec}| = {spec.cardinality} exceeds cardinality cap {max_cardinality}")
     labels = vertices(spec)
-    n = len(labels)
-    # Ra = R*gcd-signature, and Rb is inside Ra iff gcd(a_i, n_i) divides
-    # gcd(b_i, n_i) for every i, so adjacency only depends on the signatures
-    sigs = [tuple(math.gcd(x, m) for x, m in zip(v, spec.moduli)) for v in labels]
-    members: dict[tuple[int, ...], int] = {}
-    for v, sig in enumerate(sigs):
-        members[sig] = members.get(sig, 0) | 1 << v
-    below, above = [], []  # [i][d]: vertices whose i-th gcd is a multiple / divisor of d
-    for i in range(len(spec.moduli)):
-        col: dict[int, int] = {}
-        for sig, mask in members.items():
-            col[sig[i]] = col.get(sig[i], 0) | mask
-        # each vertex has one i-th gcd, so the masks are disjoint and sum is union
-        below.append({d: sum(m for e, m in col.items() if e % d == 0) for d in col})
-        above.append({d: sum(m for e, m in col.items() if d % e == 0) for d in col})
-    full = (1 << n) - 1
-    rows = {}
-    for sig in members:
-        down = up = full  # the ideals inside Rs, and those containing it
-        for i, d in enumerate(sig):
-            down &= below[i][d]
-            up &= above[i][d]
-        rows[sig] = full & ~(down | up)
+    sigs, masks = _signature_masks(spec, labels)
+    full = (1 << len(labels)) - 1
+    rows = {sig: full & ~(down | up) for sig, (_, down, up) in masks.items()}
     return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows[s] for s in sigs))
+
+
+def ideal_orientation(g: CozeroGraph) -> tuple[int, ...]:
+    """Out-rows of the principal-ideal order on the labels of a ring-backed
+    graph: u->v iff Ru is strictly inside Rv, or Ru = Rv and u < v.
+
+    On a cozero-divisor graph, or an induced subgraph of one, these arcs
+    orient exactly the edges of the complement, transitively.
+    """
+    if g.spec is None:
+        raise ValueError("orientation needs a ring-backed graph")
+    sigs, masks = _signature_masks(g.spec, g.labels)
+    out = []
+    for u, sig in enumerate(sigs):
+        mask, _, up = masks[sig]
+        out.append((up & ~mask) | (mask & (-1 << (u + 1))))
+    return tuple(out)
 
 
 def complement(g: CozeroGraph) -> CozeroGraph:
@@ -111,6 +139,8 @@ def complement(g: CozeroGraph) -> CozeroGraph:
 
 def induced_subgraph(g: CozeroGraph, keep) -> CozeroGraph:
     keep = sorted(keep)
+    if keep == list(range(g.n)):
+        return g
     remap = {old: new for new, old in enumerate(keep)}
     rows = []
     for old in keep:

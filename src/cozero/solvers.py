@@ -1,5 +1,6 @@
-"""Exact combinatorial solvers: maximum clique, chromatic number, induced
-odd-cycle (hole) search, and small-graph isomorphism.
+"""Exact combinatorial solvers: maximum clique, chromatic number, perfection
+certificates (transitive orientations, induced odd-cycle search), and
+small-graph isomorphism.
 
 All solvers are exact; size caps raise instead of degrading to heuristics.
 Tie-breaking is by lowest vertex index throughout so witnesses are
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CozeroGraph, bits, complement, induced_subgraph
+from .graphs import CozeroGraph, bits, complement, ideal_orientation, induced_subgraph
 from .rings import CapExceededError
 
 DEFAULT_VERTEX_CAP = 512
@@ -64,6 +65,28 @@ def validate_certificate(g: CozeroGraph, cert: OddCycleCertificate) -> bool:
             if h.has_edge(cyc[i], cyc[j]) != consecutive:
                 return False
     return True
+
+
+def validate_orientation(g: CozeroGraph, out) -> bool:
+    """Check that out (out-rows as bitsets) is a transitive orientation of
+    the complement of g, from g.adj alone: no arc in both directions, out-
+    and in-arcs together are exactly each complement row, and u->v implies
+    out[v] is inside out[u].  Such an orientation makes the complement a
+    comparability graph, so both it and g are perfect."""
+    n = g.n
+    full = (1 << n) - 1
+    # a row outside [0, full] names a vertex g does not have
+    if len(out) != n or not all(0 <= row <= full for row in out):
+        return False
+    into = [0] * n
+    for u in range(n):
+        for v in bits(out[u]):
+            if out[v] & ~out[u]:
+                return False
+            into[v] |= 1 << u
+    return all(not out[u] & into[u]
+               and out[u] | into[u] == full & ~g.adj[u] & ~(1 << u)
+               for u in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +411,29 @@ def _min_odd_hole_core(adj: list[int], min_len: int) -> list[int] | None:
 def is_perfect_desk_scale(g: CozeroGraph,
                           max_vertices: int = DEFAULT_VERTEX_CAP
                           ) -> tuple[bool, OddCycleCertificate | None]:
-    """Perfection by exhaustive odd-hole search in the graph and its complement.
+    """Perfection of g, decided on its all-twin-reduced core, to which the
+    max_vertices cap applies.  Replicating a vertex keeps a graph perfect,
+    so the core is perfect iff g is.
 
-    Both searches run on one all-twin-reduced core, and the max_vertices cap
-    applies to it: open twins of g are closed twins of its complement and
-    vice versa, so reducing the complement would keep the same vertices.
+    A ring-backed graph (spec set) is taken to be a cozero-divisor graph, an
+    induced subgraph of one, or the complement of either: its core is
+    certified perfect by the principal-ideal orientation, validated as a
+    transitive orientation of the complement of the core or, failing that,
+    of the core itself (perfection is closed under complements).  If both
+    fail, AssertionError is raised.  Any other graph gets an exhaustive
+    odd-hole search in the core and its complement (open twins of g are
+    closed twins of its complement and vice versa, so reducing the
+    complement would keep the same vertices).
     """
     keep, core = _twin_core(g, max_vertices)
+    if core.spec is not None:
+        out = ideal_orientation(core)
+        if not (validate_orientation(core, out)
+                or validate_orientation(complement(core), out)):
+            raise AssertionError(
+                f"ideal orientation of {core.spec} orients neither the graph "
+                f"nor its complement transitively")
+        return True, None
     for where, h in (("graph", core), ("complement", complement(core))):
         cycle = _min_odd_hole_core(h.adj, 5)
         if cycle is not None:

@@ -23,9 +23,10 @@ class Caps:
     max_cardinality: int = rings.DEFAULT_MAX_CARDINALITY
     max_vertices: int = solvers.DEFAULT_VERTEX_CAP
     max_iso_vertices: int = solvers.ISO_VERTEX_CAP
-    # perfection is certified by exhaustive odd-cycle search, which is only
-    # a desk-scale tool; measured on the twin-reduced graph, where all the
-    # ring structure collapses to the {0,1}-pattern core
+    # perfection of a ring graph is certified by a transitive orientation of
+    # the complement of its twin-reduced core, which needs no cap; this one
+    # stays only so that the reports (and their cap-exceeded skips) remain
+    # byte-identical
     max_hole_vertices: int = 64
 
 

@@ -18,6 +18,16 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter, stopped after 30 s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("COZERO_MAX_CARDINALITY", None)
+    return subprocess.run([sys.executable, "-m", "cozero.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
 class TestAnalyze:
     def test_z2_cubed(self, capsys):
         code, out, _ = run_cli(["analyze", "Z2xZ2xZ2"], capsys)
@@ -60,6 +70,14 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert "not a positive integer" in err
 
+    def test_boolean_power_seven_returns(self):
+        # the 126-vertex core of Z2^7 is certified perfect without a search
+        done = run_cli_process(["analyze", "--format", "json",
+                                "Z2xZ2xZ2xZ2xZ2xZ2xZ2"])
+        assert done.returncode == 0
+        [info] = json.loads(done.stdout)
+        assert info["perfect"] is True and info["omega"] == 35
+
     def test_cap_violation_exit_1(self, capsys):
         code, out, _ = run_cli(["analyze", "Z2xZ2", "--max-cardinality", "3"],
                                capsys)
@@ -95,14 +113,7 @@ class TestVerify:
 
     def test_huge_prime_modulus_skips_fast(self):
         # 2^61 - 1 is prime; no claim may factor it before testing the cap
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.pop("COZERO_MAX_CARDINALITY", None)
-        done = subprocess.run(
-            [sys.executable, "-m", "cozero.cli", "verify",
-             "--rings", "Z2305843009213693951"],
-            capture_output=True, text=True, env=env, timeout=30)
+        done = run_cli_process(["verify", "--rings", "Z2305843009213693951"])
         assert done.returncode == 0
         reports = json.loads(done.stdout)
         assert len(reports) == 5

@@ -146,8 +146,14 @@ class TestComplement:
 class TestInducedSubgraph:
     def test_keep_all_identity(self, small_spec):
         g = build_cozero_graph(small_spec)
-        h = induced_subgraph(g, range(g.n))
-        assert h.adj == g.adj and h.labels == g.labels
+        assert induced_subgraph(g, range(g.n)) is g
+        assert induced_subgraph(g, reversed(range(g.n))) is g
+
+    def test_repeated_vertices_not_the_whole_graph(self):
+        g = build_cozero_graph(RingSpec((2, 2, 2)))
+        keep = [0] + list(range(g.n - 1))  # n entries, vertex n-1 missing
+        sub = induced_subgraph(g, keep)
+        assert sub is not g and g.labels[-1] not in sub.labels
 
     def test_keep_none(self):
         g = build_cozero_graph(RingSpec((2, 2)))
@@ -164,6 +170,7 @@ class TestInducedSubgraph:
         g = build_cozero_graph(RingSpec((2, 3, 5)))
         keep = list(range(0, g.n, 2))
         sub = induced_subgraph(g, keep)
+        assert sub.labels == tuple(g.labels[v] for v in keep)
         for a, b in itertools.combinations(range(sub.n), 2):
             assert sub.has_edge(a, b) == g.has_edge(keep[a], keep[b])
 

@@ -6,7 +6,15 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cozero.graphs import CozeroGraph, build_cozero_graph, complement
+from cozero import solvers
+from cozero.graphs import (
+    CozeroGraph,
+    bits,
+    build_cozero_graph,
+    complement,
+    ideal_orientation,
+    induced_subgraph,
+)
 from cozero.rings import CapExceededError, RingSpec
 from cozero.solvers import (
     OddCycleCertificate,
@@ -19,7 +27,9 @@ from cozero.solvers import (
     validate_certificate,
     validate_clique,
     validate_coloring,
+    validate_orientation,
 )
+from cozero.verify import default_ring_set
 from conftest import (
     brute_force_chromatic,
     brute_force_clique,
@@ -182,6 +192,93 @@ class TestIsPerfect:
         g = CozeroGraph.from_edges(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)])
         ok, cert = is_perfect_desk_scale(g)
         assert ok
+
+
+# rings that are not products of fields: their associate classes have
+# several members, which the u < v tie rule of the orientation must order
+NON_VNR_MODULI = [(4,), (8,), (27,), (16,), (2, 4), (4, 4), (4, 9), (8, 3)]
+
+
+def _arcs(out):
+    return [(u, v) for u, row in enumerate(out) for v in bits(row)]
+
+
+class TestOrientation:
+    def test_valid_on_default_rings(self):
+        for spec in default_ring_set():
+            g = build_cozero_graph(spec)
+            assert validate_orientation(g, ideal_orientation(g)), spec
+
+    @pytest.mark.parametrize("moduli", NON_VNR_MODULI)
+    def test_valid_on_non_vnr_rings(self, moduli):
+        g = build_cozero_graph(RingSpec(moduli))
+        assert validate_orientation(g, ideal_orientation(g))
+
+    def test_valid_on_induced_subgraph(self):
+        g = build_cozero_graph(RingSpec((4, 9)))
+        sub = induced_subgraph(g, range(1, g.n, 3))
+        assert validate_orientation(sub, ideal_orientation(sub))
+
+    def test_needs_ring(self):
+        with pytest.raises(ValueError):
+            ideal_orientation(cycle_graph(5))
+
+    def test_rejects_broken_orientations(self):
+        # flipping an arc between twins keeps the orientation transitive;
+        # Z2^4 has no twins, and each single flip there breaks transitivity
+        g = build_cozero_graph(RingSpec((2,) * 4))
+        out = list(ideal_orientation(g))
+        assert validate_orientation(g, out)
+        for u, v in _arcs(out):
+            flipped = out.copy()
+            flipped[u] &= ~(1 << v)
+            flipped[v] |= 1 << u
+            dropped = out.copy()
+            dropped[u] &= ~(1 << v)
+            assert not validate_orientation(g, flipped), (u, v)
+            assert not validate_orientation(g, dropped), (u, v)
+        for a, b in g.edges():
+            for u, v in ((a, b), (b, a)):
+                added = out.copy()
+                added[u] |= 1 << v
+                assert not validate_orientation(g, added), (u, v)
+        assert not validate_orientation(g, out[:-1])
+        assert not validate_orientation(g, [-1] + out[1:])
+
+    def test_rejects_every_orientation_of_c5(self):
+        # the complement of C5 is C5, an odd hole, so no orientation of it
+        # is transitive
+        g = cycle_graph(5)
+        edges = complement(g).edges()
+        for flips in itertools.product((False, True), repeat=len(edges)):
+            out = [0] * 5
+            for (u, v), flip in zip(edges, flips):
+                if flip:
+                    u, v = v, u
+                out[u] |= 1 << v
+            assert not validate_orientation(g, out)
+
+    def test_ring_graphs_skip_hole_search(self, monkeypatch):
+        def refuse(adj, min_len):
+            raise AssertionError("odd-hole search ran")
+
+        monkeypatch.setattr(solvers, "_min_odd_hole_core", refuse)
+        for moduli in [(2,) * 6, (2,) * 7, (2, 3, 5), (3, 3, 3)] + NON_VNR_MODULI:
+            g = build_cozero_graph(RingSpec(moduli))
+            assert is_perfect_desk_scale(g) == (True, None)
+            # the complement keeps the spec; the orientation orients g itself
+            assert is_perfect_desk_scale(complement(g)) == (True, None)
+        with pytest.raises(AssertionError, match="odd-hole search ran"):
+            is_perfect_desk_scale(cycle_graph(5))
+
+    def test_invalid_ring_orientation_raises(self):
+        # a ring-backed graph whose rows are neither those of its ring nor
+        # their complement: no search stands in for the failed certificate
+        g = build_cozero_graph(RingSpec((2, 2, 2)))
+        c5 = cycle_graph(5).adj + (0,)
+        wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=c5)
+        with pytest.raises(AssertionError, match="orientation"):
+            is_perfect_desk_scale(wrong)
 
 
 # DSATUR colors this 10-vertex graph with 4 colors, but omega = chi = 3, so
