@@ -160,8 +160,10 @@ def cmd_analyze(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     names = sorted(verify.CLAIMS)
-    if args.suite:
+    if args.suite is not None:
         names = [t for t in args.suite.split(",") if t]
+        if not names:
+            parser.exit(2, f"cozero: error: --suite {args.suite!r} names no claim\n")
     specs = _gather_specs(args, parser)
     if not specs:
         specs = verify.default_ring_set()

@@ -136,8 +136,16 @@ def in_principal_ideal(spec: RingSpec, a: Element, b: Element) -> bool:
 
 
 def principal_ideal(spec: RingSpec, b: Element) -> frozenset[Element]:
-    """The ideal Rb by exhaustive enumeration of all multiples r*b."""
-    return frozenset(spec.mul(r, b) for r in spec.elements())
+    """The ideal Rb = {r*b : r in R}, by exhaustive enumeration of multiples.
+
+    Multiplication is componentwise, so Rb is the product over the factors
+    of {r*b_i mod n_i : r in Z_{n_i}}; each factor's multiples are listed in
+    full, which costs sum(n_i) products instead of |R|.  No gcd is used, so
+    this stays an independent oracle for in_principal_ideal and the graph
+    build.
+    """
+    return frozenset(itertools.product(
+        *({r * y % n for r in range(n)} for y, n in zip(b, spec.moduli))))
 
 
 def vertices(spec: RingSpec) -> list[Element]:

@@ -110,31 +110,52 @@ def test_criterion_4_reduction():
     report("criterion 4 (associate-quotient reduction): PASS")
 
 
+def local_and_principal_by_search(spec):
+    """Whether the non-units are closed under addition, and whether one of
+    them generates them all, by the gcd membership test."""
+    nonunits = [a for a in spec.elements()
+                if any(math.gcd(x, n) != 1 for x, n in zip(a, spec.moduli))]
+    closed = all(spec.add(a, b) in set(nonunits)
+                 for a in nonunits for b in nonunits)
+    principal = any(all(in_principal_ideal(spec, y, x) for y in nonunits)
+                    for x in nonunits)
+    return closed, principal
+
+
 def test_criterion_5_null_graph():
     local_null = [RingSpec((m,)) for m in (4, 8, 9, 25, 27)]
     non_local = [RingSpec((2, 2)), RingSpec((2, 4))]
 
-    def local_with_principal_max_ideal(spec):
-        nonunits = [a for a in spec.elements()
-                    if any(math.gcd(x, n) != 1 for x, n in zip(a, spec.moduli))]
-        closed = all(spec.add(a, b) in set(nonunits)
-                     for a in nonunits for b in nonunits)
-        principal = any(all(in_principal_ideal(spec, y, x) for y in nonunits)
-                        for x in nonunits)
-        return closed and principal
-
     for spec in local_null:
         g = build_cozero_graph(spec)
         assert g.edge_count() == 0, f"{spec} has edges"
-        assert local_with_principal_max_ideal(spec)
+        assert all(local_and_principal_by_search(spec))
     for spec in non_local:
         g = build_cozero_graph(spec)
         assert g.edge_count() >= 1
-        assert not local_with_principal_max_ideal(spec)
+        assert not all(local_and_principal_by_search(spec))
     for spec in local_null + non_local:
         g = build_cozero_graph(spec)
-        assert (g.edge_count() == 0) == local_with_principal_max_ideal(spec)
+        assert (g.edge_count() == 0) == all(local_and_principal_by_search(spec))
     report("criterion 5 (null graph iff local with principal max ideal): PASS")
+
+
+def test_criterion_5_null_graph_oracle():
+    checked = principal_rings = 0
+    for spec in verify.default_ring_set():
+        if spec.cardinality > 64:
+            continue
+        r = verify.check_null_graph(spec)
+        if r.skipped:
+            assert r.reason == "is-domain"
+            continue
+        local, principal = local_and_principal_by_search(spec)
+        assert f"local={local} principal-max-ideal={principal}" in r.observed
+        checked += 1
+        principal_rings += principal
+    assert checked >= 30 and principal_rings >= 5
+    report(f"criterion 5 (null-graph locality and principality vs search "
+           f"on {checked} rings): PASS")
 
 
 def test_criterion_6_oracle_equivalence():

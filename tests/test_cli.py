@@ -98,6 +98,13 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--suite", "bogus"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("suite", [",", ",,", ""])
+    def test_empty_claim_list_exit_2(self, capsys, suite):
+        code, out, err = run_cli(["verify", "--suite", suite,
+                                  "--rings", "Z2xZ2"], capsys)
+        assert code == 2 and out == ""
+        assert "names no claim" in err
+
     def test_multiple_claims(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--suite", "null-graph,quotient-reduction",

@@ -1,6 +1,7 @@
 """Module boundaries inside the package: no module of src/cozero reads a
 private (underscore) name of another, whether by ``from .x import _name`` or
-by ``x._name`` on an imported module."""
+by ``x._name`` on an imported module; no module imports a name it never
+reads; and the oracles of verify stay independent of the code they check."""
 import ast
 from pathlib import Path
 
@@ -90,3 +91,41 @@ def test_unused_import_checker():
               "    x: int = math.gcd(4, 6)\n"
               "y = vs(None)\n")
     assert unused_imports(source) == ["factorize", "field", "os.path"]
+
+
+def names_in(source: str, function: str) -> set[str]:
+    """Every name and attribute that the body of a top-level function reads."""
+    [fn] = [node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name == function]
+    return ({node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)})
+
+
+# the enumeration of Rb must not use the gcd shortcut it is the oracle for,
+# and the claim checks must not derive adjacency or principality from the
+# gcd test or from the graph build's own signature masks
+FAST_PATHS = {"in_principal_ideal", "_signature_masks", "ideal_orientation"}
+
+
+@pytest.mark.parametrize("module,function,forbidden", [
+    ("rings", "principal_ideal", {"gcd", "in_principal_ideal"}),
+    ("verify", "check_invariants", FAST_PATHS),
+    ("verify", "check_null_graph", FAST_PATHS),
+])
+def test_oracles_stay_independent(module, function, forbidden):
+    assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()
+
+
+def test_oracle_checker_catches_planted_calls():
+    source = ("import math\n"
+              "from math import gcd\n"
+              "from . import graphs, rings\n"
+              "def principal_ideal(spec, b):\n"
+              "    return {math.gcd(y, n) for y, n in zip(b, spec.moduli)}\n"
+              "def check_invariants(spec, g):\n"
+              "    def helper(a, b):\n"
+              "        return rings.in_principal_ideal(spec, a, b)\n"
+              "    return graphs.ideal_orientation(g), gcd(2, 4), helper\n")
+    assert "gcd" in names_in(source, "principal_ideal")
+    assert names_in(source, "check_invariants") >= {
+        "in_principal_ideal", "ideal_orientation", "gcd"}

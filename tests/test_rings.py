@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cozero.rings import (
     RingSpec,
@@ -152,6 +152,11 @@ class TestPrincipalIdeal:
         spec = RingSpec((6,))
         assert principal_ideal(spec, (2,)) == {(0,), (2,), (4,)}
 
+    def test_per_factor_enumeration_matches_whole_ring(self, small_spec):
+        for b in small_spec.elements():
+            assert principal_ideal(small_spec, b) == \
+                ideal_by_enumeration(small_spec, b)
+
 
 class TestVertices:
     def test_z4(self):
@@ -265,3 +270,12 @@ def test_ideal_membership_property(moduli):
         for b in elems[::5]:
             assert in_principal_ideal(spec, a, b) == \
                 (a in ideal_by_enumeration(spec, b))
+
+
+@given(st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_principal_ideal_property(moduli):
+    spec = RingSpec(tuple(moduli))
+    assume(spec.cardinality <= 200)
+    for b in spec.elements():
+        assert principal_ideal(spec, b) == ideal_by_enumeration(spec, b)

@@ -1,7 +1,10 @@
+import itertools
 import json
 
 import pytest
 
+from cozero import graphs
+from cozero.graphs import CozeroGraph
 from cozero.rings import RingSpec
 from cozero.verify import (
     CLAIMS,
@@ -16,7 +19,7 @@ from cozero.verify import (
     reports_to_json,
     run_suite,
 )
-from conftest import cycle_graph
+from conftest import cycle_graph, ideal_by_enumeration
 
 
 class TestCheckFormula:
@@ -117,6 +120,59 @@ class TestCheckInvariants:
 
     def test_mixed_fields(self):
         assert check_invariants(RingSpec((3, 5))).passed
+
+
+def pairwise_mismatches(g: CozeroGraph) -> list[str]:
+    """The adjacency mismatches of g, pair by pair in order of i, then j,
+    against the definition: a-b is an edge iff a not in Rb and b not in Ra."""
+    ideals = [ideal_by_enumeration(g.spec, v) for v in g.labels]
+    return [f"adjacency mismatch at {g.labels[i]},{g.labels[j]}"
+            for i, j in itertools.combinations(range(g.n), 2)
+            if g.has_edge(i, j) != (g.labels[i] not in ideals[j]
+                                    and g.labels[j] not in ideals[i])]
+
+
+class TestInvariantsOnWrongGraphs:
+    """check_invariants against graphs.build_cozero_graph patched to return
+    a wrong graph: it must fail and name the mismatched pairs in order."""
+
+    RINGS = [RingSpec(m) for m in [(2, 2, 2), (2, 3, 5), (4, 9), (8, 3)]]
+
+    def report_on(self, monkeypatch, wrong: CozeroGraph):
+        monkeypatch.setattr(graphs, "build_cozero_graph",
+                            lambda spec, max_cardinality: wrong)
+        return check_invariants(wrong.spec)
+
+    @pytest.mark.parametrize("spec", RINGS, ids=str)
+    @pytest.mark.parametrize("flip", ["added", "dropped"])
+    def test_one_edge_flipped(self, monkeypatch, spec, flip):
+        g = graphs.build_cozero_graph(spec)
+        # the last such pair, whose bits sit high in the rows
+        i, j = [(i, j) for i, j in itertools.combinations(range(g.n), 2)
+                if g.has_edge(i, j) == (flip == "dropped")][-1]
+        rows = list(g.adj)
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=tuple(rows))
+        r = self.report_on(monkeypatch, wrong)
+        expected = pairwise_mismatches(wrong)
+        assert expected == [f"adjacency mismatch at {g.labels[i]},{g.labels[j]}"]
+        assert not r.passed and not r.skipped
+        # the adjacency messages come first; a flipped edge may also break
+        # the associate or zero-count invariants, which are reported after
+        messages = r.observed.split("; ")
+        assert messages[0] == expected[0]
+        assert [m for m in messages if m.startswith("adjacency")] == expected
+
+    @pytest.mark.parametrize("spec", RINGS, ids=str)
+    def test_every_pair_flipped(self, monkeypatch, spec):
+        g = graphs.build_cozero_graph(spec)
+        wrong = graphs.complement(g)
+        r = self.report_on(monkeypatch, wrong)
+        expected = pairwise_mismatches(wrong)
+        assert len(expected) == g.n * (g.n - 1) // 2 > 5
+        assert not r.passed
+        assert r.observed == "; ".join(expected[:5])
 
 
 class TestRunSuite:
