@@ -141,14 +141,10 @@ def induced_subgraph(g: CozeroGraph, keep) -> CozeroGraph:
     keep = sorted(keep)
     if keep == list(range(g.n)):
         return g
-    remap = {old: new for new, old in enumerate(keep)}
     rows = []
     for old in keep:
-        row = 0
-        for nb in bits(g.adj[old]):
-            if nb in remap:
-                row |= 1 << remap[nb]
-        rows.append(row)
+        row = g.adj[old]
+        rows.append(sum(1 << new for new, col in enumerate(keep) if row >> col & 1))
     return CozeroGraph(spec=g.spec,
                        labels=tuple(g.labels[old] for old in keep),
                        adj=tuple(rows))

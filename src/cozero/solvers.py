@@ -2,6 +2,10 @@
 certificates (transitive orientations, induced odd-cycle search), and
 small-graph isomorphism.
 
+Ring graphs are colored by a minimum chain cover of the principal-ideal
+order (Dilworth), certified by an antichain, a clique of the same size
+(König); bare graphs by DSATUR plus backtracking.
+
 All solvers are exact; size caps raise instead of degrading to heuristics.
 Tie-breaking is by lowest vertex index throughout so witnesses are
 reproducible.
@@ -48,7 +52,10 @@ def validate_coloring(g: CozeroGraph, assignment, count: int) -> bool:
         return False
     if g.n and not all(0 <= c < count for c in assignment):
         return False
-    return all(assignment[i] != assignment[j] for i, j in g.edges())
+    classes: dict[int, int] = {}  # color -> bitset of the vertices it colors
+    for v, c in enumerate(assignment):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return all(not g.adj[v] & classes[c] for v, c in enumerate(assignment))
 
 
 def validate_certificate(g: CozeroGraph, cert: OddCycleCertificate) -> bool:
@@ -215,25 +222,98 @@ def _max_clique_core(adj: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# chromatic number: DSATUR upper bound, then backtracking per color count
+# chromatic number: on ring graphs a minimum chain cover of the ideal order;
+# on other graphs a DSATUR upper bound, then backtracking per color count
 # with the maximum clique pre-colored
 # ---------------------------------------------------------------------------
 
 def chromatic_number(g: CozeroGraph,
                      max_vertices: int = DEFAULT_VERTEX_CAP) -> ColoringResult:
+    """Exact chromatic number and a coloring, on the false-twin core.  Where
+    the core's ideal orientation validates, colors are the chains of a
+    minimum chain cover, checked with an antichain (a clique) of equal size
+    on the core's adjacency alone; AssertionError if either check fails."""
     _check_cap(g.n, max_vertices)
     if g.n == 0:
         return ColoringResult(count=0, assignment=())
     keep = _false_twin_reduce(g)
-    count, colors = _chromatic_core(induced_subgraph(g, keep).adj)
+    core = induced_subgraph(g, keep)
+    out = ideal_orientation(core) if core.spec is not None else None
+    if out is not None and validate_orientation(core, out):
+        count, colors, antichain = _chain_cover(out)
+        if not (len(antichain) == count and validate_clique(core, antichain)
+                and validate_coloring(core, colors, count)):
+            raise AssertionError(
+                f"chain cover of {core.spec} with {count} chains is not "
+                f"matched by a clique of the same size")
+    else:
+        count, colors = _chromatic_core(core.adj)
     # removed false twins reuse their kept sibling's color
-    sibling: dict[int, int] = {}
-    for new, old in enumerate(keep):
-        sibling[g.adj[old]] = new
-    full = []
-    for v in range(g.n):
-        full.append(colors[sibling[g.adj[v]]])
-    return ColoringResult(count=count, assignment=tuple(full))
+    sibling = {g.adj[old]: new for new, old in enumerate(keep)}
+    return ColoringResult(count=count,
+                          assignment=tuple(colors[sibling[row]] for row in g.adj))
+
+
+def _chain_cover(out) -> tuple[int, list[int], list[int]]:
+    """(chain count, chain of each vertex, antichain) of the strict order
+    with out-rows out (Fulkerson's proof of Dilworth's theorem).
+
+    A maximum matching of u (left) to v (right) over the arcs u->v joins the
+    n vertices into n - |matching| chains.  By König, the vertices that
+    alternating paths from the unmatched left vertices reach on the left
+    but not on the right form an antichain of the same size.
+    """
+    n = len(out)
+    succ = [-1] * n  # succ[u] = v: arc u->v is matched
+    pred = [-1] * n  # pred[v] = u
+    free = (1 << n) - 1  # right vertices the greedy pass has not matched
+    for u in range(n):
+        cand = out[u] & free
+        if cand:
+            succ[u] = (cand & -cand).bit_length() - 1
+            pred[succ[u]] = u
+            free ^= 1 << succ[u]
+    # a right vertex searched in vain stays a dead end until the matching
+    # changes, so seen is cleared only after an augmentation
+    seen = 0
+    for s in [u for u in range(n) if succ[u] == -1]:
+        # the left vertices of an alternating path from s: each next one is
+        # matched to a right vertex the one before has an arc to
+        lefts = [s]
+        while lefts:
+            cand = out[lefts[-1]] & ~seen
+            if not cand:
+                lefts.pop()
+                continue
+            low = cand & -cand
+            seen |= low
+            v = low.bit_length() - 1
+            if pred[v] == -1:
+                # augment: each left vertex takes its successor's match
+                for u in reversed(lefts):
+                    pred[v] = u
+                    succ[u], v = v, succ[u]
+                seen = 0
+                break
+            lefts.append(pred[v])
+    starts = [v for v in range(n) if pred[v] == -1]
+    colors = [-1] * n
+    for c, v in enumerate(starts):
+        while v != -1:
+            colors[v], v = c, succ[v]
+    # left/right: the vertices that alternating paths from the unmatched
+    # left vertices reach on each side.  The matching is maximum, so every
+    # right vertex reached is matched, and its partner is newly reached.
+    left = todo = sum(1 << u for u in range(n) if succ[u] == -1)
+    right = 0
+    while todo:
+        low = todo & -todo
+        new = out[low.bit_length() - 1] & ~right
+        right |= new
+        reached = sum(1 << pred[v] for v in bits(new))
+        left |= reached
+        todo = todo ^ low | reached
+    return len(starts), colors, bits(left & ~right)
 
 
 def _dsatur(adj: list[int]) -> tuple[int, list[int]]:

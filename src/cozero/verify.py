@@ -216,6 +216,14 @@ def check_reduction(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
         elapsed=time.perf_counter() - start)
 
 
+def _positions(keys) -> dict:
+    """Each distinct key -> the bitset of the positions that hold it."""
+    masks: dict = {}
+    for i, key in enumerate(keys):
+        masks[key] = masks.get(key, 0) | 1 << i
+    return masks
+
+
 def check_invariants(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
     """Structural invariants checked exhaustively over the whole ring:
     every pair is adjacent iff a is not in Rb and b is not in Ra, with each
@@ -236,9 +244,7 @@ def check_invariants(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
     index = {label: i for i, label in enumerate(g.labels)}
     inside = [sum(1 << index[x] for x in rings.principal_ideal(spec, v) if x in index)
               for v in g.labels]
-    by_ideal: dict[int, int] = {}  # inside mask -> the vertices with that ideal
-    for i, mask in enumerate(inside):
-        by_ideal[mask] = by_ideal.get(mask, 0) | 1 << i
+    by_ideal = _positions(inside)  # inside mask -> the vertices with that ideal
     contains = [0] * g.n
     for mask, members in by_ideal.items():
         for j in graphs.bits(mask):
@@ -249,16 +255,20 @@ def check_invariants(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
         for j in graphs.bits((g.adj[i] ^ ~(inside[i] | contains[i])) & later):
             problems.append(f"adjacency mismatch at {g.labels[i]},{g.labels[j]}")
 
+    # a class pair a < b can only fail if b is adjacent to a, or has another
+    # row, or a has a loop; only those b are tested pair by pair
+    same_row = _positions(g.adj)
     classes = rings.associate_classes(spec)
     for rep, members in classes.classes:
-        idx = [index[m] for m in members]
-        for a in idx:
-            for b in idx:
-                if a < b:
-                    if g.has_edge(a, b):
-                        problems.append(f"associates adjacent: {a},{b}")
-                    if g.adj[a] & ~(1 << b) != g.adj[b] & ~(1 << a):
-                        problems.append(f"associate neighborhoods differ: {a},{b}")
+        cls = sum(1 << index[m] for m in members)  # members are in index order
+        for a in graphs.bits(cls):
+            row = g.adj[a]
+            suspects = row | ~same_row[row] | -(row >> a & 1)
+            for b in graphs.bits(suspects & cls & full >> (a + 1) << (a + 1)):
+                if g.has_edge(a, b):
+                    problems.append(f"associates adjacent: {a},{b}")
+                if row & ~(1 << b) != g.adj[b] & ~(1 << a):
+                    problems.append(f"associate neighborhoods differ: {a},{b}")
 
     nzc_note = "nzc=checked"
     split_fields = all(rings.factorize(m) == [(m, 1)] for m in spec.moduli)
@@ -271,13 +281,14 @@ def check_invariants(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
         # adjacent; equal patterns are associates hence non-adjacent (for
         # Z2 factors the patterns always differ, so each part is complete)
         patterns = [tuple(r == 0 for r in v) for v in g.labels]
+        same_pattern = _positions(patterns)
         for i, part in enumerate(parts, start=1):
+            in_part = sum(1 << v for v in part)  # parts are in index order
             for a in part:
-                for b in part:
-                    if a < b:
-                        if g.has_edge(a, b) != (patterns[a] != patterns[b]):
-                            problems.append(
-                                f"zero-count part {i} adjacency wrong at {a},{b}")
+                expected = in_part & ~same_pattern[patterns[a]]
+                wrong = (g.adj[a] ^ expected) & in_part & full >> (a + 1) << (a + 1)
+                for b in graphs.bits(wrong):
+                    problems.append(f"zero-count part {i} adjacency wrong at {a},{b}")
         if all(m == 2 for m in spec.moduli):
             n = len(spec.moduli)
             for i, part in enumerate(parts, start=1):

@@ -14,11 +14,15 @@ from cozero.graphs import (
     complement,
     ideal_orientation,
     induced_subgraph,
+    quotient_by_associates,
 )
 from cozero.rings import CapExceededError, RingSpec
 from cozero.solvers import (
     OddCycleCertificate,
     _all_twin_reduce,
+    _chain_cover,
+    _chromatic_core,
+    _false_twin_reduce,
     are_isomorphic,
     chromatic_number,
     find_odd_hole,
@@ -108,6 +112,19 @@ class TestChromaticNumber:
     def test_brute_force_examples(self):
         assert brute_force_chromatic(complete_graph(4)) == 4
         assert brute_force_chromatic(cycle_graph(5)) == 3
+
+    def test_validate_coloring_matches_pairwise(self):
+        # the color-class masks accept exactly what the edge walk accepts,
+        # wrong lengths and out-of-range colors included
+        rng = random.Random(17)
+        for _ in range(300):
+            g = random_graph(rng.randint(0, 9), rng.choice([0.2, 0.5]), rng)
+            count = rng.randint(0, 4)
+            assignment = [rng.randint(-1, count) for _ in range(g.n + rng.choice([-1, 0, 0, 0, 1]))]
+            expected = (len(assignment) == g.n
+                        and all(0 <= c < count for c in assignment)
+                        and all(assignment[i] != assignment[j] for i, j in g.edges()))
+            assert validate_coloring(g, assignment, count) == expected, (g.adj, assignment)
 
 
 class TestFindOddHole:
@@ -281,6 +298,143 @@ class TestOrientation:
             is_perfect_desk_scale(wrong)
 
 
+def _core(g: CozeroGraph) -> CozeroGraph:
+    return induced_subgraph(g, _false_twin_reduce(g))
+
+
+def _fence(k: int) -> list[int]:
+    """Out-rows of the fence a_1 < b_1 > a_2 < b_2 > ... > a_k < b_k, with a_1
+    numbered after the other a's: the greedy matching takes each a_i (i >= 2)
+    to b_{i-1}, so a_1 is matched by an augmenting path through all of them."""
+    a = [k - 1] + list(range(k - 1))
+    out = [0] * (2 * k)
+    for i in range(k):
+        out[a[i]] |= 1 << (k + i)
+        if i:
+            out[a[i]] |= 1 << (k + i - 1)
+    return out
+
+
+class TestChainCover:
+    """Ring graphs are colored by a minimum chain cover of the principal-ideal
+    order, certified by an antichain (a clique) of the same size."""
+
+    @staticmethod
+    def certified(core: CozeroGraph) -> int:
+        count, colors, antichain = _chain_cover(ideal_orientation(core))
+        assert validate_coloring(core, colors, count)
+        assert validate_clique(core, antichain)
+        assert len(antichain) == count
+        return count
+
+    def test_default_rings_match_search(self):
+        for spec in default_ring_set():
+            core = _core(build_cozero_graph(spec))
+            expected = (brute_force_chromatic(core) if core.n <= 8
+                        else _chromatic_core(core.adj)[0])
+            assert self.certified(core) == expected, spec
+            assert chromatic_number(core).count == expected
+
+    def test_boolean_power_ten(self):
+        g = build_cozero_graph(RingSpec((2,) * 10))
+        assert self.certified(g) == 252 == max_clique(g, max_vertices=1022).size
+        res = chromatic_number(g, max_vertices=1022)
+        assert res.count == 252
+        assert validate_coloring(g, res.assignment, res.count)
+
+    def test_random_orders_match_width(self):
+        # the transitive closure of a random DAG: the chain count equals the
+        # largest antichain found by trying every vertex subset
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(1, 11)
+            p = rng.choice([0.15, 0.3, 0.5])
+            out = [0] * n
+            for u in reversed(range(n)):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        out[u] |= 1 << v | out[v]
+            comparable = [out[u] | sum(1 << w for w in range(n) if out[w] >> u & 1)
+                          for u in range(n)]
+            width = max(bin(mask).count("1") for mask in range(1, 1 << n)
+                        if all(not comparable[u] & mask for u in bits(mask)))
+            count, colors, antichain = _chain_cover(out)
+            assert count == len(antichain) == width, out
+            assert sorted(set(colors)) == list(range(count))
+            for u, v in itertools.combinations(range(n), 2):
+                assert colors[u] != colors[v] or comparable[u] >> v & 1
+            for u, v in itertools.combinations(antichain, 2):
+                assert not comparable[u] >> v & 1
+
+    def test_fence_needs_long_augmenting_path(self):
+        count, colors, antichain = _chain_cover(_fence(50))
+        assert count == len(antichain) == 50
+        assert sorted(colors) == sorted(list(range(50)) * 2)
+
+    @pytest.mark.parametrize("moduli", [(2,) * 5, (2, 3, 5), (3, 3, 3), (2, 2, 3)]
+                             + NON_VNR_MODULI)
+    def test_ring_graphs_skip_search(self, monkeypatch, moduli):
+        def refuse(*args):
+            raise AssertionError("coloring search ran")
+
+        monkeypatch.setattr(solvers, "_dsatur", refuse)
+        monkeypatch.setattr(solvers, "_try_k_coloring", refuse)
+        g = build_cozero_graph(RingSpec(moduli))
+        for h in (g, quotient_by_associates(g).graph,
+                  induced_subgraph(g, range(0, g.n, 2))):
+            res = chromatic_number(h)
+            assert validate_coloring(h, res.assignment, res.count)
+            assert res.count == max_clique(h).size
+
+    def test_other_graphs_reach_search(self, monkeypatch):
+        class Searched(Exception):
+            pass
+
+        def refuse(adj):
+            raise Searched
+
+        # complement() keeps the spec, but the orientation orients the
+        # complement's own edges, so it does not validate; these complements
+        # are perfect, so chi = omega
+        complements = [complement(build_cozero_graph(RingSpec(m)))
+                       for m in [(2, 2, 2), (2, 3, 5), (4, 9)]]
+        for g in complements:
+            assert chromatic_number(g).count == max_clique(g).size
+        bare = [cycle_graph(5), CozeroGraph.from_edges(10, DSATUR_TRAP_EDGES)]
+        assert [chromatic_number(g).count for g in bare] == [3, 3]
+        monkeypatch.setattr(solvers, "_dsatur", refuse)
+        for g in complements + bare:
+            with pytest.raises(Searched):
+                chromatic_number(g)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda count, colors, anti: (count, colors, anti[:-1]),
+        lambda count, colors, anti: (count, colors, anti[:-1] + anti[:1]),
+        lambda count, colors, anti: (count + 1, colors, anti),
+        lambda count, colors, anti: (count - 1, [min(c, count - 2) for c in colors],
+                                     anti[:-1]),
+    ], ids=["antichain-short", "antichain-repeat", "extra-chain", "chains-merged"])
+    def test_corrupted_certificate_raises(self, monkeypatch, corrupt):
+        real = _chain_cover
+        monkeypatch.setattr(solvers, "_chain_cover",
+                            lambda out: corrupt(*real(out)))
+        with pytest.raises(AssertionError, match="chain cover"):
+            chromatic_number(build_cozero_graph(RingSpec((2,) * 4)))
+
+    def test_shifted_orientation_raises(self, monkeypatch):
+        # an orientation taken as valid whose rows belong to the next vertex:
+        # its matching is no chain cover of the core, and no search stands in
+        def shifted(g):
+            out = ideal_orientation(g)
+            return out[1:] + out[:1]
+
+        monkeypatch.setattr(solvers, "ideal_orientation", shifted)
+        monkeypatch.setattr(solvers, "validate_orientation", lambda g, out: True)
+        for moduli in [(2,) * 4, (2, 3, 5), (4, 9)]:
+            with pytest.raises(AssertionError, match="chain cover"):
+                chromatic_number(build_cozero_graph(RingSpec(moduli)))
+
+
 # DSATUR colors this 10-vertex graph with 4 colors, but omega = chi = 3, so
 # chromatic_number must search; the path makes that search 1,200 levels deep
 DSATUR_TRAP_EDGES = [(0, 1), (0, 4), (0, 6), (0, 9), (1, 3), (1, 5), (1, 6),
@@ -312,6 +466,7 @@ class TestDeepSearch:
         assert max_clique(g).size == 10
         assert chromatic_number(g).count == 10
         assert is_perfect_desk_scale(g) == (True, None)
+        assert _chain_cover(_fence(3000))[0] == 3000
 
     def test_concurrent_workers(self):
         errors = []

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cozero import graphs
+from cozero import graphs, rings
 from cozero.graphs import CozeroGraph
 from cozero.rings import RingSpec
 from cozero.verify import (
@@ -132,6 +132,26 @@ def pairwise_mismatches(g: CozeroGraph) -> list[str]:
                                     and g.labels[j] not in ideals[i])]
 
 
+def pairwise_twin_problems(g: CozeroGraph) -> list[str]:
+    """The associate and zero-count messages of g, pair by pair in order of
+    i, then j, with the tests applied to every pair."""
+    problems = []
+    index = {label: i for i, label in enumerate(g.labels)}
+    for _, members in rings.associate_classes(g.spec).classes:
+        for a, b in itertools.combinations(sorted(index[m] for m in members), 2):
+            if g.has_edge(a, b):
+                problems.append(f"associates adjacent: {a},{b}")
+            if g.adj[a] & ~(1 << b) != g.adj[b] & ~(1 << a):
+                problems.append(f"associate neighborhoods differ: {a},{b}")
+    if all(rings.factorize(m) == [(m, 1)] for m in g.spec.moduli):
+        patterns = [tuple(r == 0 for r in v) for v in g.labels]
+        for i, part in enumerate(graphs.nzc_partition(g), start=1):
+            for a, b in itertools.combinations(part, 2):
+                if g.has_edge(a, b) != (patterns[a] != patterns[b]):
+                    problems.append(f"zero-count part {i} adjacency wrong at {a},{b}")
+    return problems
+
+
 class TestInvariantsOnWrongGraphs:
     """check_invariants against graphs.build_cozero_graph patched to return
     a wrong graph: it must fail and name the mismatched pairs in order."""
@@ -163,6 +183,41 @@ class TestInvariantsOnWrongGraphs:
         messages = r.observed.split("; ")
         assert messages[0] == expected[0]
         assert [m for m in messages if m.startswith("adjacency")] == expected
+
+    # zero-count parts exist only over split products of prime fields
+    @pytest.mark.parametrize("kind,spec", [
+        (kind, RingSpec(m))
+        for kind in ["associates", "same-part", "any", "one-way", "loop",
+                     "edge-and-loop", "loop-and-edge"]
+        for m in [(3, 5), (2, 2, 3), (2, 3, 5), (9,), (4, 9)]
+        if kind != "same-part" or m in [(3, 5), (2, 2, 3), (2, 3, 5)]], ids=str)
+    def test_twin_messages_match_pairwise(self, monkeypatch, spec, kind):
+        # bits flipped inside an associate class or a zero-count part, in
+        # both rows or only one, loops included: the messages after the
+        # adjacency ones are those of the pair-by-pair tests, in order
+        g = graphs.build_cozero_graph(spec)
+        cls = max((c for _, c in rings.associate_classes(spec).classes), key=len)
+        a, b = g.labels.index(cls[0]), g.labels.index(cls[-1])
+        if kind == "same-part":
+            b = max(v for v in range(g.n) if g.labels[v].count(0) == g.labels[a].count(0)
+                    and v not in range(a, b + 1))
+        elif kind == "any":
+            a, b = 1, g.n - 2
+        flips = {"one-way": [(a, b)], "loop": [(a, a)],
+                 # twins whose rows stay equal: a loop makes them differ
+                 "edge-and-loop": [(a, b), (b, b)], "loop-and-edge": [(a, a), (b, a)],
+                 }.get(kind, [(a, b), (b, a)])
+        rows = list(g.adj)
+        for u, v in flips:
+            rows[u] ^= 1 << v
+        wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=tuple(rows))
+        r = self.report_on(monkeypatch, wrong)
+        twin = pairwise_twin_problems(wrong)
+        messages = r.observed.split("; ")
+        adjacency = [m for m in messages if m.startswith("adjacency")]
+        assert twin, "the flips break no associate or zero-count test"
+        assert not r.passed
+        assert messages[len(adjacency):] == twin[:5 - len(adjacency)]
 
     @pytest.mark.parametrize("spec", RINGS, ids=str)
     def test_every_pair_flipped(self, monkeypatch, spec):
