@@ -1,6 +1,10 @@
 """Claim suite: each finitely checkable statement about cozero-divisor graphs
 is a named check producing a structured pass/fail/skip report.
 
+Every claim is a function of one Case, which computes a ring's graph,
+maximum clique and colouring at most once and shares them, so run_suite
+builds each ring's graph once and solves its omega and chi once.
+
 Checks re-derive everything from scratch rather than trusting the
 ring-theoretic shortcuts: locality by closing the non-units under addition,
 and principality and adjacency from the paper's membership definition (a-b
@@ -11,9 +15,9 @@ solver that produced it.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-import time
 from dataclasses import dataclass
 
 from . import graphs, rings, solvers
@@ -25,12 +29,37 @@ from .graphs import CozeroGraph
 class Caps:
     max_cardinality: int = rings.DEFAULT_MAX_CARDINALITY
     max_vertices: int = solvers.DEFAULT_VERTEX_CAP
-    max_iso_vertices: int = solvers.ISO_VERTEX_CAP
-    # perfection of a ring graph is certified by a transitive orientation of
-    # the complement of its twin-reduced core, which needs no cap; this one
-    # stays only so that the reports (and their cap-exceeded skips) remain
-    # byte-identical
-    max_hole_vertices: int = 64
+
+
+# perfection of a ring graph is certified by a transitive orientation of the
+# complement of its twin-reduced core, which needs no cap; this one stays only
+# so that the reports (and their cap-exceeded skips) remain byte-identical
+_HOLE_VERTEX_CAP = 64
+
+
+@dataclass(frozen=True)
+class Case:
+    """One ring of a run: its spec and caps, and its graph (None over either
+    cap), maximum clique and colouring, each computed on first use."""
+    spec: RingSpec
+    caps: Caps = Caps()
+
+    @functools.cached_property
+    def graph(self) -> CozeroGraph | None:
+        try:
+            g = graphs.build_cozero_graph(
+                self.spec, max_cardinality=self.caps.max_cardinality)
+        except CapExceededError:
+            return None
+        return g if g.n <= self.caps.max_vertices else None
+
+    @functools.cached_property
+    def clique(self) -> solvers.CliqueResult:
+        return solvers.max_clique(self.graph, max_vertices=self.caps.max_vertices)
+
+    @functools.cached_property
+    def coloring(self) -> solvers.ColoringResult:
+        return solvers.chromatic_number(self.graph, max_vertices=self.caps.max_vertices)
 
 
 @dataclass
@@ -41,12 +70,10 @@ class VerificationReport:
     observed: str
     passed: bool
     witness: dict | None = None
-    elapsed: float = 0.0
     skipped: bool = False
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        # elapsed is intentionally left out so repeated runs are byte-identical
         return {
             "claim_id": self.claim_id,
             "spec": str(self.spec),
@@ -65,32 +92,38 @@ def _skip(claim_id: str, spec: RingSpec, reason: str) -> VerificationReport:
                               reason=reason)
 
 
-def _build(spec: RingSpec, caps: Caps) -> CozeroGraph:
-    g = graphs.build_cozero_graph(spec, max_cardinality=caps.max_cardinality)
-    if g.n > caps.max_vertices:
-        raise CapExceededError(
-            f"graph on {g.n} vertices exceeds solver cap {caps.max_vertices}")
-    return g
+def _skip_reason(case: Case, inapplicable=lambda spec: None) -> str | None:
+    """Why a claim skips the case, or None: the cardinality cap (first, so a
+    ring over it is never factored), inapplicable(spec), the graph's caps."""
+    if case.spec.cardinality > case.caps.max_cardinality:
+        return "cap-exceeded"
+    return inapplicable(case.spec) or ("cap-exceeded" if case.graph is None else None)
 
 
-def check_formula(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
+def _not_vnr(spec: RingSpec) -> str | None:
+    return None if rings.is_von_neumann_regular(spec) else "not-vnr"
+
+
+def _not_field_product(spec: RingSpec) -> str | None:
+    return _not_vnr(spec) or (
+        "too-few-factors" if rings.min_prime_count(spec) < 2 else None)
+
+
+def _is_domain(spec: RingSpec) -> str | None:
+    # a finite commutative ring is a domain iff it is a prime field
+    m = spec.moduli[0]
+    domain = len(spec.moduli) == 1 and rings.factorize(m) == [(m, 1)]
+    return "is-domain" if domain else None
+
+
+def check_formula(case: Case) -> VerificationReport:
     """omega = chi = C(n, floor(n/2)) for a product of n fields."""
-    claim = "clique-formula"
-    start = time.perf_counter()
-    if spec.cardinality > caps.max_cardinality:
-        return _skip(claim, spec, "cap-exceeded")
-    if not rings.is_von_neumann_regular(spec):
-        return _skip(claim, spec, "not-vnr")
+    claim, spec = "clique-formula", case.spec
+    if reason := _skip_reason(case, _not_field_product):
+        return _skip(claim, spec, reason)
+    g, clique, coloring = case.graph, case.clique, case.coloring
     n = rings.min_prime_count(spec)
-    if n < 2:
-        return _skip(claim, spec, "too-few-factors")
-    try:
-        g = _build(spec, caps)
-    except CapExceededError:
-        return _skip(claim, spec, "cap-exceeded")
     expected = math.comb(n, n // 2)
-    clique = solvers.max_clique(g, max_vertices=caps.max_vertices)
-    coloring = solvers.chromatic_number(g, max_vertices=caps.max_vertices)
     ok = (clique.size == expected == coloring.count
           and solvers.validate_clique(g, clique.witness)
           and solvers.validate_coloring(g, coloring.assignment, coloring.count))
@@ -99,29 +132,17 @@ def check_formula(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
         expected=f"omega = chi = C({n},{n // 2}) = {expected}",
         observed=f"omega={clique.size} chi={coloring.count}",
         passed=ok,
-        witness={"clique": list(clique.witness)},
-        elapsed=time.perf_counter() - start)
+        witness={"clique": list(clique.witness)})
 
 
-def check_perfection(spec: RingSpec, caps: Caps = Caps(),
-                     graph_override: CozeroGraph | None = None) -> VerificationReport:
-    """The graph of a product of fields has no odd hole or antihole.
-
-    graph_override injects a hand-built graph (negative-control test hook).
-    """
-    claim = "perfection"
-    start = time.perf_counter()
-    if graph_override is None:
-        if spec.cardinality > caps.max_cardinality:
-            return _skip(claim, spec, "cap-exceeded")
-        if not rings.is_von_neumann_regular(spec):
-            return _skip(claim, spec, "not-vnr")
+def check_perfection(case: Case) -> VerificationReport:
+    """The graph of a product of fields has no odd hole or antihole."""
+    claim, spec = "perfection", case.spec
+    if reason := _skip_reason(case, _not_vnr):
+        return _skip(claim, spec, reason)
+    g = case.graph
     try:
-        g = graph_override if graph_override is not None else _build(spec, caps)
-        if g.n > caps.max_vertices:
-            raise CapExceededError("cap")
-        perfect, cert = solvers.is_perfect_desk_scale(
-            g, max_vertices=caps.max_hole_vertices)
+        perfect, cert = solvers.is_perfect_desk_scale(g, max_vertices=_HOLE_VERTEX_CAP)
     except CapExceededError:
         return _skip(claim, spec, "cap-exceeded")
     witness = None
@@ -133,34 +154,20 @@ def check_perfection(spec: RingSpec, caps: Caps = Caps(),
         claim_id=claim, spec=spec,
         expected="no induced odd cycle of length >= 5 in graph or complement",
         observed="perfect" if perfect else f"odd cycle in {cert.where}",
-        passed=perfect, witness=witness,
-        elapsed=time.perf_counter() - start)
+        passed=perfect, witness=witness)
 
 
-def _is_integral_domain(spec: RingSpec) -> bool:
-    # a finite commutative ring is a domain iff it is a prime field
-    m = spec.moduli[0]
-    return len(spec.moduli) == 1 and rings.factorize(m) == [(m, 1)]
-
-
-def check_null_graph(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
+def check_null_graph(case: Case) -> VerificationReport:
     """Edgeless graph iff the ring is local with principal maximal ideal.
 
     Locality is detected exhaustively (non-units closed under addition) and
     principality by searching for a non-unit x whose enumerated ideal Rx
     (rings.principal_ideal) holds every non-unit.
     """
-    claim = "null-graph"
-    start = time.perf_counter()
-    if spec.cardinality > caps.max_cardinality:
-        return _skip(claim, spec, "cap-exceeded")
-    if _is_integral_domain(spec):
-        return _skip(claim, spec, "is-domain")
-    try:
-        g = _build(spec, caps)
-    except CapExceededError:
-        return _skip(claim, spec, "cap-exceeded")
-    edgeless = g.edge_count() == 0
+    claim, spec = "null-graph", case.spec
+    if reason := _skip_reason(case, _is_domain):
+        return _skip(claim, spec, reason)
+    edgeless = case.graph.edge_count() == 0
 
     nonunits = [a for a in spec.elements() if not rings.is_unit(spec, a)]
     nonunit_set = set(nonunits)
@@ -172,36 +179,24 @@ def check_null_graph(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
         expected="edgeless iff local with principal maximal ideal",
         observed=(f"edgeless={edgeless} local={local} "
                   f"principal-max-ideal={principal}"),
-        passed=ok,
-        elapsed=time.perf_counter() - start)
+        passed=ok)
 
 
-def check_reduction(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
+def check_reduction(case: Case) -> VerificationReport:
     """Collapsing associate classes preserves omega and chi, and the quotient
     is isomorphic to the graph of Z2^n built directly."""
-    claim = "quotient-reduction"
-    start = time.perf_counter()
-    if spec.cardinality > caps.max_cardinality:
-        return _skip(claim, spec, "cap-exceeded")
-    if not rings.is_von_neumann_regular(spec):
-        return _skip(claim, spec, "not-vnr")
+    claim, spec = "quotient-reduction", case.spec
+    if reason := _skip_reason(case, _not_field_product):
+        return _skip(claim, spec, reason)
     n = rings.min_prime_count(spec)
-    if n < 2:
-        return _skip(claim, spec, "too-few-factors")
-    try:
-        g = _build(spec, caps)
-    except CapExceededError:
+    q = graphs.quotient_by_associates(case.graph)
+    if q.graph.n > solvers.ISO_VERTEX_CAP:
         return _skip(claim, spec, "cap-exceeded")
-    q = graphs.quotient_by_associates(g)
-    if q.graph.n > caps.max_iso_vertices:
-        return _skip(claim, spec, "cap-exceeded")
-    gw = solvers.max_clique(g, max_vertices=caps.max_vertices)
-    gc = solvers.chromatic_number(g, max_vertices=caps.max_vertices)
-    qw = solvers.max_clique(q.graph, max_vertices=caps.max_vertices)
-    qc = solvers.chromatic_number(q.graph, max_vertices=caps.max_vertices)
+    gw, gc = case.clique, case.coloring
+    qw = solvers.max_clique(q.graph, max_vertices=case.caps.max_vertices)
+    qc = solvers.chromatic_number(q.graph, max_vertices=case.caps.max_vertices)
     boolean = graphs.build_cozero_graph(RingSpec((2,) * n))
-    bijection = solvers.are_isomorphic(q.graph, boolean,
-                                       max_vertices=caps.max_iso_vertices)
+    bijection = solvers.are_isomorphic(q.graph, boolean)
     iso_ok = bijection is not None and all(
         q.graph.has_edge(i, j) == boolean.has_edge(bijection[i], bijection[j])
         for i in range(q.graph.n) for j in range(i + 1, q.graph.n))
@@ -212,8 +207,7 @@ def check_reduction(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
         observed=(f"omega {gw.size}->{qw.size} chi {gc.count}->{qc.count} "
                   f"iso={'yes' if iso_ok else 'no'}"),
         passed=ok,
-        witness={"bijection": bijection} if bijection is not None else None,
-        elapsed=time.perf_counter() - start)
+        witness={"bijection": bijection} if bijection is not None else None)
 
 
 def _positions(keys) -> dict:
@@ -224,26 +218,33 @@ def _positions(keys) -> dict:
     return masks
 
 
-def check_invariants(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
+def check_invariants(case: Case) -> VerificationReport:
     """Structural invariants checked exhaustively over the whole ring:
-    every pair is adjacent iff a is not in Rb and b is not in Ra, with each
-    Rb enumerated by rings.principal_ideal (no gcd), and each mismatched
-    pair i < j is named in order of i, then j; associates share
-    neighborhoods and are non-adjacent; the zero-count parts partition the
-    vertex set and each induces a complete subgraph."""
-    claim = "graph-invariants"
-    start = time.perf_counter()
-    try:
-        g = _build(spec, caps)
-    except CapExceededError:
-        return _skip(claim, spec, "cap-exceeded")
+    every pair, and every vertex with itself, is adjacent iff a is not in Rb
+    and b is not in Ra, with each Rb enumerated by rings.principal_ideal (no
+    gcd), and each mismatched pair i <= j is named in order of i, then j;
+    associates share neighborhoods and are non-adjacent; the zero-count
+    parts partition the vertex set and each induces a complete subgraph."""
+    claim, spec = "graph-invariants", case.spec
+    if reason := _skip_reason(case):
+        return _skip(claim, spec, reason)
+    g = case.graph
     problems: list[str] = []
 
     # inside[i]: the vertices in R*label_i; contains[i]: the vertices whose
     # ideal holds label_i.  a-b is an edge iff b is in neither of a's masks.
+    # Associates share an ideal, so each distinct one becomes a mask once; only
+    # its hash is kept, and a match is exact as Rv = Rw iff v in Rw and w in Rv.
     index = {label: i for i, label in enumerate(g.labels)}
-    inside = [sum(1 << index[x] for x in rings.principal_ideal(spec, v) if x in index)
-              for v in g.labels]
+    seen: dict = {}  # hash of an ideal -> (a vertex with that ideal, its mask)
+    inside = []
+    for i, v in enumerate(g.labels):
+        ideal = rings.principal_ideal(spec, v)
+        w, mask = seen.get(hash(ideal), (i, 0))
+        if not (mask >> i & 1 and g.labels[w] in ideal):
+            mask = sum(1 << index[x] for x in ideal if x in index)
+            seen.setdefault(hash(ideal), (i, mask))
+        inside.append(mask)
     by_ideal = _positions(inside)  # inside mask -> the vertices with that ideal
     contains = [0] * g.n
     for mask, members in by_ideal.items():
@@ -251,8 +252,7 @@ def check_invariants(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
             contains[j] |= members
     full = (1 << g.n) - 1
     for i in range(g.n):
-        later = full >> (i + 1) << (i + 1)  # the vertices j > i
-        for j in graphs.bits((g.adj[i] ^ ~(inside[i] | contains[i])) & later):
+        for j in graphs.bits((g.adj[i] ^ ~(inside[i] | contains[i])) & full >> i << i):
             problems.append(f"adjacency mismatch at {g.labels[i]},{g.labels[j]}")
 
     # a class pair a < b can only fail if b is adjacent to a, or has another
@@ -303,8 +303,7 @@ def check_invariants(spec: RingSpec, caps: Caps = Caps()) -> VerificationReport:
         expected="adjacency definitions agree; associates are twins; "
                  "zero-count parts are cliques partitioning the vertices",
         observed="ok; " + nzc_note if ok else "; ".join(problems[:5]),
-        passed=ok,
-        elapsed=time.perf_counter() - start)
+        passed=ok)
 
 
 CLAIMS = {
@@ -322,16 +321,15 @@ class UnknownClaimError(ValueError):
 
 def run_suite(names: list[str], specs: list[RingSpec],
               caps: Caps = Caps()) -> list[VerificationReport]:
-    """Run every named check against every spec; inapplicable pairs become
-    skip reports, never dropped.  Output sorted by claim id then spec text."""
+    """Run every named check against every spec, one Case per spec;
+    inapplicable pairs become skip reports, never dropped.  Output sorted by
+    claim id then spec text."""
     for name in names:
         if name not in CLAIMS:
             raise UnknownClaimError(
                 f"unknown claim {name!r}; known: {', '.join(sorted(CLAIMS))}")
-    reports = []
-    for name in names:
-        for spec in specs:
-            reports.append(CLAIMS[name](spec, caps))
+    cases = (Case(spec, caps) for spec in specs)
+    reports = [CLAIMS[name](case) for case in cases for name in names]
     reports.sort(key=lambda r: (r.claim_id, str(r.spec)))
     return reports
 

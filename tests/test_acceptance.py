@@ -145,7 +145,7 @@ def test_criterion_5_null_graph_oracle():
     for spec in verify.default_ring_set():
         if spec.cardinality > 64:
             continue
-        r = verify.check_null_graph(spec)
+        r = verify.check_null_graph(verify.Case(spec))
         if r.skipped:
             assert r.reason == "is-domain"
             continue

@@ -3,12 +3,13 @@ import json
 
 import pytest
 
-from cozero import graphs, rings
+from cozero import graphs, rings, solvers
 from cozero.graphs import CozeroGraph
 from cozero.rings import RingSpec
 from cozero.verify import (
     CLAIMS,
     Caps,
+    Case,
     UnknownClaimError,
     check_formula,
     check_invariants,
@@ -24,102 +25,105 @@ from conftest import cycle_graph, ideal_by_enumeration
 
 class TestCheckFormula:
     def test_z2_fourth(self):
-        r = check_formula(RingSpec((2,) * 4))
+        r = check_formula(Case(RingSpec((2,) * 4)))
         assert r.passed and not r.skipped
         assert "6" in r.expected and "omega=6" in r.observed
 
     def test_mixed_fields(self):
-        r = check_formula(RingSpec((2, 3, 5)))
+        r = check_formula(Case(RingSpec((2, 3, 5))))
         assert r.passed and "3" in r.expected
 
     def test_field_skipped(self):
-        r = check_formula(RingSpec((2,)))
+        r = check_formula(Case(RingSpec((2,))))
         assert r.skipped and r.reason == "too-few-factors"
 
     def test_non_vnr_skipped(self):
-        r = check_formula(RingSpec((4,)))
+        r = check_formula(Case(RingSpec((4,))))
         assert r.skipped and r.reason == "not-vnr"
 
     def test_cap_skip(self):
-        r = check_formula(RingSpec((2, 3)), Caps(max_cardinality=5))
+        r = check_formula(Case(RingSpec((2, 3)), Caps(max_cardinality=5)))
         assert r.skipped and r.reason == "cap-exceeded"
 
 
 class TestCheckPerfection:
     def test_z2_fifth(self):
-        r = check_perfection(RingSpec((2,) * 5))
+        r = check_perfection(Case(RingSpec((2,) * 5)))
         assert r.passed and r.witness is None
 
     def test_z3z5z7(self):
-        r = check_perfection(RingSpec((3, 5, 7)))
+        r = check_perfection(Case(RingSpec((3, 5, 7))))
         assert r.passed
 
-    def test_negative_control_injection(self):
-        r = check_perfection(RingSpec((2, 2)), graph_override=cycle_graph(5))
+    def test_negative_control_injection(self, monkeypatch):
+        monkeypatch.setattr(graphs, "build_cozero_graph",
+                            lambda spec, max_cardinality: cycle_graph(5))
+        r = check_perfection(Case(RingSpec((2, 2))))
         assert not r.passed
         assert len(r.witness["cycle"]) == 5
 
     def test_desk_scale_cap(self):
-        caps = Caps(max_hole_vertices=4)
-        r = check_perfection(RingSpec((2, 2, 2)), caps)
+        # Z2^7 has no twins: its core keeps all 126 vertices, over the
+        # suite's hole cap of 64
+        r = check_perfection(Case(RingSpec((2,) * 7)))
         assert r.skipped and r.reason == "cap-exceeded"
 
 
 class TestCheckNullGraph:
     @pytest.mark.parametrize("moduli", [(8,), (9,), (4,), (25,), (27,)])
     def test_local_principal_null(self, moduli):
-        r = check_null_graph(RingSpec(moduli))
+        r = check_null_graph(Case(RingSpec(moduli)))
         assert r.passed
         assert "edgeless=True local=True" in r.observed
 
     def test_z2z2_not_local(self):
-        r = check_null_graph(RingSpec((2, 2)))
+        r = check_null_graph(Case(RingSpec((2, 2))))
         assert r.passed
         assert "edgeless=False local=False" in r.observed
 
     def test_z2z4(self):
-        r = check_null_graph(RingSpec((2, 4)))
+        r = check_null_graph(Case(RingSpec((2, 4))))
         assert r.passed and "edgeless=False" in r.observed
 
     def test_domain_skipped(self):
-        r = check_null_graph(RingSpec((7,)))
+        r = check_null_graph(Case(RingSpec((7,))))
         assert r.skipped and r.reason == "is-domain"
 
 
 class TestCheckReduction:
     def test_z3z3(self):
-        r = check_reduction(RingSpec((3, 3)))
+        r = check_reduction(Case(RingSpec((3, 3))))
         assert r.passed
         assert r.witness["bijection"] is not None
 
     def test_z2_powers_identity(self):
-        assert check_reduction(RingSpec((2, 2, 2))).passed
+        assert check_reduction(Case(RingSpec((2, 2, 2)))).passed
 
     def test_four_fields(self):
-        r = check_reduction(RingSpec((2, 3, 5, 7)))
+        r = check_reduction(Case(RingSpec((2, 3, 5, 7))))
         assert r.passed
 
     def test_non_vnr_skipped(self):
-        assert check_reduction(RingSpec((8,))).skipped
+        assert check_reduction(Case(RingSpec((8,)))).skipped
 
 
 class TestCheckInvariants:
     def test_z6(self):
-        r = check_invariants(RingSpec((6,)))
+        r = check_invariants(Case(RingSpec((6,))))
         assert r.passed
         assert "nzc=skipped" in r.observed
 
     def test_z2_cubed(self):
-        r = check_invariants(RingSpec((2, 2, 2)))
+        r = check_invariants(Case(RingSpec((2, 2, 2))))
         assert r.passed
         assert "nzc=checked" in r.observed
 
     def test_z2z4(self):
-        r = check_invariants(RingSpec((2, 4)))
+        r = check_invariants(Case(RingSpec((2, 4))))
         assert r.passed and "nzc=skipped" in r.observed
 
     def test_mixed_fields(self):
-        assert check_invariants(RingSpec((3, 5))).passed
+        assert check_invariants(Case(RingSpec((3, 5)))).passed
 
 
 def pairwise_mismatches(g: CozeroGraph) -> list[str]:
@@ -161,7 +165,7 @@ class TestInvariantsOnWrongGraphs:
     def report_on(self, monkeypatch, wrong: CozeroGraph):
         monkeypatch.setattr(graphs, "build_cozero_graph",
                             lambda spec, max_cardinality: wrong)
-        return check_invariants(wrong.spec)
+        return check_invariants(Case(wrong.spec))
 
     @pytest.mark.parametrize("spec", RINGS, ids=str)
     @pytest.mark.parametrize("flip", ["added", "dropped"])
@@ -219,6 +223,15 @@ class TestInvariantsOnWrongGraphs:
         assert not r.passed
         assert messages[len(adjacency):] == twin[:5 - len(adjacency)]
 
+    def test_loop_is_a_mismatch(self, monkeypatch):
+        # no pair test sees a loop in a ring with singleton associate classes
+        g = graphs.build_cozero_graph(RingSpec((2, 2, 2)))
+        wrong = CozeroGraph(spec=g.spec, labels=g.labels,
+                            adj=(g.adj[0] | 1,) + g.adj[1:])
+        r = self.report_on(monkeypatch, wrong)
+        assert not r.passed
+        assert r.observed == f"adjacency mismatch at {g.labels[0]},{g.labels[0]}"
+
     @pytest.mark.parametrize("spec", RINGS, ids=str)
     def test_every_pair_flipped(self, monkeypatch, spec):
         g = graphs.build_cozero_graph(spec)
@@ -256,6 +269,44 @@ class TestRunSuite:
         assert any(r.skipped for r in reports)
 
 
+class TestOneCasePerRing:
+    RINGS = [RingSpec(m) for m in [(2, 3, 5), (3, 3), (4,), (7,), (2, 4)]]
+
+    def test_each_ring_built_and_solved_once(self, monkeypatch):
+        built: dict = {}
+        solved: list = []
+        build = graphs.build_cozero_graph
+        max_clique, chromatic_number = solvers.max_clique, solvers.chromatic_number
+
+        def counting_build(spec, **caps):
+            g = build(spec, **caps)
+            built.setdefault(spec, []).append(g)
+            return g
+
+        def counting(name, solve):
+            def wrapper(g, **caps):
+                solved.append((name, g))
+                return solve(g, **caps)
+            return wrapper
+
+        monkeypatch.setattr(graphs, "build_cozero_graph", counting_build)
+        monkeypatch.setattr(solvers, "max_clique", counting("clique", max_clique))
+        monkeypatch.setattr(solvers, "chromatic_number",
+                            counting("chi", chromatic_number))
+        reports = run_suite(sorted(CLAIMS), self.RINGS)
+        assert len(reports) == 5 * len(self.RINGS)
+        assert all(r.passed for r in reports)
+        # quotient-reduction also builds Z2^n to compare its quotient with
+        assert {s for s in built if s not in self.RINGS} == {
+            RingSpec((2, 2, 2)), RingSpec((2, 2))}
+        assert all(len(built[s]) == 1 for s in self.RINGS)
+        for spec in self.RINGS:
+            full = built[spec][0]
+            expected = 1 if spec in [RingSpec((2, 3, 5)), RingSpec((3, 3))] else 0
+            for name in ["clique", "chi"]:
+                assert sum(h is full for n, h in solved if n == name) == expected
+
+
 class TestCapFirst:
     # each ring would skip for another reason if the cap were tested later
     @pytest.mark.parametrize("claim,moduli,later_reason", [
@@ -268,8 +319,8 @@ class TestCapFirst:
     ])
     def test_over_cap_skips_as_cap_exceeded(self, claim, moduli, later_reason):
         spec = RingSpec(moduli)
-        assert CLAIMS[claim](spec).reason == later_reason
-        r = CLAIMS[claim](spec, Caps(max_cardinality=spec.cardinality - 1))
+        assert CLAIMS[claim](Case(spec)).reason == later_reason
+        r = CLAIMS[claim](Case(spec, Caps(max_cardinality=spec.cardinality - 1)))
         assert r.skipped and r.reason == "cap-exceeded"
 
 
