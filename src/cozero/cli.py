@@ -68,8 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _gather_specs(args, parser) -> list[RingSpec]:
     texts = list(args.specs)
-    if args.rings:
-        texts.extend(t for t in args.rings.split(",") if t)
+    if args.rings is not None:
+        listed = [t for t in args.rings.split(",") if t]
+        if not listed:
+            parser.exit(2, f"cozero: error: --rings {args.rings!r} names no ring\n")
+        texts.extend(listed)
     try:
         return [rings.parse_spec(t) for t in texts]
     except RingSpecError as exc:
@@ -87,11 +90,11 @@ def _emit(text: str, out_path: str | None) -> None:
 def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dict:
     g = graphs.build_cozero_graph(spec, max_cardinality=max_cardinality)
     vnr = rings.is_von_neumann_regular(spec)
-    units = sum(1 for a in spec.elements() if rings.is_unit(spec, a))
     info: dict = {
         "spec": str(spec),
         "cardinality": spec.cardinality,
-        "units": units,
+        # zero is the one non-unit that is not a vertex
+        "units": spec.cardinality - 1 - g.n,
         "vertices": g.n,
         "edges": g.edge_count(),
         "vnr": vnr,
@@ -101,10 +104,7 @@ def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dic
     info["omega"] = clique.size
     info["clique_witness"] = list(clique.witness)
     info["chi"] = coloring.count
-    perfect, cert = solvers.is_perfect_desk_scale(g, max_vertices=max_vertices)
-    info["perfect"] = perfect
-    if cert is not None:
-        info["odd_cycle"] = {"where": cert.where, "cycle": list(cert.cycle)}
+    info["perfect"] = solvers.is_perfect_desk_scale(g, max_vertices=max_vertices)
     if vnr:
         n = rings.min_prime_count(spec)
         info["field_factors"] = n

@@ -1,10 +1,13 @@
 """Exact combinatorial solvers: maximum clique, chromatic number, perfection
-certificates (transitive orientations, induced odd-cycle search), and
-small-graph isomorphism.
+certificates by transitive orientations, a standalone induced odd-cycle
+search, and small-graph isomorphism.
 
-Ring graphs are colored by a minimum chain cover of the principal-ideal
-order (Dilworth), certified by an antichain, a clique of the same size
-(König); bare graphs by DSATUR plus backtracking.
+Chromatic number and perfection are for ring-backed graphs only, and raise
+ValueError on a bare graph.  Both rest on the principal-ideal order: its
+orientation of the complement, validated as transitive, certifies
+perfection, and a minimum chain cover of it (Dilworth) colors the graph,
+certified by an antichain, a clique of the same size (König).
+find_odd_hole serves any graph but is not on either path.
 
 All solvers are exact; size caps raise instead of degrading to heuristics.
 Tie-breaking is by lowest vertex index throughout so witnesses are
@@ -41,7 +44,7 @@ class OddCycleCertificate:
 
 def validate_clique(g: CozeroGraph, witness) -> bool:
     ws = list(witness)
-    if len(set(ws)) != len(ws):
+    if len(set(ws)) != len(ws) or not all(0 <= v < g.n for v in ws):
         return False
     return all(g.has_edge(ws[i], ws[j])
                for i in range(len(ws)) for j in range(i + 1, len(ws)))
@@ -64,7 +67,8 @@ def validate_certificate(g: CozeroGraph, cert: OddCycleCertificate) -> bool:
     h = g if cert.where == "graph" else complement(g)
     cyc = list(cert.cycle)
     k = len(cyc)
-    if k < 5 or k % 2 == 0 or len(set(cyc)) != k:
+    if (k < 5 or k % 2 == 0 or len(set(cyc)) != k
+            or not all(0 <= v < h.n for v in cyc)):
         return False
     for i in range(k):
         for j in range(i + 1, k):
@@ -222,32 +226,30 @@ def _max_clique_core(adj: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# chromatic number: on ring graphs a minimum chain cover of the ideal order;
-# on other graphs a DSATUR upper bound, then backtracking per color count
-# with the maximum clique pre-colored
+# chromatic number: a minimum chain cover of the principal-ideal order
 # ---------------------------------------------------------------------------
 
 def chromatic_number(g: CozeroGraph,
                      max_vertices: int = DEFAULT_VERTEX_CAP) -> ColoringResult:
-    """Exact chromatic number and a coloring, on the false-twin core.  Where
-    the core's ideal orientation validates, colors are the chains of a
-    minimum chain cover, checked with an antichain (a clique) of equal size
-    on the core's adjacency alone; AssertionError if either check fails."""
+    """Exact chromatic number and a coloring of a ring-backed graph, on its
+    false-twin core: the chains of a minimum chain cover of the core's ideal
+    orientation, checked with an antichain (a clique) of equal size on the
+    core's adjacency alone.  ValueError on a graph with no ring behind it;
+    AssertionError if the orientation or either certificate fails."""
     _check_cap(g.n, max_vertices)
-    if g.n == 0:
-        return ColoringResult(count=0, assignment=())
     keep = _false_twin_reduce(g)
     core = induced_subgraph(g, keep)
-    out = ideal_orientation(core) if core.spec is not None else None
-    if out is not None and validate_orientation(core, out):
-        count, colors, antichain = _chain_cover(out)
-        if not (len(antichain) == count and validate_clique(core, antichain)
-                and validate_coloring(core, colors, count)):
-            raise AssertionError(
-                f"chain cover of {core.spec} with {count} chains is not "
-                f"matched by a clique of the same size")
-    else:
-        count, colors = _chromatic_core(core.adj)
+    out = ideal_orientation(core)
+    if not validate_orientation(core, out):
+        raise AssertionError(
+            f"ideal orientation of {core.spec} does not orient the complement "
+            f"transitively")
+    count, colors, antichain = _chain_cover(out)
+    if not (len(antichain) == count and validate_clique(core, antichain)
+            and validate_coloring(core, colors, count)):
+        raise AssertionError(
+            f"chain cover of {core.spec} with {count} chains is not "
+            f"matched by a clique of the same size")
     # removed false twins reuse their kept sibling's color
     sibling = {g.adj[old]: new for new, old in enumerate(keep)}
     return ColoringResult(count=count,
@@ -314,96 +316,6 @@ def _chain_cover(out) -> tuple[int, list[int], list[int]]:
         left |= reached
         todo = todo ^ low | reached
     return len(starts), colors, bits(left & ~right)
-
-
-def _dsatur(adj: list[int]) -> tuple[int, list[int]]:
-    n = len(adj)
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    degrees = [adj[v].bit_count() for v in range(n)]
-    for _ in range(n):
-        u = max((v for v in range(n) if colors[v] == -1),
-                key=lambda v: (len(neighbor_colors[v]), degrees[v], -v))
-        c = 0
-        while c in neighbor_colors[u]:
-            c += 1
-        colors[u] = c
-        for nb in bits(adj[u]):
-            neighbor_colors[nb].add(c)
-    return max(colors) + 1, colors
-
-
-def _chromatic_core(adj: list[int]) -> tuple[int, list[int]]:
-    n = len(adj)
-    clique = _max_clique_core(adj)
-    lb = len(clique)
-    ub, ub_colors = _dsatur(adj)
-    if ub == lb:
-        return ub, ub_colors
-    for k in range(lb, ub):
-        colors = _try_k_coloring(adj, k, clique)
-        if colors is not None:
-            return k, colors
-    return ub, ub_colors
-
-
-def _try_k_coloring(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
-    """Backtracking search for a proper k-coloring, clique pre-colored to break
-    color symmetry; DSATUR vertex selection, lowest index on ties."""
-    n = len(adj)
-    colors = [-1] * n
-    # forbidden[v] = bitset of colors used on v's neighbors
-    forbidden = [0] * n
-    degrees = [adj[v].bit_count() for v in range(n)]
-    uncolored = set(range(n))
-
-    def assign(v: int, c: int) -> list[int]:
-        colors[v] = c
-        uncolored.discard(v)
-        touched = []
-        bit = 1 << c
-        for nb in bits(adj[v]):
-            if colors[nb] == -1 and not forbidden[nb] & bit:
-                forbidden[nb] |= bit
-                touched.append(nb)
-        return touched
-
-    def undo(v: int, c: int, touched: list[int]) -> None:
-        colors[v] = -1
-        uncolored.add(v)
-        bit = 1 << c
-        for nb in touched:
-            forbidden[nb] &= ~bit
-    for i, v in enumerate(clique):
-        if i >= k:
-            return None
-        assign(v, i)
-
-    full = (1 << k) - 1
-    # depth-first over color choices; stack holds one (v, avail, max_used,
-    # c, touched) per vertex colored by the search
-    stack: list[tuple[int, int, int, int, list[int]]] = []
-    descend = True
-    while True:
-        if descend:
-            if not uncolored:
-                return colors.copy()
-            v = max(uncolored,
-                    key=lambda u: (forbidden[u].bit_count(), degrees[u], -u))
-            avail = full & ~forbidden[v]
-            max_used = max(colors)
-        else:
-            if not stack:
-                return None
-            v, avail, max_used, c, touched = stack.pop()
-            undo(v, c, touched)
-        low = avail & -avail
-        c = low.bit_length() - 1
-        # fresh colors are interchangeable; try only the first
-        descend = bool(avail) and c <= max_used + 1
-        if descend:
-            avail &= ~low
-            stack.append((v, avail, max_used, c, assign(v, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,37 +401,26 @@ def _min_odd_hole_core(adj: list[int], min_len: int) -> list[int] | None:
 
 
 def is_perfect_desk_scale(g: CozeroGraph,
-                          max_vertices: int = DEFAULT_VERTEX_CAP
-                          ) -> tuple[bool, OddCycleCertificate | None]:
-    """Perfection of g, decided on its all-twin-reduced core, to which the
-    max_vertices cap applies.  Replicating a vertex keeps a graph perfect,
-    so the core is perfect iff g is.
+                          max_vertices: int = DEFAULT_VERTEX_CAP) -> bool:
+    """Perfection of a ring-backed graph, decided on its all-twin-reduced
+    core, to which the max_vertices cap applies.  Replicating a vertex keeps
+    a graph perfect, so the core is perfect iff g is.
 
-    A ring-backed graph (spec set) is taken to be a cozero-divisor graph, an
-    induced subgraph of one, or the complement of either: its core is
-    certified perfect by the principal-ideal orientation, validated as a
-    transitive orientation of the complement of the core or, failing that,
-    of the core itself (perfection is closed under complements).  If both
-    fail, AssertionError is raised.  Any other graph gets an exhaustive
-    odd-hole search in the core and its complement (open twins of g are
-    closed twins of its complement and vice versa, so reducing the
-    complement would keep the same vertices).
+    g is taken to be a cozero-divisor graph, an induced subgraph of one, or
+    the complement of either: its core is certified perfect by the
+    principal-ideal orientation, validated as a transitive orientation of
+    the complement of the core or, failing that, of the core itself
+    (perfection is closed under complements).  If both fail, AssertionError
+    is raised; ValueError on a graph with no ring behind it.
     """
-    keep, core = _twin_core(g, max_vertices)
-    if core.spec is not None:
-        out = ideal_orientation(core)
-        if not (validate_orientation(core, out)
-                or validate_orientation(complement(core), out)):
-            raise AssertionError(
-                f"ideal orientation of {core.spec} orients neither the graph "
-                f"nor its complement transitively")
-        return True, None
-    for where, h in (("graph", core), ("complement", complement(core))):
-        cycle = _min_odd_hole_core(h.adj, 5)
-        if cycle is not None:
-            return False, OddCycleCertificate(
-                where=where, cycle=tuple(keep[v] for v in cycle))
-    return True, None
+    _, core = _twin_core(g, max_vertices)
+    out = ideal_orientation(core)
+    if not (validate_orientation(core, out)
+            or validate_orientation(complement(core), out)):
+        raise AssertionError(
+            f"ideal orientation of {core.spec} orients neither the graph "
+            f"nor its complement transitively")
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from cozero.graphs import CozeroGraph, bits
+from cozero.graphs import CozeroGraph, bits, build_cozero_graph, induced_subgraph
 from cozero.rings import CapExceededError, CrtSplit, RingSpec, factorize
+from cozero.solvers import max_clique
 
 
 # independent oracles, kept deliberately naive
@@ -101,6 +102,98 @@ def brute_force_chromatic(g: CozeroGraph) -> int:
     return g.n
 
 
+def chromatic_by_search(g: CozeroGraph) -> tuple[int, list[int]]:
+    """Exact chromatic number and a coloring of any graph, ring-backed or
+    not: a DSATUR upper bound, then backtracking for each color count from
+    the clique number up, with a maximum clique pre-colored."""
+    if g.n == 0:
+        return 0, []
+    clique = list(max_clique(g, max_vertices=g.n).witness)
+    ub, ub_colors = _dsatur(g.adj)
+    for k in range(len(clique), ub):
+        colors = _try_k_coloring(g.adj, k, clique)
+        if colors is not None:
+            return k, colors
+    return ub, ub_colors
+
+
+def _dsatur(adj) -> tuple[int, list[int]]:
+    n = len(adj)
+    colors = [-1] * n
+    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    degrees = [adj[v].bit_count() for v in range(n)]
+    for _ in range(n):
+        u = max((v for v in range(n) if colors[v] == -1),
+                key=lambda v: (len(neighbor_colors[v]), degrees[v], -v))
+        c = 0
+        while c in neighbor_colors[u]:
+            c += 1
+        colors[u] = c
+        for nb in bits(adj[u]):
+            neighbor_colors[nb].add(c)
+    return max(colors) + 1, colors
+
+
+def _try_k_coloring(adj, k: int, clique: list[int]) -> list[int] | None:
+    """Backtracking search for a proper k-coloring, clique pre-colored to break
+    color symmetry; DSATUR vertex selection, lowest index on ties.  The search
+    keeps its own stack, so deep inputs need no change to the recursion limit."""
+    n = len(adj)
+    colors = [-1] * n
+    # forbidden[v] = bitset of colors used on v's neighbors
+    forbidden = [0] * n
+    degrees = [adj[v].bit_count() for v in range(n)]
+    uncolored = set(range(n))
+
+    def assign(v: int, c: int) -> list[int]:
+        colors[v] = c
+        uncolored.discard(v)
+        touched = []
+        bit = 1 << c
+        for nb in bits(adj[v]):
+            if colors[nb] == -1 and not forbidden[nb] & bit:
+                forbidden[nb] |= bit
+                touched.append(nb)
+        return touched
+
+    def undo(v: int, c: int, touched: list[int]) -> None:
+        colors[v] = -1
+        uncolored.add(v)
+        bit = 1 << c
+        for nb in touched:
+            forbidden[nb] &= ~bit
+    for i, v in enumerate(clique):
+        if i >= k:
+            return None
+        assign(v, i)
+
+    full = (1 << k) - 1
+    # depth-first over color choices; stack holds one (v, avail, max_used,
+    # c, touched) per vertex colored by the search
+    stack: list[tuple[int, int, int, int, list[int]]] = []
+    descend = True
+    while True:
+        if descend:
+            if not uncolored:
+                return colors.copy()
+            v = max(uncolored,
+                    key=lambda u: (forbidden[u].bit_count(), degrees[u], -u))
+            avail = full & ~forbidden[v]
+            max_used = max(colors)
+        else:
+            if not stack:
+                return None
+            v, avail, max_used, c, touched = stack.pop()
+            undo(v, c, touched)
+        low = avail & -avail
+        c = low.bit_length() - 1
+        # fresh colors are interchangeable; try only the first
+        descend = bool(avail) and c <= max_used + 1
+        if descend:
+            avail &= ~low
+            stack.append((v, avail, max_used, c, assign(v, c)))
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> CozeroGraph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
@@ -155,6 +248,13 @@ SMALL_SPECS = [
     RingSpec((3, 5)),
     RingSpec((2, 2, 2, 2)),
 ]
+
+
+def random_ring_subgraph(rng: random.Random) -> CozeroGraph:
+    """A random induced subgraph, on at most 10 vertices, of the graph of
+    one of SMALL_SPECS: ring-backed, so chromatic_number applies."""
+    g = build_cozero_graph(rng.choice(SMALL_SPECS))
+    return induced_subgraph(g, rng.sample(range(g.n), min(g.n, rng.randint(1, 10))))
 
 
 @pytest.fixture(params=SMALL_SPECS, ids=str)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from cozero.graphs import (
+    CozeroGraph,
     build_cozero_graph,
     nzc_partition,
     quotient_by_associates,
@@ -25,15 +26,16 @@ from cozero.solvers import (
     chromatic_number,
     is_perfect_desk_scale,
     max_clique,
-    validate_certificate,
 )
 from cozero import cli, verify
 from conftest import (
     brute_force_chromatic,
     brute_force_clique,
+    chromatic_by_search,
     cycle_graph,
     ideal_by_enumeration,
     random_graph,
+    random_ring_subgraph,
     vnr_by_search,
 )
 
@@ -83,14 +85,17 @@ def test_criterion_2_formula_mixed_fields():
 
 def test_criterion_3_perfection():
     for spec in BOOLEAN_POWERS + [s for s, _, _ in MIXED_FIELDS]:
-        ok, cert = is_perfect_desk_scale(build_cozero_graph(spec))
-        assert ok and cert is None, f"{spec} not perfect: {cert}"
+        assert is_perfect_desk_scale(build_cozero_graph(spec)) is True, spec
+    # negative controls: C5 is no ring graph, and C5 rows under a ring's
+    # labels admit no transitive orientation; neither may pass as perfect
     c5 = cycle_graph(5)
-    ok, cert = is_perfect_desk_scale(c5)
-    assert not ok
-    assert len(cert.cycle) == 5
-    assert validate_certificate(c5, cert)
-    report("criterion 3 (perfection + C5 negative control): PASS")
+    with pytest.raises(ValueError):
+        is_perfect_desk_scale(c5)
+    g = build_cozero_graph(RingSpec((2, 2, 2)))
+    wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=c5.adj + (0,))
+    with pytest.raises(AssertionError, match="orientation"):
+        is_perfect_desk_scale(wrong)
+    report("criterion 3 (perfection + C5 negative controls): PASS")
 
 
 def test_criterion_4_reduction():
@@ -193,8 +198,13 @@ def test_criterion_7_solver_exactness():
     rng = random.Random(20240818)
     for _ in range(100):
         g = random_graph(rng.randint(1, 12), 0.5, rng)
+        assert chromatic_by_search(g)[0] == brute_force_chromatic(g)
+    # chromatic_number takes ring-backed graphs: random induced subgraphs of
+    # the small rings' graphs
+    for _ in range(100):
+        g = random_ring_subgraph(rng)
         assert chromatic_number(g).count == brute_force_chromatic(g)
-    report("criterion 7 (solvers vs brute force, 100+100 random graphs): PASS")
+    report("criterion 7 (solvers vs brute force, 100+100+100 random graphs): PASS")
 
 
 def test_criterion_8_associates_and_zero_counts():

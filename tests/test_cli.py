@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from cozero.cli import main
+from cozero.rings import parse_spec
+from conftest import unit_by_search
 
 
 def run_cli(argv, capsys):
@@ -49,6 +51,15 @@ class TestAnalyze:
         for key in ["cardinality", "units", "vertices", "edges",
                     "omega", "chi", "perfect"]:
             assert a[key] == b[key]
+
+    def test_units_match_search(self, capsys):
+        specs = ["Z2xZ4", "Z12", "Z9", "Z2xZ3xZ5", "Z4xZ9", "Z5"]
+        code, out, _ = run_cli(["analyze", "--format", "json", *specs], capsys)
+        assert code == 0
+        for text, info in zip(specs, json.loads(out)):
+            spec = parse_spec(text)
+            assert info["units"] == sum(
+                unit_by_search(spec, a) for a in spec.elements()), text
 
     def test_rings_flag(self, capsys):
         code, out, _ = run_cli(["analyze", "--rings", "Z2xZ2,Z3xZ3"], capsys)
@@ -104,6 +115,13 @@ class TestVerify:
                                   "--rings", "Z2xZ2"], capsys)
         assert code == 2 and out == ""
         assert "names no claim" in err
+
+    @pytest.mark.parametrize("rings", [",", ",,", ""])
+    def test_empty_ring_list_exit_2(self, capsys, rings):
+        # not a run of the whole default suite
+        code, out, err = run_cli(["verify", "--rings", rings], capsys)
+        assert code == 2 and out == ""
+        assert "names no ring" in err
 
     def test_multiple_claims(self, capsys):
         code, out, _ = run_cli(

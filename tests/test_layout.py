@@ -121,6 +121,22 @@ def test_oracles_stay_independent(module, function, forbidden):
     assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()
 
 
+# colouring and perfection have one path each, through the principal-ideal
+# order; the standalone odd-hole search and the colouring search stay off it
+SEARCHES = {"find_odd_hole", "_min_odd_hole_core", "validate_certificate",
+            "OddCycleCertificate", "_dsatur", "_chromatic_core", "_try_k_coloring"}
+
+
+@pytest.mark.parametrize("module,function", [
+    ("solvers", "chromatic_number"),
+    ("solvers", "is_perfect_desk_scale"),
+    ("verify", "check_perfection"),
+    ("cli", "_analyze_one"),
+])
+def test_report_path_runs_no_search(module, function):
+    assert names_in((SRC / f"{module}.py").read_text(), function) & SEARCHES == set()
+
+
 def test_oracle_checker_catches_planted_calls():
     source = ("import math\n"
               "from math import gcd\n"

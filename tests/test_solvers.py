@@ -21,7 +21,6 @@ from cozero.solvers import (
     OddCycleCertificate,
     _all_twin_reduce,
     _chain_cover,
-    _chromatic_core,
     _false_twin_reduce,
     are_isomorphic,
     chromatic_number,
@@ -37,11 +36,21 @@ from cozero.verify import default_ring_set
 from conftest import (
     brute_force_chromatic,
     brute_force_clique,
+    chromatic_by_search,
     complete_graph,
     cycle_graph,
     has_induced_odd_cycle_by_subsets,
     random_graph,
+    random_ring_subgraph,
 )
+
+
+# DSATUR colors this 10-vertex graph with 4 colors, but omega = chi = 3, so
+# the search oracle must backtrack; the path makes that search 1,200 levels
+# deep
+DSATUR_TRAP_EDGES = [(0, 1), (0, 4), (0, 6), (0, 9), (1, 3), (1, 5), (1, 6),
+                     (1, 8), (2, 3), (2, 4), (2, 8), (3, 4), (3, 7), (4, 5),
+                     (5, 6), (5, 7), (6, 7), (6, 8), (6, 9), (8, 9)]
 
 
 class TestMaxClique:
@@ -59,6 +68,13 @@ class TestMaxClique:
         res = max_clique(g)
         assert len(res.witness) == res.size
         assert validate_clique(g, res.witness)
+
+    def test_witness_checker_rejects_outside_vertices(self):
+        # a negative index must not wrap around to the last row
+        g = build_cozero_graph(RingSpec((2, 2, 2)))
+        assert validate_clique(g, [0]) and validate_clique(g, [g.n - 1])
+        for witness in ([99], [g.n], [-1], [-1, 0], [0, g.n]):
+            assert not validate_clique(g, witness), witness
 
     def test_matches_brute_force_random(self):
         rng = random.Random(7)
@@ -88,9 +104,13 @@ class TestChromaticNumber:
         assert chromatic_number(build_cozero_graph(RingSpec((2,) * 5))).count == 10
 
     def test_edgeless(self):
-        g = CozeroGraph.from_edges(4, [])
+        # the graph of Z8 has three vertices and no edge
+        g = build_cozero_graph(RingSpec((8,)))
+        assert g.n == 3 and g.edge_count() == 0
         res = chromatic_number(g)
         assert res.count == 1
+        assert chromatic_by_search(CozeroGraph.from_edges(4, []))[0] == 1
+        assert chromatic_number(build_cozero_graph(RingSpec((5,)))).count == 0
 
     def test_assignment_proper(self, small_spec):
         g = build_cozero_graph(small_spec)
@@ -104,10 +124,28 @@ class TestChromaticNumber:
     def test_matches_brute_force_random(self):
         rng = random.Random(11)
         for _ in range(40):
-            g = random_graph(rng.randint(1, 10), 0.5, rng)
+            g = random_ring_subgraph(rng)
             res = chromatic_number(g)
             assert validate_coloring(g, res.assignment, res.count)
             assert res.count == brute_force_chromatic(g)
+        for _ in range(40):
+            g = random_graph(rng.randint(1, 10), 0.5, rng)
+            count, colors = chromatic_by_search(g)
+            assert validate_coloring(g, colors, count)
+            assert count == brute_force_chromatic(g)
+
+    @pytest.mark.parametrize("g", [
+        cycle_graph(5), CozeroGraph.from_edges(10, DSATUR_TRAP_EDGES)],
+        ids=["c5", "dsatur-trap"])
+    def test_bare_graph_raises(self, g):
+        with pytest.raises(ValueError):
+            chromatic_number(g)
+
+    def test_complement_raises(self):
+        # complement() keeps the spec, but the ideal orientation orients the
+        # complement's own edges, so it certifies nothing
+        with pytest.raises(AssertionError, match="orientation"):
+            chromatic_number(complement(build_cozero_graph(RingSpec((2, 2, 2)))))
 
     def test_brute_force_examples(self):
         assert brute_force_chromatic(complete_graph(4)) == 4
@@ -139,6 +177,14 @@ class TestFindOddHole:
         cert = find_odd_hole(blown, max_vertices=5)
         assert cert is not None and len(cert.cycle) == 5
         assert validate_certificate(blown, cert)
+
+    def test_certificate_checker_rejects_outside_vertices(self):
+        c5 = cycle_graph(5)
+        assert validate_certificate(c5, OddCycleCertificate("graph", (0, 1, 2, 3, 4)))
+        for cycle in ((0, 1, 2, 3, 5), (0, 1, 2, 3, 99), (-1, 0, 1, 2, 3),
+                      (0, 1, 2, 3, -1)):
+            for where in ("graph", "complement"):
+                assert not validate_certificate(c5, OddCycleCertificate(where, cycle))
 
     def test_even_cycle_none(self):
         assert find_odd_hole(cycle_graph(6)) is None
@@ -182,24 +228,27 @@ class TestFindOddHole:
 class TestIsPerfect:
     def test_ring_graphs_perfect(self):
         for moduli in [(2, 2, 2), (2, 3, 5), (3, 5, 7)]:
-            ok, cert = is_perfect_desk_scale(build_cozero_graph(RingSpec(moduli)))
-            assert ok and cert is None
+            assert is_perfect_desk_scale(build_cozero_graph(RingSpec(moduli))) is True
 
     def test_c5_imperfect(self):
-        ok, cert = is_perfect_desk_scale(cycle_graph(5))
-        assert not ok
+        # no ring behind the graph: no certificate, and no search stands in
+        with pytest.raises(ValueError):
+            is_perfect_desk_scale(cycle_graph(5))
+        cert = find_odd_hole(cycle_graph(5))
         assert len(cert.cycle) == 5
         assert validate_certificate(cycle_graph(5), cert)
 
     def test_antihole(self):
         g = complement(cycle_graph(7))
-        ok, cert = is_perfect_desk_scale(g)
-        assert not ok
-        assert cert.where == "complement"
-        assert validate_certificate(g, cert)
+        with pytest.raises(ValueError):
+            is_perfect_desk_scale(g)
+        assert find_odd_hole(g) is None
+        hole = find_odd_hole(complement(g))
+        assert validate_certificate(g, OddCycleCertificate("complement", hole.cycle))
 
     def test_complement_has_same_twin_core(self):
-        # is_perfect_desk_scale reduces once and searches both sides
+        # is_perfect_desk_scale reduces once and validates the orientation
+        # on both sides
         rng = random.Random(13)
         for _ in range(100):
             g = random_graph(rng.randint(1, 12), rng.choice([0.1, 0.5, 0.9]), rng)
@@ -207,8 +256,9 @@ class TestIsPerfect:
 
     def test_bipartite_perfect(self):
         g = CozeroGraph.from_edges(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)])
-        ok, cert = is_perfect_desk_scale(g)
-        assert ok
+        assert find_odd_hole(g) is None and find_odd_hole(complement(g)) is None
+        with pytest.raises(ValueError):
+            is_perfect_desk_scale(g)
 
 
 # rings that are not products of fields: their associate classes have
@@ -282,10 +332,11 @@ class TestOrientation:
         monkeypatch.setattr(solvers, "_min_odd_hole_core", refuse)
         for moduli in [(2,) * 6, (2,) * 7, (2, 3, 5), (3, 3, 3)] + NON_VNR_MODULI:
             g = build_cozero_graph(RingSpec(moduli))
-            assert is_perfect_desk_scale(g) == (True, None)
+            assert is_perfect_desk_scale(g) is True
             # the complement keeps the spec; the orientation orients g itself
-            assert is_perfect_desk_scale(complement(g)) == (True, None)
-        with pytest.raises(AssertionError, match="odd-hole search ran"):
+            assert is_perfect_desk_scale(complement(g)) is True
+        # a bare graph is refused before any search could run
+        with pytest.raises(ValueError):
             is_perfect_desk_scale(cycle_graph(5))
 
     def test_invalid_ring_orientation_raises(self):
@@ -331,7 +382,7 @@ class TestChainCover:
         for spec in default_ring_set():
             core = _core(build_cozero_graph(spec))
             expected = (brute_force_chromatic(core) if core.n <= 8
-                        else _chromatic_core(core.adj)[0])
+                        else chromatic_by_search(core)[0])
             assert self.certified(core) == expected, spec
             assert chromatic_number(core).count == expected
 
@@ -374,37 +425,34 @@ class TestChainCover:
     @pytest.mark.parametrize("moduli", [(2,) * 5, (2, 3, 5), (3, 3, 3), (2, 2, 3)]
                              + NON_VNR_MODULI)
     def test_ring_graphs_skip_search(self, monkeypatch, moduli):
-        def refuse(*args):
-            raise AssertionError("coloring search ran")
-
-        monkeypatch.setattr(solvers, "_dsatur", refuse)
-        monkeypatch.setattr(solvers, "_try_k_coloring", refuse)
+        # the library has no colouring search: every graph is coloured by
+        # the chain cover
+        covers = []
+        real = _chain_cover
+        monkeypatch.setattr(solvers, "_chain_cover",
+                            lambda out: covers.append(out) or real(out))
         g = build_cozero_graph(RingSpec(moduli))
         for h in (g, quotient_by_associates(g).graph,
                   induced_subgraph(g, range(0, g.n, 2))):
             res = chromatic_number(h)
             assert validate_coloring(h, res.assignment, res.count)
             assert res.count == max_clique(h).size
+        assert len(covers) == 3
 
-    def test_other_graphs_reach_search(self, monkeypatch):
-        class Searched(Exception):
-            pass
-
-        def refuse(adj):
-            raise Searched
-
+    def test_other_graphs_are_refused(self):
         # complement() keeps the spec, but the orientation orients the
         # complement's own edges, so it does not validate; these complements
-        # are perfect, so chi = omega
+        # are perfect, so the search oracle finds chi = omega
         complements = [complement(build_cozero_graph(RingSpec(m)))
                        for m in [(2, 2, 2), (2, 3, 5), (4, 9)]]
         for g in complements:
-            assert chromatic_number(g).count == max_clique(g).size
+            assert chromatic_by_search(g)[0] == max_clique(g).size
+            with pytest.raises(AssertionError, match="orientation"):
+                chromatic_number(g)
         bare = [cycle_graph(5), CozeroGraph.from_edges(10, DSATUR_TRAP_EDGES)]
-        assert [chromatic_number(g).count for g in bare] == [3, 3]
-        monkeypatch.setattr(solvers, "_dsatur", refuse)
-        for g in complements + bare:
-            with pytest.raises(Searched):
+        assert [chromatic_by_search(g)[0] for g in bare] == [3, 3]
+        for g in bare:
+            with pytest.raises(ValueError):
                 chromatic_number(g)
 
     @pytest.mark.parametrize("corrupt", [
@@ -435,13 +483,6 @@ class TestChainCover:
                 chromatic_number(build_cozero_graph(RingSpec(moduli)))
 
 
-# DSATUR colors this 10-vertex graph with 4 colors, but omega = chi = 3, so
-# chromatic_number must search; the path makes that search 1,200 levels deep
-DSATUR_TRAP_EDGES = [(0, 1), (0, 4), (0, 6), (0, 9), (1, 3), (1, 5), (1, 6),
-                     (1, 8), (2, 3), (2, 4), (2, 8), (3, 4), (3, 7), (4, 5),
-                     (5, 6), (5, 7), (6, 7), (6, 8), (6, 9), (8, 9)]
-
-
 class TestDeepSearch:
     """The exact searches keep their own stacks: deep inputs run at the
     default recursion limit, and no solver changes that limit."""
@@ -453,9 +494,9 @@ class TestDeepSearch:
     def test_deep_coloring(self):
         path = [(10 + i, 11 + i) for i in range(1199)]
         g = CozeroGraph.from_edges(1210, DSATUR_TRAP_EDGES + path)
-        res = chromatic_number(g, max_vertices=2000)
-        assert res.count == 3
-        assert validate_coloring(g, res.assignment, res.count)
+        count, colors = chromatic_by_search(g)
+        assert count == 3
+        assert validate_coloring(g, colors, count)
 
     def test_recursion_limit_untouched(self, monkeypatch):
         def refuse(limit):
@@ -465,7 +506,7 @@ class TestDeepSearch:
         g = build_cozero_graph(RingSpec((2,) * 5))
         assert max_clique(g).size == 10
         assert chromatic_number(g).count == 10
-        assert is_perfect_desk_scale(g) == (True, None)
+        assert is_perfect_desk_scale(g) is True
         assert _chain_cover(_fence(3000))[0] == 3000
 
     def test_concurrent_workers(self):
@@ -559,4 +600,6 @@ def test_solver_agreement_property(n, seed):
     g = random_graph(n, 0.5, rng)
     assert max_clique(g).size == brute_force_clique(g)
     if n <= 10:
-        assert chromatic_number(g).count == brute_force_chromatic(g)
+        assert chromatic_by_search(g)[0] == brute_force_chromatic(g)
+    h = random_ring_subgraph(rng)
+    assert chromatic_number(h).count == brute_force_chromatic(h)

@@ -56,11 +56,19 @@ class TestCheckPerfection:
         assert r.passed
 
     def test_negative_control_injection(self, monkeypatch):
+        # C5 must never pass as perfect: bare, it has no ring to certify it,
+        # and as rows under a ring's labels it has no transitive orientation
+        g = graphs.build_cozero_graph(RingSpec((2, 2, 2)))
+        wrong = CozeroGraph(spec=g.spec, labels=g.labels,
+                            adj=cycle_graph(5).adj + (0,))
         monkeypatch.setattr(graphs, "build_cozero_graph",
                             lambda spec, max_cardinality: cycle_graph(5))
-        r = check_perfection(Case(RingSpec((2, 2))))
-        assert not r.passed
-        assert len(r.witness["cycle"]) == 5
+        with pytest.raises(ValueError):
+            check_perfection(Case(RingSpec((2, 2))))
+        monkeypatch.setattr(graphs, "build_cozero_graph",
+                            lambda spec, max_cardinality: wrong)
+        with pytest.raises(AssertionError, match="orientation"):
+            check_perfection(Case(RingSpec((2, 2, 2))))
 
     def test_desk_scale_cap(self):
         # Z2^7 has no twins: its core keeps all 126 vertices, over the
