@@ -79,10 +79,13 @@ def _gather_specs(args, parser) -> list[RingSpec]:
         parser.exit(2, f"cozero: error: {exc}\n")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, parser) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.exit(2, f"cozero: error: cannot write {out_path}: {exc.strerror}\n")
     else:
         sys.stdout.write(text)
 
@@ -152,9 +155,9 @@ def cmd_analyze(args, parser) -> int:
             continue
         chunks.append(info if args.format == "json" else _format_analysis(info))
     if args.format == "json":
-        _emit(json.dumps(chunks, indent=2) + "\n", args.out)
+        _emit(json.dumps(chunks, indent=2) + "\n", args.out, parser)
     else:
-        _emit("".join(chunks), args.out)
+        _emit("".join(chunks), args.out, parser)
     return status
 
 
@@ -173,7 +176,7 @@ def cmd_verify(args, parser) -> int:
         reports = verify.run_suite(names, specs, caps)
     except verify.UnknownClaimError as exc:
         parser.exit(2, f"cozero: error: {exc}\n")
-    _emit(verify.reports_to_json(reports), args.out)
+    _emit(verify.reports_to_json(reports), args.out, parser)
     failed = any(not r.passed and not r.skipped for r in reports)
     return 1 if failed else 0
 
@@ -194,7 +197,7 @@ def cmd_export(args, parser) -> int:
         sys.stderr.write(f"cozero: error: {exc}\n")
         return 1
     text = graphs.to_dot(g) if args.format == "dot" else graphs.to_json(g)
-    _emit(text, args.out)
+    _emit(text, args.out, parser)
     return 0
 
 

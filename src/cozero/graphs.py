@@ -36,15 +36,12 @@ class CozeroGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
 
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
                 if self.adj[i] >> j & 1]
 
     def edge_count(self) -> int:
-        return sum(self.degree(i) for i in range(self.n)) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     @staticmethod
     def from_edges(n: int, edges, labels=None, spec=None) -> "CozeroGraph":
@@ -78,7 +75,9 @@ def _signature_masks(spec: RingSpec, labels) -> tuple[list[tuple[int, ...]], dic
     Ra = R*gcd-signature, and Rb is inside Ra iff gcd(a_i, n_i) divides
     gcd(b_i, n_i) for every i, so containment only depends on the signatures.
     """
-    sigs = [tuple(math.gcd(x, m) for x, m in zip(v, spec.moduli)) for v in labels]
+    # the i-th gcds are read column by column from a table of Z_{n_i}
+    gcds = [[math.gcd(x, m) for x in range(m)] for m in spec.moduli]
+    sigs = list(zip(*(map(t.__getitem__, col) for t, col in zip(gcds, zip(*labels)))))
     members: dict[tuple[int, ...], int] = {}
     for v, sig in enumerate(sigs):
         members[sig] = members.get(sig, 0) | 1 << v

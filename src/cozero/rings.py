@@ -135,23 +135,36 @@ def in_principal_ideal(spec: RingSpec, a: Element, b: Element) -> bool:
     return all(x % math.gcd(y, n) == 0 for x, y, n in zip(a, b, spec.moduli))
 
 
+def multiples(y: int, n: int) -> frozenset[int]:
+    """The ideal y*Z_n = {r*y mod n : r in Z_n}, listed in full with no gcd."""
+    return frozenset(map(n.__rmod__, map(y.__mul__, range(n))))
+
+
 def principal_ideal(spec: RingSpec, b: Element) -> frozenset[Element]:
     """The ideal Rb = {r*b : r in R}, by exhaustive enumeration of multiples.
 
     Multiplication is componentwise, so Rb is the product over the factors
-    of {r*b_i mod n_i : r in Z_{n_i}}; each factor's multiples are listed in
-    full, which costs sum(n_i) products instead of |R|.  No gcd is used, so
-    this stays an independent oracle for in_principal_ideal and the graph
-    build.
+    of multiples(b_i, n_i); each factor's multiples are listed in full,
+    which costs sum(n_i) products instead of |R|.  No gcd is used, so this
+    stays an independent oracle for in_principal_ideal and the graph build.
     """
-    return frozenset(itertools.product(
-        *({r * y % n for r in range(n)} for y, n in zip(b, spec.moduli))))
+    return frozenset(itertools.product(*map(multiples, b, spec.moduli)))
+
+
+def _gcd_buckets(n: int) -> dict[int, list[int]]:
+    """The residues of Z_n by gcd(x, n), ascending, in order of first member."""
+    buckets: dict[int, list[int]] = {}
+    for x in range(n):
+        buckets.setdefault(math.gcd(x, n), []).append(x)
+    return buckets
 
 
 def vertices(spec: RingSpec) -> list[Element]:
-    """Non-zero non-unit elements, in lexicographic residue order."""
-    zero = spec.zero
-    return [a for a in spec.elements() if a != zero and not is_unit(spec, a)]
+    """Non-zero non-units in lexicographic residue order: all elements but
+    zero and the product of the factors' units (their gcd-1 groups)."""
+    skip = set(itertools.product(*(_gcd_buckets(n)[1] for n in spec.moduli)))
+    skip.add(spec.zero)
+    return list(itertools.filterfalse(skip.__contains__, spec.elements()))
 
 
 def is_von_neumann_regular(spec: RingSpec) -> bool:
@@ -181,21 +194,19 @@ class AssociateClasses:
 def associate_classes(spec: RingSpec) -> AssociateClasses:
     """Group vertices with Ra = Rb; representative is the lexicographically smallest.
 
-    In Z_n the ideal Ra is generated by gcd(a, n), so the componentwise gcd
-    tuple is a complete class key.  For a product of prime fields the smallest
+    In Z_n the ideal Ra is generated by gcd(a, n), so a class is a product of
+    one gcd group per factor, but for all zeros and all units.  A product is
+    lex-ordered, so it starts with its representative, and the classes come in
+    order of representative.  For a product of prime fields the smallest
     member of each class is exactly the {0,1}-pattern vertex.
     """
-    buckets: dict[tuple[int, ...], list[Element]] = {}
-    for v in vertices(spec):
-        key = tuple(math.gcd(x, n) for x, n in zip(v, spec.moduli))
-        buckets.setdefault(key, []).append(v)
+    groups = [list(_gcd_buckets(n).values()) for n in spec.moduli]
+    # the group of 0 comes first in every factor, and that of the units second
+    zero, units = (tuple(g[k] for g in groups) for k in (0, 1))
     classes = []
-    index: dict[Element, int] = {}
-    # vertices() is lex-sorted, so buckets keep lex order and the first member
-    # of each bucket is its representative; order classes by representative.
-    for members in sorted(buckets.values()):
-        cid = len(classes)
-        classes.append((members[0], tuple(members)))
-        for m in members:
-            index[m] = cid
+    for choice in itertools.product(*groups):
+        if choice != zero and choice != units:
+            members = tuple(itertools.product(*choice))
+            classes.append((members[0], members))
+    index = {m: cid for cid, (_, members) in enumerate(classes) for m in members}
     return AssociateClasses(spec=spec, classes=tuple(classes), index=index)

@@ -9,7 +9,7 @@ Checks re-derive everything from scratch rather than trusting the
 ring-theoretic shortcuts: locality by closing the non-units under addition,
 and principality and adjacency from the paper's membership definition (a-b
 is an edge iff a is not in Rb and b is not in Ra), with each ideal Rb
-enumerated in full factor by factor by rings.principal_ideal and no gcd.
+enumerated in full factor by factor, by rings.multiples, and no gcd.
 Every witness embedded in a report is re-validated independently of the
 solver that produced it.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from . import graphs, rings, solvers
@@ -157,7 +158,7 @@ def check_null_graph(case: Case) -> VerificationReport:
 
     Locality is detected exhaustively (non-units closed under addition) and
     principality by searching for a non-unit x whose enumerated ideal Rx
-    (rings.principal_ideal) holds every non-unit.
+    (rings.principal_ideal, for x with |Rx| large enough) holds every non-unit.
     """
     claim, spec = "null-graph", case.spec
     if reason := _skip_reason(case, _is_domain):
@@ -167,7 +168,10 @@ def check_null_graph(case: Case) -> VerificationReport:
     nonunits = [a for a in spec.elements() if not rings.is_unit(spec, a)]
     nonunit_set = set(nonunits)
     local = all(spec.add(a, b) in nonunit_set for a in nonunits for b in nonunits)
-    principal = any(nonunit_set <= rings.principal_ideal(spec, x) for x in nonunits)
+    # only an Rx as large as the non-units (|Rx| = prod |multiples|) can hold them
+    sizes = [[len(rings.multiples(y, n)) for y in range(n)] for n in spec.moduli]
+    principal = any(nonunit_set <= rings.principal_ideal(spec, x) for x in nonunits
+                    if math.prod(map(list.__getitem__, sizes, x)) >= len(nonunits))
     ok = edgeless == (local and principal)
     return VerificationReport(
         claim_id=claim, spec=spec,
@@ -216,8 +220,8 @@ def _positions(keys) -> dict:
 def check_invariants(case: Case) -> VerificationReport:
     """Structural invariants checked exhaustively over the whole ring:
     every pair, and every vertex with itself, is adjacent iff a is not in Rb
-    and b is not in Ra, with each Rb enumerated by rings.principal_ideal (no
-    gcd), and each mismatched pair i <= j is named in order of i, then j;
+    and b is not in Ra, with each Rb enumerated by rings.multiples (no gcd)
+    per factor, and each mismatched pair i <= j is named in order of i, then j;
     associates share neighborhoods and are non-adjacent; the zero-count
     parts partition the vertex set and each induces a complete subgraph."""
     claim, spec = "graph-invariants", case.spec
@@ -228,30 +232,28 @@ def check_invariants(case: Case) -> VerificationReport:
 
     # inside[i]: the vertices in R*label_i; contains[i]: the vertices whose
     # ideal holds label_i.  a-b is an edge iff b is in neither of a's masks.
-    # Associates share an ideal, so each distinct one becomes a mask once; only
-    # its hash is kept, and a match is exact as Rv = Rw iff v in Rw and w in Rv.
-    index = {label: i for i, label in enumerate(g.labels)}
-    seen: dict = {}  # hash of an ideal -> (a vertex with that ideal, its mask)
-    inside = []
-    for i, v in enumerate(g.labels):
-        ideal = rings.principal_ideal(spec, v)
-        w, mask = seen.get(hash(ideal), (i, 0))
-        if not (mask >> i & 1 and g.labels[w] in ideal):
-            mask = sum(1 << index[x] for x in ideal if x in index)
-            seen.setdefault(hash(ideal), (i, mask))
-        inside.append(mask)
-    by_ideal = _positions(inside)  # inside mask -> the vertices with that ideal
-    contains = [0] * g.n
-    for mask, members in by_ideal.items():
-        for j in graphs.bits(mask):
-            contains[j] |= members
+    # Rb is the product of its factors' multiples, so per factor into[y] (the
+    # vertices whose residue lies in yZ_n) and onto[y] (those whose residue's
+    # multiples hold y) are read off each column and ANDed over the factors.
     full = (1 << g.n) - 1
+    inside = contains = [full] * g.n  # both rebound per factor, never mutated
+    for column, n in zip(zip(*g.labels), spec.moduli):
+        at = _positions(column)  # residue -> the vertices with it here
+        ideal = {y: rings.multiples(y, n) for y in at}
+        into = {y: sum(map(at.__getitem__, at.keys() & yz)) for y, yz in ideal.items()}
+        gens: dict = {}  # an ideal of Z_n -> the vertices whose residue generates it
+        for y, yz in ideal.items():
+            gens[yz] = gens.get(yz, 0) | at[y]
+        onto = {x: sum(m for yz, m in gens.items() if x in yz) for x in at}
+        inside = list(map(operator.and_, inside, map(into.__getitem__, column)))
+        contains = list(map(operator.and_, contains, map(onto.__getitem__, column)))
     for i in range(g.n):
         for j in graphs.bits((g.adj[i] ^ ~(inside[i] | contains[i])) & full >> i << i):
             problems.append(f"adjacency mismatch at {g.labels[i]},{g.labels[j]}")
 
     # a class pair a < b can only fail if b is adjacent to a, or has another
     # row, or a has a loop; only those b are tested pair by pair
+    index = {label: i for i, label in enumerate(g.labels)}
     same_row = _positions(g.adj)
     classes = rings.associate_classes(spec)
     for rep, members in classes.classes:

@@ -1,10 +1,18 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from cozero.graphs import CozeroGraph, bits, build_cozero_graph, induced_subgraph
-from cozero.rings import CapExceededError, CrtSplit, RingSpec, factorize
+from cozero.rings import (
+    AssociateClasses,
+    CapExceededError,
+    CrtSplit,
+    RingSpec,
+    factorize,
+    is_unit,
+)
 from cozero.solvers import max_clique
 
 
@@ -17,6 +25,27 @@ def ideal_by_enumeration(spec: RingSpec, b):
 
 def unit_by_search(spec: RingSpec, a) -> bool:
     return any(spec.mul(a, b) == spec.one for b in spec.elements())
+
+
+def vertices_by_search(spec: RingSpec):
+    """The non-zero non-units, element by element, in lexicographic order."""
+    return [a for a in spec.elements() if a != spec.zero and not is_unit(spec, a)]
+
+
+def associate_classes_by_gcd(spec: RingSpec) -> AssociateClasses:
+    """The vertices bucketed by their tuple of gcds, one vertex at a time;
+    classes ordered by representative, each the smallest of its members."""
+    buckets: dict[tuple[int, ...], list] = {}
+    for v in vertices_by_search(spec):
+        key = tuple(math.gcd(x, n) for x, n in zip(v, spec.moduli))
+        buckets.setdefault(key, []).append(v)
+    classes = []
+    index = {}
+    for members in sorted(buckets.values()):
+        for m in members:
+            index[m] = len(classes)
+        classes.append((members[0], tuple(members)))
+    return AssociateClasses(spec=spec, classes=tuple(classes), index=index)
 
 
 def vnr_by_search(spec: RingSpec) -> bool:

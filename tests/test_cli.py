@@ -195,6 +195,19 @@ class TestExport:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "Z4"], ["verify", "--suite", "null-graph", "Z4"], ["export", "Z4"],
+], ids=["analyze", "verify", "export"])
+@pytest.mark.parametrize("target,reason", [
+    (".", "Is a directory"), ("missing/out.txt", "No such file or directory"),
+], ids=["directory", "missing-parent"])
+def test_unwritable_out_exit_2(capsys, tmp_path, argv, target, reason):
+    path = tmp_path / target
+    code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"cozero: error: cannot write {path}: {reason}\n"
+
+
 class TestEnvCap:
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("COZERO_MAX_CARDINALITY", "3")

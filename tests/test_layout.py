@@ -110,12 +110,13 @@ FAST_PATHS = {"in_principal_ideal", "_signature_masks", "ideal_orientation"}
 @pytest.mark.parametrize("module,function,forbidden", [
     ("rings", "principal_ideal", {"gcd", "in_principal_ideal"}),
     # nor read the case's solved clique or colouring
-    ("verify", "check_invariants", FAST_PATHS | {"clique", "coloring"}),
-    ("verify", "check_null_graph", FAST_PATHS | {"clique", "coloring"}),
+    ("verify", "check_invariants", FAST_PATHS | {"clique", "coloring", "gcd"}),
+    ("verify", "check_null_graph", FAST_PATHS | {"clique", "coloring", "gcd"}),
     # the checkers of the chain-cover certificate must not read the order
     # that produced it
     ("solvers", "validate_coloring", FAST_PATHS),
     ("solvers", "validate_clique", FAST_PATHS),
+    ("rings", "multiples", {"gcd", "in_principal_ideal"}),
 ])
 def test_oracles_stay_independent(module, function, forbidden):
     assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cozero.rings import (
     RingSpec,
@@ -13,17 +13,35 @@ from cozero.rings import (
     is_unit,
     is_von_neumann_regular,
     min_prime_count,
+    multiples,
     parse_spec,
     principal_ideal,
     vertices,
 )
+from cozero.verify import default_ring_set
 from conftest import (
+    associate_classes_by_gcd,
     from_split,
     ideal_by_enumeration,
     to_split,
     unit_by_search,
+    vertices_by_search,
     vnr_by_search,
 )
+
+# the rings of the analyze-classes benchmark: many vertices, few classes
+CLASS_RINGS = ["Z2xZ3xZ5xZ7xZ11", "Z7xZ7xZ7xZ7", "Z4xZ9xZ25", "Z9xZ9xZ9",
+               "Z5xZ5xZ5xZ5", "Z3xZ3xZ3xZ3xZ3", "Z8xZ27"]
+
+
+def assert_matches_oracles(spec):
+    """vertices and associate_classes equal their per-element oracles: the
+    vertex order, the classes with their members, representatives and
+    order, and the index with its order."""
+    assert vertices(spec) == vertices_by_search(spec)
+    got, want = associate_classes(spec), associate_classes_by_gcd(spec)
+    assert got.classes == want.classes
+    assert list(got.index.items()) == list(want.index.items())
 
 
 class TestParseSpec:
@@ -152,6 +170,11 @@ class TestPrincipalIdeal:
         spec = RingSpec((6,))
         assert principal_ideal(spec, (2,)) == {(0,), (2,), (4,)}
 
+    def test_multiples_match_brute_force(self):
+        for n in range(2, 61):
+            for y in range(n):
+                assert multiples(y, n) == {r * y % n for r in range(n)}
+
     def test_per_factor_enumeration_matches_whole_ring(self, small_spec):
         for b in small_spec.elements():
             assert principal_ideal(small_spec, b) == \
@@ -179,6 +202,25 @@ class TestVertices:
     def test_lexicographic_order(self, small_spec):
         vs = vertices(small_spec)
         assert vs == sorted(vs)
+
+
+@pytest.mark.parametrize("texts", [
+    pytest.param([str(s) for s in default_ring_set()], id="default-rings"),
+    pytest.param(CLASS_RINGS, id="class-rings"),
+])
+def test_per_factor_tables_match_oracles(texts):
+    for text in texts:
+        assert_matches_oracles(parse_spec(text))
+
+
+@given(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 18, 25, 27]),
+                min_size=1, max_size=3))
+@example([8, 12])
+@settings(max_examples=60, deadline=None)
+def test_per_factor_tables_property(moduli):
+    spec = RingSpec(tuple(moduli))
+    assume(spec.cardinality <= 2000)
+    assert_matches_oracles(spec)
 
 
 class TestVonNeumannRegular:

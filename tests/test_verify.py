@@ -93,6 +93,18 @@ class TestCheckNullGraph:
         r = check_null_graph(Case(RingSpec((2, 4))))
         assert r.passed and "edgeless=False" in r.observed
 
+    def test_pruned_principality_matches_full_search(self):
+        # the claim enumerates Rx only for x with |Rx| >= #non-units
+        for spec in default_ring_set() + [RingSpec((4, 4)), RingSpec((8, 9)),
+                                          RingSpec((2, 4))]:
+            r = check_null_graph(Case(spec))
+            if r.skipped:
+                continue
+            nonunits = {a for a in spec.elements() if not rings.is_unit(spec, a)}
+            principal = any(nonunits <= rings.principal_ideal(spec, x)
+                            for x in nonunits)
+            assert f"principal-max-ideal={principal}" in r.observed, spec
+
     def test_domain_skipped(self):
         r = check_null_graph(Case(RingSpec((7,))))
         assert r.skipped and r.reason == "is-domain"
