@@ -103,11 +103,11 @@ def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dic
         "vnr": vnr,
     }
     clique = solvers.max_clique(g, max_vertices=max_vertices)
-    coloring = solvers.chromatic_number(g, max_vertices=max_vertices)
+    coloring = solvers.chromatic_number(g)
     info["omega"] = clique.size
     info["clique_witness"] = list(clique.witness)
     info["chi"] = coloring.count
-    info["perfect"] = solvers.is_perfect_desk_scale(g, max_vertices=max_vertices)
+    info["perfect"] = solvers.is_perfect_desk_scale(g)
     if vnr:
         n = rings.min_prime_count(spec)
         info["field_factors"] = n

@@ -67,6 +67,14 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def positions(keys) -> dict:
+    """Each distinct key -> the bitset of the positions that hold it."""
+    masks: dict = {}
+    for i, key in enumerate(keys):
+        masks[key] = masks.get(key, 0) | 1 << i
+    return masks
+
+
 def _signature_masks(spec: RingSpec, labels) -> tuple[list[tuple[int, ...]], dict]:
     """Each label's gcd signature, and for each signature s the masks
     (members, down, up): the labels with signature s, those whose ideal lies
@@ -78,9 +86,7 @@ def _signature_masks(spec: RingSpec, labels) -> tuple[list[tuple[int, ...]], dic
     # the i-th gcds are read column by column from a table of Z_{n_i}
     gcds = [[math.gcd(x, m) for x in range(m)] for m in spec.moduli]
     sigs = list(zip(*(map(t.__getitem__, col) for t, col in zip(gcds, zip(*labels)))))
-    members: dict[tuple[int, ...], int] = {}
-    for v, sig in enumerate(sigs):
-        members[sig] = members.get(sig, 0) | 1 << v
+    members = positions(sigs)
     below, above = [], []  # [i][d]: labels whose i-th gcd is a multiple / divisor of d
     for i in range(len(spec.moduli)):
         col: dict[int, int] = {}
@@ -209,11 +215,8 @@ def quotient_by_associates(g: CozeroGraph) -> QuotientGraph:
                 f"different neighborhoods among the remaining vertices")
         remaining &= ~(1 << v)
 
-    sizes = []
-    for rep, members in classes.classes:
-        sizes.append(len(members))
     return QuotientGraph(graph=induced_subgraph(g, rep_indices),
-                         class_sizes=tuple(sizes),
+                         class_sizes=tuple(len(m) for _, m in classes.classes),
                          origin=classes)
 
 

@@ -1,6 +1,6 @@
 """Exact combinatorial solvers: maximum clique, chromatic number, perfection
 certificates by transitive orientations, a standalone induced odd-cycle
-search, and small-graph isomorphism.
+search, and small-graph isomorphism (the tests' reference).
 
 Chromatic number and perfection are for ring-backed graphs only, and raise
 ValueError on a bare graph.  Both rest on the principal-ideal order: its
@@ -9,15 +9,16 @@ perfection, and a minimum chain cover of it (Dilworth) colors the graph,
 certified by an antichain, a clique of the same size (König).
 find_odd_hole serves any graph but is not on either path.
 
-All solvers are exact; size caps raise instead of degrading to heuristics.
-Tie-breaking is by lowest vertex index throughout so witnesses are
-reproducible.
+All solvers are exact; the caps of the exponential searches (clique, odd
+hole, isomorphism) raise instead of degrading to heuristics.  Tie-breaking
+is by lowest vertex index throughout so witnesses are reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CozeroGraph, bits, complement, ideal_orientation, induced_subgraph
+from .graphs import (
+    CozeroGraph, bits, complement, ideal_orientation, induced_subgraph, positions)
 from .rings import CapExceededError
 
 DEFAULT_VERTEX_CAP = 512
@@ -55,9 +56,7 @@ def validate_coloring(g: CozeroGraph, assignment, count: int) -> bool:
         return False
     if g.n and not all(0 <= c < count for c in assignment):
         return False
-    classes: dict[int, int] = {}  # color -> bitset of the vertices it colors
-    for v, c in enumerate(assignment):
-        classes[c] = classes.get(c, 0) | 1 << v
+    classes = positions(assignment)  # color -> bitset of the vertices it colors
     return all(not g.adj[v] & classes[c] for v, c in enumerate(assignment))
 
 
@@ -229,14 +228,12 @@ def _max_clique_core(adj: list[int]) -> list[int]:
 # chromatic number: a minimum chain cover of the principal-ideal order
 # ---------------------------------------------------------------------------
 
-def chromatic_number(g: CozeroGraph,
-                     max_vertices: int = DEFAULT_VERTEX_CAP) -> ColoringResult:
+def chromatic_number(g: CozeroGraph) -> ColoringResult:
     """Exact chromatic number and a coloring of a ring-backed graph, on its
     false-twin core: the chains of a minimum chain cover of the core's ideal
     orientation, checked with an antichain (a clique) of equal size on the
     core's adjacency alone.  ValueError on a graph with no ring behind it;
     AssertionError if the orientation or either certificate fails."""
-    _check_cap(g.n, max_vertices)
     keep = _false_twin_reduce(g)
     core = induced_subgraph(g, keep)
     out = ideal_orientation(core)
@@ -333,18 +330,13 @@ def find_odd_hole(g: CozeroGraph, min_len: int = 5,
     """
     if min_len < 5 or min_len % 2 == 0:
         raise ValueError("min_len must be odd and at least 5")
-    keep, core = _twin_core(g, max_vertices)
-    cycle = _min_odd_hole_core(core.adj, min_len)
+    keep = _all_twin_reduce(g)
+    _check_cap(len(keep), max_vertices)
+    cycle = _min_odd_hole_core(induced_subgraph(g, keep).adj, min_len)
     if cycle is None:
         return None
     return OddCycleCertificate(where="graph",
                                cycle=tuple(keep[v] for v in cycle))
-
-
-def _twin_core(g: CozeroGraph, max_vertices: int) -> tuple[list[int], CozeroGraph]:
-    keep = _all_twin_reduce(g)
-    _check_cap(len(keep), max_vertices)
-    return keep, induced_subgraph(g, keep)
 
 
 def _min_odd_hole_core(adj: list[int], min_len: int) -> list[int] | None:
@@ -400,11 +392,10 @@ def _min_odd_hole_core(adj: list[int], min_len: int) -> list[int] | None:
     return best
 
 
-def is_perfect_desk_scale(g: CozeroGraph,
-                          max_vertices: int = DEFAULT_VERTEX_CAP) -> bool:
+def is_perfect_desk_scale(g: CozeroGraph) -> bool:
     """Perfection of a ring-backed graph, decided on its all-twin-reduced
-    core, to which the max_vertices cap applies.  Replicating a vertex keeps
-    a graph perfect, so the core is perfect iff g is.
+    core.  Replicating a vertex keeps a graph perfect, so the core is
+    perfect iff g is.
 
     g is taken to be a cozero-divisor graph, an induced subgraph of one, or
     the complement of either: its core is certified perfect by the
@@ -413,7 +404,7 @@ def is_perfect_desk_scale(g: CozeroGraph,
     (perfection is closed under complements).  If both fail, AssertionError
     is raised; ValueError on a graph with no ring behind it.
     """
-    _, core = _twin_core(g, max_vertices)
+    core = induced_subgraph(g, _all_twin_reduce(g))
     out = ideal_orientation(core)
     if not (validate_orientation(core, out)
             or validate_orientation(complement(core), out)):
@@ -424,7 +415,8 @@ def is_perfect_desk_scale(g: CozeroGraph,
 
 
 # ---------------------------------------------------------------------------
-# small-graph isomorphism
+# small-graph isomorphism, off the report path: the tests' reference for the
+# quotient bijection that verify constructs from supports
 # ---------------------------------------------------------------------------
 
 def are_isomorphic(g: CozeroGraph, h: CozeroGraph,

@@ -11,7 +11,8 @@ and principality and adjacency from the paper's membership definition (a-b
 is an edge iff a is not in Rb and b is not in Ra), with each ideal Rb
 enumerated in full factor by factor, by rings.multiples, and no gcd.
 Every witness embedded in a report is re-validated independently of the
-solver that produced it.
+solver that produced it.  The quotient's bijection onto the graph of Z2^n
+is constructed from supports, not searched for, then validated row by row.
 """
 from __future__ import annotations
 
@@ -32,10 +33,11 @@ class Caps:
     max_vertices: int = solvers.DEFAULT_VERTEX_CAP
 
 
-# perfection of a ring graph is certified by a transitive orientation of the
-# complement of its twin-reduced core, which needs no cap; this one stays only
-# so that the reports (and their cap-exceeded skips) remain byte-identical
-_HOLE_VERTEX_CAP = 64
+# perfection and quotient-reduction skip a product of more fields than this
+# as cap-exceeded: exactly the rings whose twin core and quotient (the graph
+# of Z2^n, 2^n - 2 vertices) exceed 64 vertices.  Neither certificate needs a
+# cap; this one stays only so that the reports remain byte-identical
+_MAX_FIELDS = 6
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class Case:
 
     @functools.cached_property
     def coloring(self) -> solvers.ColoringResult:
-        return solvers.chromatic_number(self.graph, max_vertices=self.caps.max_vertices)
+        return solvers.chromatic_number(self.graph)
 
 
 @dataclass
@@ -110,6 +112,10 @@ def _not_field_product(spec: RingSpec) -> str | None:
         "too-few-factors" if rings.min_prime_count(spec) < 2 else None)
 
 
+def _too_many_fields(spec: RingSpec) -> str | None:
+    return "cap-exceeded" if rings.min_prime_count(spec) > _MAX_FIELDS else None
+
+
 def _is_domain(spec: RingSpec) -> str | None:
     # a finite commutative ring is a domain iff it is a prime field
     m = spec.moduli[0]
@@ -139,13 +145,9 @@ def check_formula(case: Case) -> VerificationReport:
 def check_perfection(case: Case) -> VerificationReport:
     """The graph of a product of fields has no odd hole or antihole."""
     claim, spec = "perfection", case.spec
-    if reason := _skip_reason(case, _not_vnr):
+    if reason := _skip_reason(case, lambda s: _not_vnr(s) or _too_many_fields(s)):
         return _skip(claim, spec, reason)
-    try:
-        perfect = solvers.is_perfect_desk_scale(case.graph,
-                                                max_vertices=_HOLE_VERTEX_CAP)
-    except CapExceededError:
-        return _skip(claim, spec, "cap-exceeded")
+    perfect = solvers.is_perfect_desk_scale(case.graph)
     return VerificationReport(
         claim_id=claim, spec=spec,
         expected="no induced odd cycle of length >= 5 in graph or complement",
@@ -183,22 +185,26 @@ def check_null_graph(case: Case) -> VerificationReport:
 
 def check_reduction(case: Case) -> VerificationReport:
     """Collapsing associate classes preserves omega and chi, and the quotient
-    is isomorphic to the graph of Z2^n built directly."""
+    is isomorphic to the graph of Z2^n built directly, by the bijection that
+    sends each class, fixed by the primes its members avoid, to its support
+    (bit x % p != 0 for each prime p of each factor, in factorize order).  It
+    is emitted only if it is a permutation carrying each row onto its image's."""
     claim, spec = "quotient-reduction", case.spec
-    if reason := _skip_reason(case, _not_field_product):
+    if reason := _skip_reason(
+            case, lambda s: _not_field_product(s) or _too_many_fields(s)):
         return _skip(claim, spec, reason)
     n = rings.min_prime_count(spec)
-    q = graphs.quotient_by_associates(case.graph)
-    if q.graph.n > solvers.ISO_VERTEX_CAP:
-        return _skip(claim, spec, "cap-exceeded")
+    q = graphs.quotient_by_associates(case.graph).graph
     gw, gc = case.clique, case.coloring
-    qw = solvers.max_clique(q.graph, max_vertices=case.caps.max_vertices)
-    qc = solvers.chromatic_number(q.graph, max_vertices=case.caps.max_vertices)
+    qw, qc = solvers.max_clique(q), solvers.chromatic_number(q)
     boolean = graphs.build_cozero_graph(RingSpec((2,) * n))
-    bijection = solvers.are_isomorphic(q.graph, boolean)
-    iso_ok = bijection is not None and all(
-        q.graph.has_edge(i, j) == boolean.has_edge(bijection[i], bijection[j])
-        for i in range(q.graph.n) for j in range(i + 1, q.graph.n))
+    index = {label: v for v, label in enumerate(boolean.labels)}
+    primes = [(i, p) for i, m in enumerate(spec.moduli) for p, _ in rings.factorize(m)]
+    bijection = [index[tuple(int(label[i] % p != 0) for i, p in primes)]
+                 for label in q.labels]
+    iso_ok = sorted(bijection) == list(range(boolean.n)) and all(
+        sum(1 << bijection[j] for j in graphs.bits(row)) == boolean.adj[image]
+        for row, image in zip(q.adj, bijection))
     ok = gw.size == qw.size and gc.count == qc.count and iso_ok
     return VerificationReport(
         claim_id=claim, spec=spec,
@@ -206,15 +212,7 @@ def check_reduction(case: Case) -> VerificationReport:
         observed=(f"omega {gw.size}->{qw.size} chi {gc.count}->{qc.count} "
                   f"iso={'yes' if iso_ok else 'no'}"),
         passed=ok,
-        witness={"bijection": bijection} if bijection is not None else None)
-
-
-def _positions(keys) -> dict:
-    """Each distinct key -> the bitset of the positions that hold it."""
-    masks: dict = {}
-    for i, key in enumerate(keys):
-        masks[key] = masks.get(key, 0) | 1 << i
-    return masks
+        witness={"bijection": bijection} if iso_ok else None)
 
 
 def check_invariants(case: Case) -> VerificationReport:
@@ -238,7 +236,7 @@ def check_invariants(case: Case) -> VerificationReport:
     full = (1 << g.n) - 1
     inside = contains = [full] * g.n  # both rebound per factor, never mutated
     for column, n in zip(zip(*g.labels), spec.moduli):
-        at = _positions(column)  # residue -> the vertices with it here
+        at = graphs.positions(column)  # residue -> the vertices with it here
         ideal = {y: rings.multiples(y, n) for y in at}
         into = {y: sum(map(at.__getitem__, at.keys() & yz)) for y, yz in ideal.items()}
         gens: dict = {}  # an ideal of Z_n -> the vertices whose residue generates it
@@ -254,7 +252,7 @@ def check_invariants(case: Case) -> VerificationReport:
     # a class pair a < b can only fail if b is adjacent to a, or has another
     # row, or a has a loop; only those b are tested pair by pair
     index = {label: i for i, label in enumerate(g.labels)}
-    same_row = _positions(g.adj)
+    same_row = graphs.positions(g.adj)
     classes = rings.associate_classes(spec)
     for rep, members in classes.classes:
         cls = sum(1 << index[m] for m in members)  # members are in index order
@@ -278,7 +276,7 @@ def check_invariants(case: Case) -> VerificationReport:
         # adjacent; equal patterns are associates hence non-adjacent (for
         # Z2 factors the patterns always differ, so each part is complete)
         patterns = [tuple(r == 0 for r in v) for v in g.labels]
-        same_pattern = _positions(patterns)
+        same_pattern = graphs.positions(patterns)
         for i, part in enumerate(parts, start=1):
             in_part = sum(1 << v for v in part)  # parts are in index order
             for a in part:

@@ -1,5 +1,6 @@
 """Acceptance suite: every criterion is exact-value or property-based and
 prints one pass/fail line (run with `pytest tests/test_acceptance.py -s`)."""
+import hashlib
 import itertools
 import json
 import math
@@ -240,6 +241,9 @@ def test_criterion_9_verify_determinism(tmp_path, capsys):
     assert code1 == 0 and code2 == 0
     bytes1, bytes2 = out1.read_bytes(), out2.read_bytes()
     assert bytes1 == bytes2
+    # the byte contract: the report of the Baseline, unchanged since
+    assert hashlib.sha256(bytes1).hexdigest() == (
+        "2aad37672c68ec967f19c49bc754d623ab2f8d5bcdd067d02d4e27e29bb6289e")
     reports = json.loads(bytes1)
     assert reports and not any(
         not r["pass"] and not r["skipped"] for r in reports)

@@ -123,9 +123,11 @@ def test_oracles_stay_independent(module, function, forbidden):
 
 
 # colouring and perfection have one path each, through the principal-ideal
-# order; the standalone odd-hole search and the colouring search stay off it
+# order, and the quotient's bijection is built from supports; the standalone
+# odd-hole, colouring and isomorphism searches stay off all three
 SEARCHES = {"find_odd_hole", "_min_odd_hole_core", "validate_certificate",
-            "OddCycleCertificate", "_dsatur", "_chromatic_core", "_try_k_coloring"}
+            "OddCycleCertificate", "_dsatur", "_chromatic_core", "_try_k_coloring",
+            "are_isomorphic", "_refine_colors"}
 
 
 @pytest.mark.parametrize("module,function", [
@@ -133,6 +135,7 @@ SEARCHES = {"find_odd_hole", "_min_odd_hole_core", "validate_certificate",
     ("solvers", "is_perfect_desk_scale"),
     ("verify", "check_perfection"),
     ("cli", "_analyze_one"),
+    ("verify", "check_reduction"),
 ])
 def test_report_path_runs_no_search(module, function):
     assert names_in((SRC / f"{module}.py").read_text(), function) & SEARCHES == set()

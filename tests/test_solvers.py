@@ -389,7 +389,7 @@ class TestChainCover:
     def test_boolean_power_ten(self):
         g = build_cozero_graph(RingSpec((2,) * 10))
         assert self.certified(g) == 252 == max_clique(g, max_vertices=1022).size
-        res = chromatic_number(g, max_vertices=1022)
+        res = chromatic_number(g)
         assert res.count == 252
         assert validate_coloring(g, res.assignment, res.count)
 

@@ -71,8 +71,8 @@ class TestCheckPerfection:
             check_perfection(Case(RingSpec((2, 2, 2))))
 
     def test_desk_scale_cap(self):
-        # Z2^7 has no twins: its core keeps all 126 vertices, over the
-        # suite's hole cap of 64
+        # Z2^7 has no twins: its core keeps all 126 vertices, over 64, so the
+        # suite skips it as a product of more than six fields
         r = check_perfection(Case(RingSpec((2,) * 7)))
         assert r.skipped and r.reason == "cap-exceeded"
 
@@ -125,6 +125,58 @@ class TestCheckReduction:
 
     def test_non_vnr_skipped(self):
         assert check_reduction(Case(RingSpec((8,)))).skipped
+
+    def test_bijection_is_the_search_reference(self):
+        # the bijection built from supports is the one the backtracking
+        # search finds, on every default field product of at most six fields
+        checked = 0
+        for spec in default_ring_set():
+            if (not rings.is_von_neumann_regular(spec)
+                    or not 2 <= rings.min_prime_count(spec) <= 6):
+                continue
+            r = check_reduction(Case(spec))
+            assert r.passed and not r.skipped and r.observed.endswith("iso=yes")
+            q = graphs.quotient_by_associates(graphs.build_cozero_graph(spec))
+            boolean = graphs.build_cozero_graph(
+                RingSpec((2,) * rings.min_prime_count(spec)))
+            assert r.witness["bijection"] == solvers.are_isomorphic(q.graph, boolean)
+            checked += 1
+        assert checked >= 190
+
+    def test_flipped_boolean_edge_fails(self, monkeypatch):
+        # negative control: Z2^3's graph with the edge (0,0,1)-(0,1,0) removed
+        # is no image of the quotient of Z2xZ3xZ5
+        build = graphs.build_cozero_graph
+
+        def flipped(spec, **caps):
+            g = build(spec, **caps)
+            if spec != RingSpec((2, 2, 2)):
+                return g
+            adj = (g.adj[0] ^ 1 << 1, g.adj[1] ^ 1) + g.adj[2:]
+            return CozeroGraph(spec=g.spec, labels=g.labels, adj=adj)
+
+        assert check_reduction(Case(RingSpec((2, 3, 5)))).passed
+        monkeypatch.setattr(graphs, "build_cozero_graph", flipped)
+        r = check_reduction(Case(RingSpec((2, 3, 5))))
+        assert not r.passed and not r.skipped
+        assert r.observed.endswith("iso=no") and r.witness is None
+
+    def test_six_field_rule_is_the_old_vertex_cap(self):
+        # more than six fields is exactly a twin core, and a quotient, of more
+        # than 64 vertices; such rings skip before their graph is built
+        wide = [RingSpec((2,) * n) for n in range(7, 11)] + [RingSpec((2,) * 6 + (5,))]
+        vnr = [s for s in default_ring_set() if rings.is_von_neumann_regular(s)]
+        for spec in vnr + wide:
+            g = graphs.build_cozero_graph(spec)
+            core = len(solvers._all_twin_reduce(g))
+            quotient = graphs.quotient_by_associates(g).graph.n
+            assert (rings.min_prime_count(spec) > 6) == (core > 64) == (quotient > 64)
+        for spec in wide:
+            case = Case(spec, Caps(max_vertices=1022))
+            for check in (check_perfection, check_reduction):
+                r = check(case)
+                assert r.skipped and r.reason == "cap-exceeded"
+            assert "graph" not in case.__dict__
 
 
 class TestCheckInvariants:
