@@ -103,11 +103,12 @@ def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dic
         "vnr": vnr,
     }
     clique = solvers.max_clique(g, max_vertices=max_vertices)
-    coloring = solvers.chromatic_number(g)
+    order = solvers.validated_order(g)
+    coloring = solvers.chromatic_number(g, order=order)
     info["omega"] = clique.size
     info["clique_witness"] = list(clique.witness)
     info["chi"] = coloring.count
-    info["perfect"] = solvers.is_perfect_desk_scale(g)
+    info["perfect"] = solvers.is_perfect_desk_scale(g, order=order)
     if vnr:
         n = rings.min_prime_count(spec)
         info["field_factors"] = n

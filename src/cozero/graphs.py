@@ -6,9 +6,11 @@ construction.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rings import (
     AssociateClasses,
@@ -75,17 +77,25 @@ def positions(keys) -> dict:
     return masks
 
 
-def _signature_masks(spec: RingSpec, labels) -> tuple[list[tuple[int, ...]], dict]:
-    """Each label's gcd signature, and for each signature s the masks
-    (members, down, up): the labels with signature s, those whose ideal lies
-    inside Rs, and those whose ideal contains Rs.
-
-    Ra = R*gcd-signature, and Rb is inside Ra iff gcd(a_i, n_i) divides
-    gcd(b_i, n_i) for every i, so containment only depends on the signatures.
-    """
+def _gcd_signatures(spec: RingSpec, labels) -> list[tuple[int, ...]]:
+    """Each label's gcd signature (gcd(a_i, n_i) for each i): Ra = R*signature."""
     # the i-th gcds are read column by column from a table of Z_{n_i}
     gcds = [[math.gcd(x, m) for x in range(m)] for m in spec.moduli]
-    sigs = list(zip(*(map(t.__getitem__, col) for t, col in zip(gcds, zip(*labels)))))
+    return list(zip(*(map(t.__getitem__, col) for t, col in zip(gcds, zip(*labels)))))
+
+
+def build_cozero_graph(spec: RingSpec,
+                       max_cardinality: int = DEFAULT_MAX_CARDINALITY) -> CozeroGraph:
+    """The graph on the non-zero non-units, a-b an edge iff a not in Rb and b not in Ra.
+
+    Rb is inside Ra iff gcd(a_i, n_i) divides gcd(b_i, n_i) for every i, so a
+    row depends only on the gcd signature, and is read off per-factor masks.
+    """
+    if spec.cardinality > max_cardinality:
+        raise CapExceededError(
+            f"|{spec}| = {spec.cardinality} exceeds cardinality cap {max_cardinality}")
+    labels = vertices(spec)
+    sigs = _gcd_signatures(spec, labels)
     members = positions(sigs)
     below, above = [], []  # [i][d]: labels whose i-th gcd is a multiple / divisor of d
     for i in range(len(spec.moduli)):
@@ -95,45 +105,66 @@ def _signature_masks(spec: RingSpec, labels) -> tuple[list[tuple[int, ...]], dic
         # each label has one i-th gcd, so the masks are disjoint and sum is union
         below.append({d: sum(m for e, m in col.items() if e % d == 0) for d in col})
         above.append({d: sum(m for e, m in col.items() if d % e == 0) for d in col})
-    full = (1 << len(sigs)) - 1
-    masks = {}
-    for sig, mask in members.items():
+    full = (1 << len(labels)) - 1
+    rows = {}
+    for sig in members:
+        # the labels whose ideal lies inside or contains Rs
         down = up = full
         for i, d in enumerate(sig):
             down &= below[i][d]
             up &= above[i][d]
-        masks[sig] = (mask, down, up)
-    return sigs, masks
-
-
-def build_cozero_graph(spec: RingSpec,
-                       max_cardinality: int = DEFAULT_MAX_CARDINALITY) -> CozeroGraph:
-    """The graph on the non-zero non-units, a-b an edge iff a not in Rb and b not in Ra."""
-    if spec.cardinality > max_cardinality:
-        raise CapExceededError(
-            f"|{spec}| = {spec.cardinality} exceeds cardinality cap {max_cardinality}")
-    labels = vertices(spec)
-    sigs, masks = _signature_masks(spec, labels)
-    full = (1 << len(labels)) - 1
-    rows = {sig: full & ~(down | up) for sig, (_, down, up) in masks.items()}
+        rows[sig] = full & ~(down | up)
     return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows[s] for s in sigs))
 
 
-def ideal_orientation(g: CozeroGraph) -> tuple[int, ...]:
-    """Out-rows of the principal-ideal order on the labels of a ring-backed
-    graph: u->v iff Ru is strictly inside Rv, or Ru = Rv and u < v.
-
-    On a cozero-divisor graph, or an induced subgraph of one, these arcs
-    orient exactly the edges of the complement, transitively.
+def ideal_order(g: CozeroGraph) -> tuple[tuple[int, ...], ...]:
+    """The principal-ideal order on a ring-backed graph's labels, u->v iff
+    Ru is strictly inside Rv, or Ru = Rv and u < v, as its out-rows and the
+    certificate solvers.validate_orientation checks: (out, rank, covers),
+    rank[u] = |Ru|.  The next vertex of u's signature covers u; the last one
+    is covered by the first vertex of each present signature one prime step
+    d -> d/p up, the steps passing through absent ones, so cores, quotients
+    and induced subgraphs are served too.  On an induced subgraph of a
+    cozero-divisor graph the arcs orient its complement transitively.
     """
     if g.spec is None:
         raise ValueError("orientation needs a ring-backed graph")
-    sigs, masks = _signature_masks(g.spec, g.labels)
-    out = []
-    for u, sig in enumerate(sigs):
-        mask, _, up = masks[sig]
-        out.append((up & ~mask) | (mask & (-1 << (u + 1))))
-    return tuple(out)
+    moduli = g.spec.moduli
+    sigs = _gcd_signatures(g.spec, g.labels)
+    members = positions(sigs)
+    # every signature, present or not, by its index in the product of the
+    # divisor lists: a prime step d -> d/p lowers one entry's index, so it
+    # lowers the signature's by a drop, and the signature reached comes first
+    divs = [[d for d in range(1, m + 1) if m % d == 0] for m in moduli]
+    lens = list(map(len, divs))
+    drops = [[[(j - ds.index(d // p)) * math.prod(lens[i + 1:]) for p, _ in factorize(d)]
+              for j, d in enumerate(ds)] for i, ds in enumerate(divs)]
+    sizes = map(math.prod, itertools.product(*([m // d for d in ds]
+                                               for m, ds in zip(moduli, divs))))
+    # by index: the vertices of the signature or above it, and its first
+    # vertex or, if it has none, its covers
+    upset, reach = [], []
+    at = {}  # present signature -> (the vertices strictly above, covers, |Rs|)
+    for c, (t, digits, size) in enumerate(zip(
+            itertools.product(*divs), itertools.product(*map(range, lens)), sizes)):
+        a = f = 0
+        for drop, j in zip(drops, digits):
+            for d in drop[j]:
+                a |= upset[c - d]
+                f |= reach[c - d]
+        here = members.get(t, 0)
+        upset.append(a | here)
+        reach.append(here & -here or f)
+        if here:
+            at[t] = a, f, size
+    out, rank, covers = [], [], []
+    for u, s in enumerate(sigs):
+        a, f, size = at[s]
+        later = members[s] & (-1 << (u + 1))
+        out.append(a | later)
+        rank.append(size)
+        covers.append(later & -later or f)
+    return tuple(out), tuple(rank), tuple(covers)
 
 
 def complement(g: CozeroGraph) -> CozeroGraph:
@@ -180,8 +211,7 @@ def nzc_partition(g: CozeroGraph) -> list[list[int]]:
     return parts
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientGraph:
+class QuotientGraph(NamedTuple):
     graph: CozeroGraph
     class_sizes: tuple[int, ...]
     origin: AssociateClasses
@@ -190,31 +220,20 @@ class QuotientGraph:
 def quotient_by_associates(g: CozeroGraph) -> QuotientGraph:
     """Collapse each associate class to its representative.
 
-    Non-representatives are deleted one at a time, and at every step the
-    deleted vertex is checked to have a remaining non-adjacent vertex with an
-    identical neighborhood (its representative), so the reduction re-proves
-    the clique/coloring-preserving deletion hypothesis on every instance.
+    Every other member is checked to have its representative's row and not
+    to be adjacent to it, so the reduction re-proves on every instance that
+    the members are false twins, whose deletion keeps omega and chi.
     """
     if g.spec is None:
         raise ValueError("quotient needs a ring-backed graph")
     classes = associate_classes(g.spec)
     label_index = {label: i for i, label in enumerate(g.labels)}
     rep_indices = sorted(label_index[rep] for rep, _ in classes.classes)
-    rep_set = set(rep_indices)
-
-    remaining = (1 << g.n) - 1
-    for v in range(g.n):
-        if v in rep_set:
-            continue
-        rep = label_index[classes.representative(g.labels[v])]
-        if g.has_edge(v, rep):
-            raise AssertionError(f"associates {v}, {rep} unexpectedly adjacent")
-        if (g.adj[v] & remaining) != (g.adj[rep] & remaining):
+    for v, label in enumerate(g.labels):
+        rep = label_index[classes.representative(label)]
+        if g.has_edge(v, rep) or g.adj[v] != g.adj[rep]:
             raise AssertionError(
-                f"deletion hypothesis fails: vertices {v} and {rep} have "
-                f"different neighborhoods among the remaining vertices")
-        remaining &= ~(1 << v)
-
+                f"associates {v}, {rep} are adjacent or have different rows")
     return QuotientGraph(graph=induced_subgraph(g, rep_indices),
                          class_sizes=tuple(len(m) for _, m in classes.classes),
                          origin=classes)

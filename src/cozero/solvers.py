@@ -3,11 +3,11 @@ certificates by transitive orientations, a standalone induced odd-cycle
 search, and small-graph isomorphism (the tests' reference).
 
 Chromatic number and perfection are for ring-backed graphs only, and raise
-ValueError on a bare graph.  Both rest on the principal-ideal order: its
-orientation of the complement, validated as transitive, certifies
-perfection, and a minimum chain cover of it (Dilworth) colors the graph,
-certified by an antichain, a clique of the same size (König).
-find_odd_hole serves any graph but is not on either path.
+ValueError on a bare graph.  Both read one principal-ideal order, checked
+as a transitive orientation of the complement by its rank-and-cover
+certificate, which certifies perfection; a minimum chain cover of it
+(Dilworth) colors the graph, certified by an antichain, a clique of the
+same size (König).  find_odd_hole serves any graph but is not on either path.
 
 All solvers are exact; the caps of the exponential searches (clique, odd
 hole, isomorphism) raise instead of degrading to heuristics.  Tie-breaking
@@ -16,9 +16,10 @@ is by lowest vertex index throughout so witnesses are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
-    CozeroGraph, bits, complement, ideal_orientation, induced_subgraph, positions)
+    CozeroGraph, bits, complement, ideal_order, induced_subgraph, positions)
 from .rings import CapExceededError
 
 DEFAULT_VERTEX_CAP = 512
@@ -43,12 +44,21 @@ class OddCycleCertificate:
     cycle: tuple[int, ...]
 
 
+class ValidatedOrder(NamedTuple):
+    """graph's false-twin core, with its validated principal-ideal order."""
+    graph: CozeroGraph
+    keep: tuple[int, ...]  # core vertex -> vertex of graph
+    core: CozeroGraph
+    out: tuple[int, ...]
+
+
 def validate_clique(g: CozeroGraph, witness) -> bool:
     ws = list(witness)
     if len(set(ws)) != len(ws) or not all(0 <= v < g.n for v in ws):
         return False
-    return all(g.has_edge(ws[i], ws[j])
-               for i in range(len(ws)) for j in range(i + 1, len(ws)))
+    # each member's closed neighbourhood must hold the whole witness
+    mask = sum(1 << v for v in ws)
+    return all(not mask & ~(g.adj[v] | 1 << v) for v in ws)
 
 
 def validate_coloring(g: CozeroGraph, assignment, count: int) -> bool:
@@ -77,26 +87,55 @@ def validate_certificate(g: CozeroGraph, cert: OddCycleCertificate) -> bool:
     return True
 
 
-def validate_orientation(g: CozeroGraph, out) -> bool:
-    """Check that out (out-rows as bitsets) is a transitive orientation of
-    the complement of g, from g.adj alone: no arc in both directions, out-
-    and in-arcs together are exactly each complement row, and u->v implies
-    out[v] is inside out[u].  Such an orientation makes the complement a
-    comparability graph, so both it and g are perfect."""
+def validate_orientation(g: CozeroGraph, out, rank, covers) -> bool:
+    """Check, from g.adj alone, that out (out-rows as bitsets) is a
+    transitive orientation of the complement of g, by a rank-and-cover
+    certificate.  With the vertices ordered by (rank[u], u), for every u:
+    (a) out[u] lies inside u's complement row, and after u; (b) covers[u]
+    lies inside out[u], and out[u] is covers[u] joined with out[v] for each
+    v in covers[u]; (c) twice the arc total is the size of all complement rows.
+
+    By (a) the arcs are acyclic, at most one per complement edge, so by (c)
+    each complement edge has one.  Transitivity, by induction down the
+    order: let each out[v] after u be closed (w in out[v] puts out[w] inside
+    it).  By (b) each w in out[u] is a cover, with out[w] inside out[u], or
+    lies in out[v] of a cover v, after u by (a), so out[w] is inside out[v],
+    inside out[u].  Nothing is assumed of rank or covers.  The complement is
+    then a comparability graph, so it and g are perfect.
+    """
     n = g.n
-    full = (1 << n) - 1
-    # a row outside [0, full] names a vertex g does not have
-    if len(out) != n or not all(0 <= row <= full for row in out):
+    if not len(out) == len(rank) == len(covers) == n:
         return False
-    into = [0] * n
-    for u in range(n):
-        for v in bits(out[u]):
-            if out[v] & ~out[u]:
-                return False
-            into[v] |= 1 << u
-    return all(not out[u] & into[u]
-               and out[u] | into[u] == full & ~g.adj[u] & ~(1 << u)
-               for u in range(n))
+    after = 0  # the vertices after u in the order
+    # a stable sort keeps equal ranks in index order
+    for u in reversed(sorted(range(n), key=rank.__getitem__)):
+        row, low = out[u], covers[u]
+        # a row outside after (negative, say) names a vertex it may not
+        if row & ~after or row & g.adj[u] or low & ~row:
+            return False
+        joined = low
+        for v in bits(low):
+            joined |= out[v]
+        if joined != row:
+            return False
+        after |= 1 << u
+    full = (1 << n) - 1
+    return 2 * sum(map(int.bit_count, out)) == sum(
+        (full & ~(row | 1 << u)).bit_count() for u, row in enumerate(g.adj))
+
+
+def validated_order(g: CozeroGraph) -> ValidatedOrder:
+    """The principal-ideal order on a ring-backed graph's false-twin core,
+    validated by its rank-and-cover certificate on the core's adjacency.
+    ValueError on a bare graph; AssertionError if the certificate fails."""
+    keep = _false_twin_reduce(g)
+    core = induced_subgraph(g, keep)
+    out, rank, covers = ideal_order(core)
+    if not validate_orientation(core, out, rank, covers):
+        raise AssertionError(
+            f"ideal orientation of {core.spec} does not orient the complement "
+            f"transitively")
+    return ValidatedOrder(graph=g, keep=tuple(keep), core=core, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -228,27 +267,26 @@ def _max_clique_core(adj: list[int]) -> list[int]:
 # chromatic number: a minimum chain cover of the principal-ideal order
 # ---------------------------------------------------------------------------
 
-def chromatic_number(g: CozeroGraph) -> ColoringResult:
+def chromatic_number(g: CozeroGraph, order: ValidatedOrder | None = None) -> ColoringResult:
     """Exact chromatic number and a coloring of a ring-backed graph, on its
-    false-twin core: the chains of a minimum chain cover of the core's ideal
-    orientation, checked with an antichain (a clique) of equal size on the
-    core's adjacency alone.  ValueError on a graph with no ring behind it;
-    AssertionError if the orientation or either certificate fails."""
-    keep = _false_twin_reduce(g)
-    core = induced_subgraph(g, keep)
-    out = ideal_orientation(core)
-    if not validate_orientation(core, out):
-        raise AssertionError(
-            f"ideal orientation of {core.spec} does not orient the complement "
-            f"transitively")
-    count, colors, antichain = _chain_cover(out)
+    false-twin core: the chains of a minimum chain cover of the core's
+    validated principal-ideal order (order, if the caller holds g's),
+    checked with an antichain (a clique) of equal size on the core's
+    adjacency alone.  ValueError on a graph with no ring behind it or an
+    order of another; AssertionError if the orientation or either
+    certificate fails."""
+    order = order or validated_order(g)
+    if order.graph is not g:
+        raise ValueError("the order was validated for another graph")
+    core = order.core
+    count, colors, antichain = _chain_cover(order.out)
     if not (len(antichain) == count and validate_clique(core, antichain)
             and validate_coloring(core, colors, count)):
         raise AssertionError(
             f"chain cover of {core.spec} with {count} chains is not "
             f"matched by a clique of the same size")
     # removed false twins reuse their kept sibling's color
-    sibling = {g.adj[old]: new for new, old in enumerate(keep)}
+    sibling = {g.adj[old]: new for new, old in enumerate(order.keep)}
     return ColoringResult(count=count,
                           assignment=tuple(colors[sibling[row]] for row in g.adj))
 
@@ -392,25 +430,26 @@ def _min_odd_hole_core(adj: list[int], min_len: int) -> list[int] | None:
     return best
 
 
-def is_perfect_desk_scale(g: CozeroGraph) -> bool:
-    """Perfection of a ring-backed graph, decided on its all-twin-reduced
-    core.  Replicating a vertex keeps a graph perfect, so the core is
-    perfect iff g is.
-
-    g is taken to be a cozero-divisor graph, an induced subgraph of one, or
-    the complement of either: its core is certified perfect by the
-    principal-ideal orientation, validated as a transitive orientation of
-    the complement of the core or, failing that, of the core itself
+def is_perfect_desk_scale(g: CozeroGraph, order: ValidatedOrder | None = None) -> bool:
+    """Perfection of a ring-backed graph, certified by the validated
+    principal-ideal order of its false-twin core: order, if the caller holds
+    g's.  Substituting an independent set for a vertex keeps a graph perfect
+    (Lovász), so the core is perfect iff g is.  Without an order, g may also
+    be the complement of a ring's graph or of an induced subgraph of one:
+    the order is then validated as an orientation of the core itself
     (perfection is closed under complements).  If both fail, AssertionError
     is raised; ValueError on a graph with no ring behind it.
     """
-    core = induced_subgraph(g, _all_twin_reduce(g))
-    out = ideal_orientation(core)
-    if not (validate_orientation(core, out)
-            or validate_orientation(complement(core), out)):
-        raise AssertionError(
-            f"ideal orientation of {core.spec} orients neither the graph "
-            f"nor its complement transitively")
+    if order is None:
+        core = induced_subgraph(g, _false_twin_reduce(g))
+        certificate = ideal_order(core)
+        if not (validate_orientation(core, *certificate)
+                or validate_orientation(complement(core), *certificate)):
+            raise AssertionError(
+                f"ideal orientation of {core.spec} orients neither the graph "
+                f"nor its complement transitively")
+    elif order.graph is not g:
+        raise ValueError("the order was validated for another graph")
     return True
 
 

@@ -2,8 +2,9 @@
 is a named check producing a structured pass/fail/skip report.
 
 Every claim is a function of one Case, which computes a ring's graph,
-maximum clique and colouring at most once and shares them, so run_suite
-builds each ring's graph once and solves its omega and chi once.
+validated principal-ideal order, maximum clique and colouring at most once
+and shares them, so run_suite builds each ring's graph once, validates its
+order once and solves its omega and chi once.
 
 Checks re-derive everything from scratch rather than trusting the
 ring-theoretic shortcuts: locality by closing the non-units under addition,
@@ -20,7 +21,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import graphs, rings, solvers
 from .rings import CapExceededError, RingSpec
@@ -43,9 +44,12 @@ _MAX_FIELDS = 6
 @dataclass(frozen=True)
 class Case:
     """One ring of a run: its spec and caps, and its graph (None over either
-    cap), maximum clique and colouring, each computed on first use."""
+    cap), validated principal-ideal order, maximum clique and colouring,
+    each computed on first use; booleans, shared by a run's cases, holds
+    the graphs of Z2^n that quotient-reduction compares with, by n."""
     spec: RingSpec
     caps: Caps = Caps()
+    booleans: dict = field(default_factory=dict, compare=False, repr=False)
 
     @functools.cached_property
     def graph(self) -> CozeroGraph | None:
@@ -61,8 +65,12 @@ class Case:
         return solvers.max_clique(self.graph, max_vertices=self.caps.max_vertices)
 
     @functools.cached_property
+    def order(self) -> solvers.ValidatedOrder:
+        return solvers.validated_order(self.graph)
+
+    @functools.cached_property
     def coloring(self) -> solvers.ColoringResult:
-        return solvers.chromatic_number(self.graph)
+        return solvers.chromatic_number(self.graph, order=self.order)
 
 
 @dataclass
@@ -147,7 +155,7 @@ def check_perfection(case: Case) -> VerificationReport:
     claim, spec = "perfection", case.spec
     if reason := _skip_reason(case, lambda s: _not_vnr(s) or _too_many_fields(s)):
         return _skip(claim, spec, reason)
-    perfect = solvers.is_perfect_desk_scale(case.graph)
+    perfect = solvers.is_perfect_desk_scale(case.graph, order=case.order)
     return VerificationReport(
         claim_id=claim, spec=spec,
         expected="no induced odd cycle of length >= 5 in graph or complement",
@@ -196,8 +204,12 @@ def check_reduction(case: Case) -> VerificationReport:
     n = rings.min_prime_count(spec)
     q = graphs.quotient_by_associates(case.graph).graph
     gw, gc = case.clique, case.coloring
-    qw, qc = solvers.max_clique(q), solvers.chromatic_number(q)
-    boolean = graphs.build_cozero_graph(RingSpec((2,) * n))
+    # over Z2^n the quotient is the ring's graph itself, solved once
+    qw, qc = ((gw, gc) if q is case.graph
+              else (solvers.max_clique(q), solvers.chromatic_number(q)))
+    if n not in case.booleans:
+        case.booleans[n] = graphs.build_cozero_graph(RingSpec((2,) * n))
+    boolean = case.booleans[n]
     index = {label: v for v, label in enumerate(boolean.labels)}
     primes = [(i, p) for i, m in enumerate(spec.moduli) for p, _ in rings.factorize(m)]
     bijection = [index[tuple(int(label[i] % p != 0) for i, p in primes)]
@@ -323,7 +335,8 @@ def run_suite(names: list[str], specs: list[RingSpec],
         if name not in CLAIMS:
             raise UnknownClaimError(
                 f"unknown claim {name!r}; known: {', '.join(sorted(CLAIMS))}")
-    cases = (Case(spec, caps) for spec in specs)
+    booleans: dict = {}
+    cases = (Case(spec, caps, booleans) for spec in specs)
     reports = [CLAIMS[name](case) for case in cases for name in names]
     reports.sort(key=lambda r: (r.claim_id, str(r.spec)))
     return reports

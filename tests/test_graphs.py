@@ -243,6 +243,21 @@ class TestQuotient:
         assert q.graph.n == 6
         assert sum(q.class_sizes) == 105 - 48 - 1
 
+    def test_members_must_be_false_twins_of_their_representative(self):
+        # Z3xZ3: vertex 1 = (0,2) is an associate of vertex 0 = (0,1)
+        g = build_cozero_graph(RingSpec((3, 3)))
+        assert g.labels[:2] == ((0, 1), (0, 2))
+        adjacent = CozeroGraph.from_edges(g.n, g.edges() + [(0, 1)],
+                                          labels=g.labels, spec=g.spec)
+        other_row = CozeroGraph.from_edges(g.n, [e for e in g.edges() if 1 not in e][:1]
+                                           + [(1, 2)], labels=g.labels, spec=g.spec)
+        # equal rows with loops at both: only the adjacency test tells
+        looped = CozeroGraph(spec=g.spec, labels=g.labels,
+                             adj=(g.adj[0] | 0b11, g.adj[1] | 0b11) + g.adj[2:])
+        for wrong in (adjacent, other_row, looped):
+            with pytest.raises(AssertionError, match="associates"):
+                quotient_by_associates(wrong)
+
     def test_sizes_sum_to_vertex_count(self, small_spec):
         g = build_cozero_graph(small_spec)
         q = quotient_by_associates(g)

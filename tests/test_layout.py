@@ -104,7 +104,7 @@ def names_in(source: str, function: str) -> set[str]:
 # the enumeration of Rb must not use the gcd shortcut it is the oracle for,
 # and the claim checks must not derive adjacency or principality from the
 # gcd test or from the graph build's own signature masks
-FAST_PATHS = {"in_principal_ideal", "_signature_masks", "ideal_orientation"}
+FAST_PATHS = {"in_principal_ideal", "_gcd_signatures", "ideal_order"}
 
 
 @pytest.mark.parametrize("module,function,forbidden", [
@@ -112,11 +112,12 @@ FAST_PATHS = {"in_principal_ideal", "_signature_masks", "ideal_orientation"}
     # nor read the case's solved clique or colouring
     ("verify", "check_invariants", FAST_PATHS | {"clique", "coloring", "gcd"}),
     ("verify", "check_null_graph", FAST_PATHS | {"clique", "coloring", "gcd"}),
-    # the checkers of the chain-cover certificate must not read the order
-    # that produced it
+    # the checkers of the chain-cover and rank-and-cover certificates must
+    # not read the order that produced them
     ("solvers", "validate_coloring", FAST_PATHS),
     ("solvers", "validate_clique", FAST_PATHS),
     ("rings", "multiples", {"gcd", "in_principal_ideal"}),
+    ("solvers", "validate_orientation", FAST_PATHS),
 ])
 def test_oracles_stay_independent(module, function, forbidden):
     assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()
@@ -150,7 +151,7 @@ def test_oracle_checker_catches_planted_calls():
               "def check_invariants(spec, g):\n"
               "    def helper(a, b):\n"
               "        return rings.in_principal_ideal(spec, a, b)\n"
-              "    return graphs.ideal_orientation(g), gcd(2, 4), helper\n")
+              "    return graphs.ideal_order(g), gcd(2, 4), helper\n")
     assert "gcd" in names_in(source, "principal_ideal")
     assert names_in(source, "check_invariants") >= {
-        "in_principal_ideal", "ideal_orientation", "gcd"}
+        "in_principal_ideal", "ideal_order", "gcd"}

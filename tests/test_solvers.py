@@ -12,11 +12,11 @@ from cozero.graphs import (
     bits,
     build_cozero_graph,
     complement,
-    ideal_orientation,
+    ideal_order,
     induced_subgraph,
     quotient_by_associates,
 )
-from cozero.rings import CapExceededError, RingSpec
+from cozero.rings import CapExceededError, RingSpec, principal_ideal
 from cozero.solvers import (
     OddCycleCertificate,
     _all_twin_reduce,
@@ -31,6 +31,7 @@ from cozero.solvers import (
     validate_clique,
     validate_coloring,
     validate_orientation,
+    validated_order,
 )
 from cozero.verify import default_ring_set
 from conftest import (
@@ -75,6 +76,19 @@ class TestMaxClique:
         assert validate_clique(g, [0]) and validate_clique(g, [g.n - 1])
         for witness in ([99], [g.n], [-1], [-1, 0], [0, g.n]):
             assert not validate_clique(g, witness), witness
+
+    def test_validate_clique_matches_pairwise(self):
+        # the row masks accept exactly what the pair walk accepts, repeated
+        # and out-of-range members included
+        rng = random.Random(19)
+        for _ in range(300):
+            g = random_graph(rng.randint(1, 9), rng.choice([0.5, 0.8]), rng)
+            witness = [rng.randint(-1, g.n) for _ in range(rng.randint(0, 4))]
+            expected = (len(set(witness)) == len(witness)
+                        and all(0 <= v < g.n for v in witness)
+                        and all(g.has_edge(u, v)
+                                for u, v in itertools.combinations(witness, 2)))
+            assert validate_clique(g, witness) == expected, (g.adj, witness)
 
     def test_matches_brute_force_random(self):
         rng = random.Random(7)
@@ -247,8 +261,7 @@ class TestIsPerfect:
         assert validate_certificate(g, OddCycleCertificate("complement", hole.cycle))
 
     def test_complement_has_same_twin_core(self):
-        # is_perfect_desk_scale reduces once and validates the orientation
-        # on both sides
+        # find_odd_hole's core is the same for a graph and its complement
         rng = random.Random(13)
         for _ in range(100):
             g = random_graph(rng.randint(1, 12), rng.choice([0.1, 0.5, 0.9]), rng)
@@ -270,47 +283,169 @@ def _arcs(out):
     return [(u, v) for u, row in enumerate(out) for v in bits(row)]
 
 
+def _permissive(out):
+    """The most permissive certificate for out: covers = out, and ranks
+    that put every arc upwards whenever out is acyclic (minus the number of
+    vertices each vertex reaches)."""
+    reach = list(out)
+    for _ in out:
+        for u, row in enumerate(reach):
+            for v in bits(row):
+                reach[u] |= reach[v]
+    return [-row.bit_count() for row in reach], list(out)
+
+
 class TestOrientation:
     def test_valid_on_default_rings(self):
         for spec in default_ring_set():
             g = build_cozero_graph(spec)
-            assert validate_orientation(g, ideal_orientation(g)), spec
+            assert validate_orientation(g, *ideal_order(g)), spec
 
     @pytest.mark.parametrize("moduli", NON_VNR_MODULI)
     def test_valid_on_non_vnr_rings(self, moduli):
+        # and on their cores and quotients, which miss signatures of the
+        # ring: the covers step through them
         g = build_cozero_graph(RingSpec(moduli))
-        assert validate_orientation(g, ideal_orientation(g))
+        for h in (g, _core(g), quotient_by_associates(g).graph):
+            assert validate_orientation(h, *ideal_order(h))
 
     def test_valid_on_induced_subgraph(self):
-        g = build_cozero_graph(RingSpec((4, 9)))
-        sub = induced_subgraph(g, range(1, g.n, 3))
-        assert validate_orientation(sub, ideal_orientation(sub))
+        for moduli in [(4, 9), (2, 3, 5), (3, 3, 3), (2, 2, 2, 2), (8, 3)]:
+            g = build_cozero_graph(RingSpec(moduli))
+            for keep in (range(1, g.n, 3), range(0, g.n, 2)):
+                sub = induced_subgraph(g, keep)
+                assert validate_orientation(sub, *ideal_order(sub))
+
+    def test_matches_the_definition(self):
+        # u->v iff Ru is strictly inside Rv, or Ru = Rv and u < v, with
+        # every ideal enumerated; rank[u] is |Ru|
+        for moduli in [(2, 2, 2), (2, 3, 5), (4, 9), (8, 3), (12,)]:
+            g = build_cozero_graph(RingSpec(moduli))
+            for h in (g, induced_subgraph(g, range(1, g.n, 3))):
+                ideals = [principal_ideal(h.spec, a) for a in h.labels]
+                out, rank, covers = ideal_order(h)
+                assert list(rank) == list(map(len, ideals))
+                for u, v in itertools.product(range(h.n), repeat=2):
+                    arc = ideals[u] < ideals[v] or (ideals[u] == ideals[v] and u < v)
+                    assert bool(out[u] >> v & 1) == arc, (moduli, u, v)
+                assert all(not c & ~row for c, row in zip(covers, out))
 
     def test_needs_ring(self):
         with pytest.raises(ValueError):
-            ideal_orientation(cycle_graph(5))
+            ideal_order(cycle_graph(5))
+
+    def test_order_of_another_graph_is_refused(self):
+        # an order certifies only the graph it was validated on, even one
+        # with equal rows
+        g, h = (build_cozero_graph(RingSpec((2, 3, 5))) for _ in range(2))
+        order = validated_order(g)
+        assert chromatic_number(g, order=order).count == 3
+        assert is_perfect_desk_scale(g, order=order) is True
+        for solve in (chromatic_number, is_perfect_desk_scale):
+            with pytest.raises(ValueError, match="another graph"):
+                solve(h, order=order)
 
     def test_rejects_broken_orientations(self):
         # flipping an arc between twins keeps the orientation transitive;
-        # Z2^4 has no twins, and each single flip there breaks transitivity
+        # Z2^4 has no twins, and each single flip there breaks transitivity:
+        # the certificates are the most permissive, so only that can fail
         g = build_cozero_graph(RingSpec((2,) * 4))
-        out = list(ideal_orientation(g))
-        assert validate_orientation(g, out)
+        out, rank, covers = map(list, ideal_order(g))
+        assert validate_orientation(g, out, rank, covers)
+        assert validate_orientation(g, out, *_permissive(out))
         for u, v in _arcs(out):
             flipped = out.copy()
             flipped[u] &= ~(1 << v)
             flipped[v] |= 1 << u
             dropped = out.copy()
             dropped[u] &= ~(1 << v)
-            assert not validate_orientation(g, flipped), (u, v)
-            assert not validate_orientation(g, dropped), (u, v)
+            assert not validate_orientation(g, flipped, *_permissive(flipped)), (u, v)
+            assert not validate_orientation(g, dropped, *_permissive(dropped)), (u, v)
         for a, b in g.edges():
             for u, v in ((a, b), (b, a)):
                 added = out.copy()
                 added[u] |= 1 << v
-                assert not validate_orientation(g, added), (u, v)
-        assert not validate_orientation(g, out[:-1])
-        assert not validate_orientation(g, [-1] + out[1:])
+                assert not validate_orientation(g, added, *_permissive(added)), (u, v)
+        assert not validate_orientation(g, out[:-1], rank[:-1], covers[:-1])
+        assert not validate_orientation(g, out[:-1], rank, covers)
+        assert not validate_orientation(g, [-1] + out[1:], rank, [-1] + covers[1:])
+        # a negative cover names every vertex, and must not be walked
+        assert not validate_orientation(g, out, rank, [-1] + covers[1:])
+
+    @pytest.mark.parametrize("moduli", [(2,) * 4, (4, 9), (2, 2, 3, 5)])
+    def test_rejects_a_dropped_non_cover_arc(self, moduli):
+        # the arc is implied by the covers, so its loss breaks the join (b)
+        # under the order's own certificate and transitivity under any
+        g = _core(build_cozero_graph(RingSpec(moduli)))
+        out, rank, covers = map(list, ideal_order(g))
+        dropped_any = False
+        for u, v in _arcs(out):
+            if covers[u] >> v & 1:
+                continue
+            dropped = out.copy()
+            dropped[u] &= ~(1 << v)
+            assert not validate_orientation(g, dropped, rank, covers), (u, v)
+            assert not validate_orientation(g, dropped, *_permissive(dropped)), (u, v)
+            dropped_any = True
+        assert dropped_any
+
+    def test_rejects_a_cycle_disguised_by_false_ranks(self):
+        # with no edges the complement is a triangle; a directed 3-cycle on
+        # it, closed under its covers or not, fails every ranking
+        # a loop is a cycle that (b) and (c) alone let stand for the one
+        # complement edge of two isolated vertices
+        loop = [0b01, 0]
+        for rank in itertools.product(range(2), repeat=2):
+            assert not validate_orientation(CozeroGraph.from_edges(2, []), loop, rank, loop)
+        g = CozeroGraph.from_edges(3, [])
+        cycle = [0b010, 0b100, 0b001]
+        closed = [0b110, 0b101, 0b011]
+        for rank in itertools.product(range(3), repeat=3):
+            for covers in (cycle, [0] * 3):
+                assert not validate_orientation(g, cycle, rank, covers)
+                assert not validate_orientation(g, closed, rank, covers)
+                assert not validate_orientation(g, closed, rank, closed)
+        # on a ring graph: reverse the long arc of a chain u->w->v
+        g = build_cozero_graph(RingSpec((2,) * 4))
+        out, rank, _ = map(list, ideal_order(g))
+        [(u, v)] = [(u, v) for u, v in _arcs(out)
+                    if any(out[w] >> v & 1 for w in bits(out[u]))][:1]
+        cyclic = out.copy()
+        cyclic[u] &= ~(1 << v)
+        cyclic[v] |= 1 << u
+        for false in (rank, [-r for r in rank], [0] * g.n,
+                      [rank[x] if x != v else rank[u] - 1 for x in range(g.n)]):
+            assert not validate_orientation(g, cyclic, false, cyclic)
+
+    def test_rejects_a_cover_that_is_not_an_arc(self):
+        g = build_cozero_graph(RingSpec((2, 2, 3)))
+        out, rank, covers = map(list, ideal_order(g))
+        for u in range(g.n):
+            for x in bits(((1 << g.n) - 1) & ~out[u]):
+                bad = covers.copy()
+                bad[u] |= 1 << x
+                assert not validate_orientation(g, out, rank, bad), (u, x)
+
+    def test_rejects_an_arc_onto_a_neighbour(self):
+        # the edge 0-1 oriented in place of the complement edge 1-2: the
+        # orientation is transitive and has as many arcs as the complement
+        g = CozeroGraph.from_edges(3, [(0, 1)])
+        out = [0b110, 0, 0]
+        assert not validate_orientation(g, out, [0, 1, 2], out)
+        # on a ring graph, even when the arc goes up the ranks and is its
+        # own cover
+        g = build_cozero_graph(RingSpec((2, 3, 5)))
+        out, rank, covers = map(list, ideal_order(g))
+        for a, b in g.edges():
+            for u, v in ((a, b), (b, a)):
+                added, bad = out.copy(), covers.copy()
+                added[u] |= 1 << v | out[v]
+                bad[u] |= 1 << v
+                lifted = rank.copy()
+                lifted[v] = max(rank) + 1
+                assert not validate_orientation(g, added, rank, bad), (u, v)
+                assert not validate_orientation(g, added, lifted, bad), (u, v)
+                assert not validate_orientation(g, added, *_permissive(added)), (u, v)
 
     def test_rejects_every_orientation_of_c5(self):
         # the complement of C5 is C5, an odd hole, so no orientation of it
@@ -323,7 +458,7 @@ class TestOrientation:
                 if flip:
                     u, v = v, u
                 out[u] |= 1 << v
-            assert not validate_orientation(g, out)
+            assert not validate_orientation(g, out, *_permissive(out))
 
     def test_ring_graphs_skip_hole_search(self, monkeypatch):
         def refuse(adj, min_len):
@@ -372,7 +507,7 @@ class TestChainCover:
 
     @staticmethod
     def certified(core: CozeroGraph) -> int:
-        count, colors, antichain = _chain_cover(ideal_orientation(core))
+        count, colors, antichain = _chain_cover(ideal_order(core)[0])
         assert validate_coloring(core, colors, count)
         assert validate_clique(core, antichain)
         assert len(antichain) == count
@@ -473,11 +608,11 @@ class TestChainCover:
         # an orientation taken as valid whose rows belong to the next vertex:
         # its matching is no chain cover of the core, and no search stands in
         def shifted(g):
-            out = ideal_orientation(g)
-            return out[1:] + out[:1]
+            out, rank, covers = ideal_order(g)
+            return out[1:] + out[:1], rank, covers
 
-        monkeypatch.setattr(solvers, "ideal_orientation", shifted)
-        monkeypatch.setattr(solvers, "validate_orientation", lambda g, out: True)
+        monkeypatch.setattr(solvers, "ideal_order", shifted)
+        monkeypatch.setattr(solvers, "validate_orientation", lambda g, *cert: True)
         for moduli in [(2,) * 4, (2, 3, 5), (4, 9)]:
             with pytest.raises(AssertionError, match="chain cover"):
                 chromatic_number(build_cozero_graph(RingSpec(moduli)))

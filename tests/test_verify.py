@@ -379,6 +379,70 @@ class TestOneCasePerRing:
                 assert sum(h is full for n, h in solved if n == name) == expected
 
 
+def count_validations(monkeypatch) -> tuple[list, list]:
+    """Record the graph of each validated_order call, and the graph of each
+    validate_orientation call, as the library makes them."""
+    ordered: list = []
+    validated: list = []
+    validated_order, validate = solvers.validated_order, solvers.validate_orientation
+
+    def counting_order(g):
+        ordered.append(g)
+        return validated_order(g)
+
+    def counting_validate(g, *certificate):
+        validated.append(g)
+        return validate(g, *certificate)
+
+    monkeypatch.setattr(solvers, "validated_order", counting_order)
+    monkeypatch.setattr(solvers, "validate_orientation", counting_validate)
+    return ordered, validated
+
+
+class TestOneValidationPerGraph:
+    def test_verify_validates_each_graph_once(self, monkeypatch):
+        # colouring and perfection share the case's order; quotient-reduction
+        # validates its quotient's, a graph of its own unless the ring is Z2^n
+        built: dict = {}
+        build = graphs.build_cozero_graph
+        monkeypatch.setattr(graphs, "build_cozero_graph", lambda spec, **caps:
+                            built.setdefault(spec, []).append(build(spec, **caps))
+                            or built[spec][-1])
+        ordered, validated = count_validations(monkeypatch)
+        rings_ = [RingSpec(m) for m in [(2, 3, 5), (3, 3), (4,), (7,), (2, 4), (2,) * 4]]
+        reports = run_suite(sorted(CLAIMS), rings_)
+        assert all(r.passed for r in reports)
+        assert len(validated) == len(ordered)
+        assert len({id(g) for g in ordered}) == len(ordered)
+        # the rings with a colouring or a perfection claim, and the quotients
+        # of the field products with two factors or more
+        full = [built[s][0] for s in rings_ if s not in (RingSpec((4,)), RingSpec((2, 4)))]
+        assert [g for g in ordered if any(g is h for h in full)] == full
+        assert len(ordered) == len(full) + 2
+
+    def test_analyze_validates_each_ring_once(self, monkeypatch, capsys):
+        from cozero.cli import main
+        ordered, validated = count_validations(monkeypatch)
+        specs = ["Z2xZ3xZ5", "Z4xZ9", "Z8", "Z2xZ2xZ2xZ2xZ2"]
+        assert main(["analyze", *specs]) == 0
+        assert capsys.readouterr().out.count("perfect=true") == 4
+        assert [str(g.spec) for g in ordered] == specs
+        assert len(validated) == 4
+
+    def test_boolean_graph_built_once_per_n(self, monkeypatch):
+        built: list = []
+        build = graphs.build_cozero_graph
+        monkeypatch.setattr(graphs, "build_cozero_graph", lambda spec, **caps:
+                            built.append(spec) or build(spec, **caps))
+        rings_ = [RingSpec(m) for m in [(2, 3), (3, 5), (5, 7), (2, 3, 5), (3, 5, 7)]]
+        reports = run_suite(["quotient-reduction"], rings_)
+        assert all(r.passed and not r.skipped for r in reports)
+        assert [s for s in built if s not in rings_] == [RingSpec((2, 2)), RingSpec((2, 2, 2))]
+        # each run holds its own
+        run_suite(["quotient-reduction"], rings_[:1])
+        assert built.count(RingSpec((2, 2))) == 2
+
+
 class TestCapFirst:
     # each ring would skip for another reason if the cap were tested later
     @pytest.mark.parametrize("claim,moduli,later_reason", [
