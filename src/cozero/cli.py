@@ -45,7 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ring size cap (default: $COZERO_MAX_CARDINALITY, "
                             f"else {rings.DEFAULT_MAX_CARDINALITY})")
         p.add_argument("--max-vertices", type=_positive_int,
-                       default=solvers.DEFAULT_VERTEX_CAP)
+                       default=solvers.DEFAULT_VERTEX_CAP,
+                       help="size guard, not a search limit: a graph with more "
+                            "vertices is an error in analyze and a cap-exceeded "
+                            f"skip in verify (default: {solvers.DEFAULT_VERTEX_CAP})")
 
     p_an = sub.add_parser("analyze", help="per-ring graph summary")
     add_common(p_an)
@@ -92,6 +95,7 @@ def _emit(text: str, out_path: str | None, parser) -> None:
 
 def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dict:
     g = graphs.build_cozero_graph(spec, max_cardinality=max_cardinality)
+    solvers.check_cap(g.n, max_vertices)  # a size guard: no search runs
     vnr = rings.is_von_neumann_regular(spec)
     info: dict = {
         "spec": str(spec),
@@ -102,11 +106,10 @@ def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dic
         "edges": g.edge_count(),
         "vnr": vnr,
     }
-    clique = solvers.max_clique(g, max_vertices=max_vertices)
     order = solvers.validated_order(g)
     coloring = solvers.chromatic_number(g, order=order)
-    info["omega"] = clique.size
-    info["clique_witness"] = list(clique.witness)
+    info["omega"] = len(coloring.clique)
+    info["clique_witness"] = list(coloring.clique)
     info["chi"] = coloring.count
     info["perfect"] = solvers.is_perfect_desk_scale(g, order=order)
     if vnr:
@@ -115,7 +118,7 @@ def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dic
         if n >= 2:
             formula = math.comb(n, n // 2)
             info["formula"] = formula
-            info["formula_match"] = (clique.size == formula == coloring.count)
+            info["formula_match"] = (len(coloring.clique) == formula == coloring.count)
     info["associate_classes"] = len(rings.associate_classes(spec).classes)
     return info
 

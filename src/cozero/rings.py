@@ -9,6 +9,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 NATIVE_LIMIT = 2**64
 DEFAULT_MAX_CARDINALITY = 10_000
@@ -108,8 +109,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class CrtSplit:
+class CrtSplit(NamedTuple):
     """A spec and the spec with every factor split into prime powers."""
 
     original: RingSpec

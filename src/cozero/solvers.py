@@ -1,21 +1,22 @@
-"""Exact combinatorial solvers: maximum clique, chromatic number, perfection
-certificates by transitive orientations, a standalone induced odd-cycle
-search, and small-graph isomorphism (the tests' reference).
+"""Exact combinatorial solvers: chromatic number with a maximum clique, and
+perfection certificates by transitive orientations, for ring-backed graphs;
+and three exponential searches that no CLI path runs.
 
 Chromatic number and perfection are for ring-backed graphs only, and raise
 ValueError on a bare graph.  Both read one principal-ideal order, checked
 as a transitive orientation of the complement by its rank-and-cover
 certificate, which certifies perfection; a minimum chain cover of it
 (Dilworth) colors the graph, certified by an antichain, a clique of the
-same size (König).  find_odd_hole serves any graph but is not on either path.
+same size (König), which is also the maximum clique the CLI reports.
 
-All solvers are exact; the caps of the exponential searches (clique, odd
-hole, isomorphism) raise instead of degrading to heuristics.  Tie-breaking
-is by lowest vertex index throughout so witnesses are reproducible.
+The searches, max_clique (branch and bound), find_odd_hole and
+are_isomorphic, serve any graph and stay only as the tests' references;
+max_clique is also a name the benchmark's tracer wraps.  Their caps raise
+instead of degrading to heuristics.  Tie-breaking is by lowest vertex index
+throughout so witnesses are reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import (
@@ -26,20 +27,18 @@ DEFAULT_VERTEX_CAP = 512
 ISO_VERTEX_CAP = 64
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(NamedTuple):
     size: int
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ColoringResult:
+class ColoringResult(NamedTuple):
     count: int
     assignment: tuple[int, ...]  # vertex index -> color in [0, count)
+    clique: tuple[int, ...]  # count vertices, pairwise adjacent: omega = chi
 
 
-@dataclass(frozen=True)
-class OddCycleCertificate:
+class OddCycleCertificate(NamedTuple):
     where: str  # "graph" or "complement"
     cycle: tuple[int, ...]
 
@@ -177,17 +176,18 @@ def _all_twin_reduce(g: CozeroGraph) -> list[int]:
     return keep
 
 
-def _check_cap(n: int, cap: int) -> None:
+def check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise CapExceededError(f"graph has {n} vertices, cap is {cap}")
 
 
 # ---------------------------------------------------------------------------
-# maximum clique: branch and bound over bitsets with greedy-coloring bounds
+# maximum clique: branch and bound over bitsets with greedy-coloring bounds,
+# the tests' reference for the clique chromatic_number returns
 # ---------------------------------------------------------------------------
 
 def max_clique(g: CozeroGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> CliqueResult:
-    _check_cap(g.n, max_vertices)
+    check_cap(g.n, max_vertices)
     if g.n == 0:
         return CliqueResult(size=0, witness=())
     keep = _false_twin_reduce(g)
@@ -268,13 +268,13 @@ def _max_clique_core(adj: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def chromatic_number(g: CozeroGraph, order: ValidatedOrder | None = None) -> ColoringResult:
-    """Exact chromatic number and a coloring of a ring-backed graph, on its
-    false-twin core: the chains of a minimum chain cover of the core's
-    validated principal-ideal order (order, if the caller holds g's),
-    checked with an antichain (a clique) of equal size on the core's
-    adjacency alone.  ValueError on a graph with no ring behind it or an
-    order of another; AssertionError if the orientation or either
-    certificate fails."""
+    """Exact chromatic number, a coloring and a maximum clique of a
+    ring-backed graph, on its false-twin core: the chains of a minimum chain
+    cover of the core's validated principal-ideal order (order, if the
+    caller holds g's), and an antichain of equal size, checked as a clique
+    on the core's adjacency alone, so omega = chi.  ValueError on a graph
+    with no ring behind it or an order of another; AssertionError if the
+    orientation or either certificate fails."""
     order = order or validated_order(g)
     if order.graph is not g:
         raise ValueError("the order was validated for another graph")
@@ -288,7 +288,8 @@ def chromatic_number(g: CozeroGraph, order: ValidatedOrder | None = None) -> Col
     # removed false twins reuse their kept sibling's color
     sibling = {g.adj[old]: new for new, old in enumerate(order.keep)}
     return ColoringResult(count=count,
-                          assignment=tuple(colors[sibling[row]] for row in g.adj))
+                          assignment=tuple(colors[sibling[row]] for row in g.adj),
+                          clique=tuple(sorted(order.keep[v] for v in antichain)))
 
 
 def _chain_cover(out) -> tuple[int, list[int], list[int]]:
@@ -369,7 +370,7 @@ def find_odd_hole(g: CozeroGraph, min_len: int = 5,
     if min_len < 5 or min_len % 2 == 0:
         raise ValueError("min_len must be odd and at least 5")
     keep = _all_twin_reduce(g)
-    _check_cap(len(keep), max_vertices)
+    check_cap(len(keep), max_vertices)
     cycle = _min_odd_hole_core(induced_subgraph(g, keep).adj, min_len)
     if cycle is None:
         return None
@@ -464,8 +465,8 @@ def are_isomorphic(g: CozeroGraph, h: CozeroGraph,
 
     Backtracking over candidates compatible under iterated degree refinement.
     """
-    _check_cap(g.n, max_vertices)
-    _check_cap(h.n, max_vertices)
+    check_cap(g.n, max_vertices)
+    check_cap(h.n, max_vertices)
     if g.n != h.n or g.edge_count() != h.edge_count():
         return None
     n = g.n

@@ -2,9 +2,10 @@
 is a named check producing a structured pass/fail/skip report.
 
 Every claim is a function of one Case, which computes a ring's graph,
-validated principal-ideal order, maximum clique and colouring at most once
-and shares them, so run_suite builds each ring's graph once, validates its
-order once and solves its omega and chi once.
+validated principal-ideal order and colouring at most once and shares them,
+so run_suite builds each ring's graph once, validates its order once and
+solves its omega and chi once, both by one chain cover: its antichain is
+the maximum clique.  No exponential search runs.
 
 Checks re-derive everything from scratch rather than trusting the
 ring-theoretic shortcuts: locality by closing the non-units under addition,
@@ -22,14 +23,14 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import graphs, rings, solvers
 from .rings import CapExceededError, RingSpec
 from .graphs import CozeroGraph
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     max_cardinality: int = rings.DEFAULT_MAX_CARDINALITY
     max_vertices: int = solvers.DEFAULT_VERTEX_CAP
 
@@ -37,16 +38,16 @@ class Caps:
 # perfection and quotient-reduction skip a product of more fields than this
 # as cap-exceeded: exactly the rings whose twin core and quotient (the graph
 # of Z2^n, 2^n - 2 vertices) exceed 64 vertices.  Neither certificate needs a
-# cap; this one stays only so that the reports remain byte-identical
+# cap; this one stays only because perfbench's recorded outputs hold the skips
 _MAX_FIELDS = 6
 
 
 @dataclass(frozen=True)
 class Case:
     """One ring of a run: its spec and caps, and its graph (None over either
-    cap), validated principal-ideal order, maximum clique and colouring,
-    each computed on first use; booleans, shared by a run's cases, holds
-    the graphs of Z2^n that quotient-reduction compares with, by n."""
+    cap), validated principal-ideal order, and colouring with its maximum
+    clique, each computed on first use; booleans, shared by a run's cases,
+    holds the graphs of Z2^n that quotient-reduction compares with, by n."""
     spec: RingSpec
     caps: Caps = Caps()
     booleans: dict = field(default_factory=dict, compare=False, repr=False)
@@ -59,10 +60,6 @@ class Case:
         except CapExceededError:
             return None
         return g if g.n <= self.caps.max_vertices else None
-
-    @functools.cached_property
-    def clique(self) -> solvers.CliqueResult:
-        return solvers.max_clique(self.graph, max_vertices=self.caps.max_vertices)
 
     @functools.cached_property
     def order(self) -> solvers.ValidatedOrder:
@@ -136,18 +133,18 @@ def check_formula(case: Case) -> VerificationReport:
     claim, spec = "clique-formula", case.spec
     if reason := _skip_reason(case, _not_field_product):
         return _skip(claim, spec, reason)
-    g, clique, coloring = case.graph, case.clique, case.coloring
+    g, coloring = case.graph, case.coloring
     n = rings.min_prime_count(spec)
     expected = math.comb(n, n // 2)
-    ok = (clique.size == expected == coloring.count
-          and solvers.validate_clique(g, clique.witness)
+    ok = (len(coloring.clique) == expected == coloring.count
+          and solvers.validate_clique(g, coloring.clique)
           and solvers.validate_coloring(g, coloring.assignment, coloring.count))
     return VerificationReport(
         claim_id=claim, spec=spec,
         expected=f"omega = chi = C({n},{n // 2}) = {expected}",
-        observed=f"omega={clique.size} chi={coloring.count}",
+        observed=f"omega={len(coloring.clique)} chi={coloring.count}",
         passed=ok,
-        witness={"clique": list(clique.witness)})
+        witness={"clique": list(coloring.clique)})
 
 
 def check_perfection(case: Case) -> VerificationReport:
@@ -203,10 +200,10 @@ def check_reduction(case: Case) -> VerificationReport:
         return _skip(claim, spec, reason)
     n = rings.min_prime_count(spec)
     q = graphs.quotient_by_associates(case.graph).graph
-    gw, gc = case.clique, case.coloring
+    gc = case.coloring
     # over Z2^n the quotient is the ring's graph itself, solved once
-    qw, qc = ((gw, gc) if q is case.graph
-              else (solvers.max_clique(q), solvers.chromatic_number(q)))
+    qc = gc if q is case.graph else solvers.chromatic_number(q)
+    gw, qw = len(gc.clique), len(qc.clique)
     if n not in case.booleans:
         case.booleans[n] = graphs.build_cozero_graph(RingSpec((2,) * n))
     boolean = case.booleans[n]
@@ -217,11 +214,11 @@ def check_reduction(case: Case) -> VerificationReport:
     iso_ok = sorted(bijection) == list(range(boolean.n)) and all(
         sum(1 << bijection[j] for j in graphs.bits(row)) == boolean.adj[image]
         for row, image in zip(q.adj, bijection))
-    ok = gw.size == qw.size and gc.count == qc.count and iso_ok
+    ok = gw == qw and gc.count == qc.count and iso_ok
     return VerificationReport(
         claim_id=claim, spec=spec,
         expected=f"quotient keeps omega and chi; quotient iso to graph of Z2^{n}",
-        observed=(f"omega {gw.size}->{qw.size} chi {gc.count}->{qc.count} "
+        observed=(f"omega {gw}->{qw} chi {gc.count}->{qc.count} "
                   f"iso={'yes' if iso_ok else 'no'}"),
         passed=ok,
         witness={"bijection": bijection} if iso_ok else None)

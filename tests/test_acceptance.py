@@ -28,7 +28,7 @@ from cozero.solvers import (
     is_perfect_desk_scale,
     max_clique,
 )
-from cozero import cli, verify
+from cozero import cli, solvers, verify
 from conftest import (
     brute_force_chromatic,
     brute_force_clique,
@@ -241,11 +241,41 @@ def test_criterion_9_verify_determinism(tmp_path, capsys):
     assert code1 == 0 and code2 == 0
     bytes1, bytes2 = out1.read_bytes(), out2.read_bytes()
     assert bytes1 == bytes2
-    # the byte contract: the report of the Baseline, unchanged since
+    # the byte contract: the Baseline's report, except that each
+    # clique-formula witness is the chain cover's antichain (next test)
     assert hashlib.sha256(bytes1).hexdigest() == (
-        "2aad37672c68ec967f19c49bc754d623ab2f8d5bcdd067d02d4e27e29bb6289e")
+        "2e266f463c4d3b323e62d4ff592e426dee6c53d524f675ab94d3a5dd3ce996f8")
     reports = json.loads(bytes1)
     assert reports and not any(
         not r["pass"] and not r["skipped"] for r in reports)
     report(f"criterion 9 (default verify deterministic, {len(reports)} "
            f"reports, exit 0 twice): PASS")
+
+
+def test_criterion_9_only_clique_witnesses_moved(tmp_path, capsys, monkeypatch):
+    """With max_clique's witness in place of the antichain, the default
+    report is the Baseline's, byte for byte; the antichain moves only the
+    witnesses of 60 clique-formula reports."""
+    ours, theirs = tmp_path / "antichain.json", tmp_path / "search.json"
+    assert cli.main(["verify", "--out", str(ours)]) == 0
+    coloring = solvers.chromatic_number
+
+    def searched(g, **kw):
+        result = coloring(g, **kw)
+        witness = max_clique(g).witness
+        assert len(witness) == len(result.clique)
+        return result._replace(clique=witness)
+
+    monkeypatch.setattr(solvers, "chromatic_number", searched)
+    assert cli.main(["verify", "--out", str(theirs)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(theirs.read_bytes()).hexdigest() == (
+        "2aad37672c68ec967f19c49bc754d623ab2f8d5bcdd067d02d4e27e29bb6289e")
+    moved = [(a, b) for a, b in zip(json.loads(ours.read_bytes()),
+                                    json.loads(theirs.read_bytes())) if a != b]
+    assert len(moved) == 60
+    for a, b in moved:
+        assert a["claim_id"] == "clique-formula"
+        assert {k for k in a if a[k] != b[k]} == {"witness"}
+    report("criterion 9 (the antichain moves only 60 clique-formula "
+           "witnesses): PASS")

@@ -95,6 +95,19 @@ class TestAnalyze:
         assert code == 1
         assert "error" in out
 
+    def test_vertex_cap_exit_1(self, capsys):
+        # a size guard on the graph, with no search behind it
+        argv = ["analyze", "--max-vertices", "5", "Z2xZ2xZ2"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+        assert out == "Z2xZ2xZ2: error: graph has 6 vertices, cap is 5\n"
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 1
+        assert json.loads(out) == [
+            {"spec": "Z2xZ2xZ2", "error": "graph has 6 vertices, cap is 5"}]
+        code, out, _ = run_cli(["analyze", "--max-vertices", "6", "Z2xZ2xZ2"], capsys)
+        assert code == 0 and "omega=3 chi=3" in out
+
 
 class TestVerify:
     def test_named_suite(self, capsys):

@@ -93,12 +93,19 @@ def test_unused_import_checker():
     assert unused_imports(source) == ["factorize", "field", "os.path"]
 
 
+def reads(tree: ast.AST) -> set[str]:
+    """Every name and attribute read, and every name imported, in tree."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names})
+
+
 def names_in(source: str, function: str) -> set[str]:
     """Every name and attribute that the body of a top-level function reads."""
     [fn] = [node for node in ast.parse(source).body
             if isinstance(node, ast.FunctionDef) and node.name == function]
-    return ({node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)})
+    return reads(fn)
 
 
 # the enumeration of Rb must not use the gcd shortcut it is the oracle for,
@@ -123,12 +130,14 @@ def test_oracles_stay_independent(module, function, forbidden):
     assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()
 
 
-# colouring and perfection have one path each, through the principal-ideal
-# order, and the quotient's bijection is built from supports; the standalone
-# odd-hole, colouring and isomorphism searches stay off all three
+# colouring, omega and perfection have one path each, through the
+# principal-ideal order, and the quotient's bijection is built from supports;
+# the standalone odd-hole, clique, colouring and isomorphism searches stay
+# off all of them
 SEARCHES = {"find_odd_hole", "_min_odd_hole_core", "validate_certificate",
             "OddCycleCertificate", "_dsatur", "_chromatic_core", "_try_k_coloring",
-            "are_isomorphic", "_refine_colors"}
+            "are_isomorphic", "_refine_colors",
+            "max_clique", "_max_clique_core", "_greedy_clique"}
 
 
 @pytest.mark.parametrize("module,function", [
@@ -140,6 +149,21 @@ SEARCHES = {"find_odd_hole", "_min_odd_hole_core", "validate_certificate",
 ])
 def test_report_path_runs_no_search(module, function):
     assert names_in((SRC / f"{module}.py").read_text(), function) & SEARCHES == set()
+
+
+# names_in sees top-level functions only, not methods such as verify.Case's
+@pytest.mark.parametrize("module", ["verify", "cli"])
+def test_report_modules_run_no_search(module):
+    assert reads(ast.parse((SRC / f"{module}.py").read_text())) & SEARCHES == set()
+
+
+def test_search_checker_sees_methods_and_imports():
+    source = ("from .solvers import _greedy_clique as greedy\n"
+              "class Case:\n"
+              "    @property\n"
+              "    def clique(self):\n"
+              "        return solvers.max_clique(self.graph)\n")
+    assert reads(ast.parse(source)) & SEARCHES == {"max_clique", "_greedy_clique"}
 
 
 def test_oracle_checker_catches_planted_calls():

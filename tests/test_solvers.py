@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 import threading
@@ -6,7 +7,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cozero import solvers
+from cozero import cli, solvers
 from cozero.graphs import (
     CozeroGraph,
     bits,
@@ -16,7 +17,7 @@ from cozero.graphs import (
     induced_subgraph,
     quotient_by_associates,
 )
-from cozero.rings import CapExceededError, RingSpec, principal_ideal
+from cozero.rings import CapExceededError, RingSpec, parse_spec, principal_ideal
 from cozero.solvers import (
     OddCycleCertificate,
     _all_twin_reduce,
@@ -33,7 +34,7 @@ from cozero.solvers import (
     validate_orientation,
     validated_order,
 )
-from cozero.verify import default_ring_set
+from cozero.verify import Caps, Case, default_ring_set
 from conftest import (
     brute_force_chromatic,
     brute_force_clique,
@@ -501,6 +502,15 @@ def _fence(k: int) -> list[int]:
     return out
 
 
+def _not_a_clique(count, colors, anti):
+    """The antichain with one member traded for a vertex on another member's
+    chain: as many vertices, but two of them comparable, so not adjacent."""
+    u = next(u for u in anti if colors.count(colors[u]) > 1)
+    v = next(v for v, c in enumerate(colors) if c == colors[u] and v != u)
+    w = next(w for w in anti if w != u)
+    return count, colors, sorted(set(anti) - {w} | {v})
+
+
 class TestChainCover:
     """Ring graphs are colored by a minimum chain cover of the principal-ideal
     order, certified by an antichain (a clique) of the same size."""
@@ -596,7 +606,9 @@ class TestChainCover:
         lambda count, colors, anti: (count + 1, colors, anti),
         lambda count, colors, anti: (count - 1, [min(c, count - 2) for c in colors],
                                      anti[:-1]),
-    ], ids=["antichain-short", "antichain-repeat", "extra-chain", "chains-merged"])
+        _not_a_clique,
+    ], ids=["antichain-short", "antichain-repeat", "extra-chain", "chains-merged",
+            "antichain-not-clique"])
     def test_corrupted_certificate_raises(self, monkeypatch, corrupt):
         real = _chain_cover
         monkeypatch.setattr(solvers, "_chain_cover",
@@ -718,6 +730,49 @@ class TestIsomorphism:
         g = complete_graph(10)
         with pytest.raises(CapExceededError):
             are_isomorphic(g, g, max_vertices=5)
+
+
+class TestCliqueFromAntichain:
+    """The clique every report carries is chromatic_number's antichain; the
+    branch-and-bound max_clique is its oracle, on the default rings, the
+    rings the benchmark analyzes and verifies, and random induced subgraphs."""
+
+    @staticmethod
+    def check(g, clique, **cap):
+        assert len(clique) == max_clique(g, **cap).size
+        assert validate_clique(g, clique)
+        assert list(clique) == sorted(clique)
+
+    def test_default_rings(self):
+        specs = default_ring_set()
+        assert len(specs) == 261
+        for spec in specs:
+            case = Case(spec)
+            self.check(case.graph, case.coloring.clique)
+            assert len(case.coloring.clique) == case.coloring.count
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_boolean_powers(self, n):
+        case = Case(RingSpec((2,) * n), Caps(max_cardinality=1024, max_vertices=1022))
+        self.check(case.graph, case.coloring.clique, max_vertices=1022)
+
+    def test_analyzed_rings(self, capsys):
+        specs = ["Z2xZ3xZ5xZ7xZ11", "Z7xZ7xZ7xZ7", "Z4xZ9xZ25", "Z9xZ9xZ9",
+                 "Z5xZ5xZ5xZ5", "Z3xZ3xZ3xZ3xZ3", "Z8xZ27"]
+        assert cli.main(["analyze", "--format", "json", "--max-vertices", "2048",
+                         *specs]) == 0
+        for info in json.loads(capsys.readouterr().out):
+            g = build_cozero_graph(parse_spec(info["spec"]))
+            assert info["omega"] == len(info["clique_witness"]) == info["chi"]
+            self.check(g, info["clique_witness"], max_vertices=2048)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_ring_subgraphs(self, seed):
+        h = random_ring_subgraph(random.Random(seed))
+        res = chromatic_number(h)
+        assert len(res.clique) == res.count
+        self.check(h, res.clique)
 
 
 class TestWeakPerfection:

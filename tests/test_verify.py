@@ -372,11 +372,22 @@ class TestOneCasePerRing:
         assert {s for s in built if s not in self.RINGS} == {
             RingSpec((2, 2, 2)), RingSpec((2, 2))}
         assert all(len(built[s]) == 1 for s in self.RINGS)
+        # omega is the colouring's antichain: no clique search on any graph
+        assert [h for n, h in solved if n == "clique"] == []
         for spec in self.RINGS:
             full = built[spec][0]
             expected = 1 if spec in [RingSpec((2, 3, 5)), RingSpec((3, 3))] else 0
-            for name in ["clique", "chi"]:
-                assert sum(h is full for n, h in solved if n == name) == expected
+            assert sum(h is full for n, h in solved if n == "chi") == expected
+
+    def test_analyze_runs_no_clique_search(self, monkeypatch, capsys):
+        from cozero.cli import main
+        searched: list = []
+        monkeypatch.setattr(solvers, "max_clique",
+                            lambda g, **caps: searched.append(g))
+        assert main(["analyze", "--format", "json", "Z2xZ3xZ5", "Z4xZ9", "Z8"]) == 0
+        infos = json.loads(capsys.readouterr().out)
+        assert searched == []
+        assert [info["omega"] for info in infos] == [3, 3, 1]
 
 
 def count_validations(monkeypatch) -> tuple[list, list]:
