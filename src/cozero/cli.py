@@ -45,10 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ring size cap (default: $COZERO_MAX_CARDINALITY, "
                             f"else {rings.DEFAULT_MAX_CARDINALITY})")
         p.add_argument("--max-vertices", type=_positive_int,
-                       default=solvers.DEFAULT_VERTEX_CAP,
                        help="size guard, not a search limit: a graph with more "
                             "vertices is an error in analyze and a cap-exceeded "
-                            f"skip in verify (default: {solvers.DEFAULT_VERTEX_CAP})")
+                            "skip in verify (default: the cardinality cap)")
 
     p_an = sub.add_parser("analyze", help="per-ring graph summary")
     add_common(p_an)
@@ -208,6 +207,8 @@ def cmd_export(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.max_vertices is None:  # a graph has fewer vertices than its ring
+        args.max_vertices = args.max_cardinality
     handlers = {"analyze": cmd_analyze, "verify": cmd_verify, "export": cmd_export}
     return handlers[args.command](args, parser)
 

@@ -188,7 +188,7 @@ def induced_subgraph(g: CozeroGraph, keep) -> CozeroGraph:
 
 def nzc(x: Element) -> int:
     """Number of zero components of a tuple."""
-    return sum(1 for r in x if r == 0)
+    return x.count(0)
 
 
 def nzc_partition(g: CozeroGraph) -> list[list[int]]:

@@ -8,10 +8,11 @@ solves its omega and chi once, both by one chain cover: its antichain is
 the maximum clique.  No exponential search runs.
 
 Checks re-derive everything from scratch rather than trusting the
-ring-theoretic shortcuts: locality by closing the non-units under addition,
-and principality and adjacency from the paper's membership definition (a-b
-is an edge iff a is not in Rb and b is not in Ra), with each ideal Rb
-enumerated in full factor by factor, by rings.multiples, and no gcd.
+ring-theoretic shortcuts: units (each residue's multiples hold 1), locality
+by closing the non-units under addition, and principality and adjacency from
+the paper's membership definition (a-b is an edge iff a is not in Rb and b
+is not in Ra), with Rb the product of its factors' multiples, each listed in
+full with no gcd once per run and modulus.
 Every witness embedded in a report is re-validated independently of the
 solver that produced it.  The quotient's bijection onto the graph of Z2^n
 is constructed from supports, not searched for, then validated row by row.
@@ -19,6 +20,7 @@ is constructed from supports, not searched for, then validated row by row.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -32,7 +34,7 @@ from .graphs import CozeroGraph
 
 class Caps(NamedTuple):
     max_cardinality: int = rings.DEFAULT_MAX_CARDINALITY
-    max_vertices: int = solvers.DEFAULT_VERTEX_CAP
+    max_vertices: int = rings.DEFAULT_MAX_CARDINALITY  # no graph under that cap has more
 
 
 # perfection and quotient-reduction skip a product of more fields than this
@@ -46,11 +48,11 @@ _MAX_FIELDS = 6
 class Case:
     """One ring of a run: its spec and caps, and its graph (None over either
     cap), validated principal-ideal order, and colouring with its maximum
-    clique, each computed on first use; booleans, shared by a run's cases,
-    holds the graphs of Z2^n that quotient-reduction compares with, by n."""
+    clique, each computed on first use; tables, shared by a run's cases, holds
+    the graphs of Z2^n that quotient-reduction uses, by spec, and _ideals'."""
     spec: RingSpec
     caps: Caps = Caps()
-    booleans: dict = field(default_factory=dict, compare=False, repr=False)
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     @functools.cached_property
     def graph(self) -> CozeroGraph | None:
@@ -68,6 +70,15 @@ class Case:
     @functools.cached_property
     def coloring(self) -> solvers.ColoringResult:
         return solvers.chromatic_number(self.graph, order=self.order)
+
+
+def _ideals(tables: dict, n: int) -> tuple[frozenset[int], ...]:
+    """multiples(y, n) for each y in Z_n, kept by n; equal ideals are one object."""
+    if n not in tables:
+        same: dict = {}
+        ideals = map(rings.multiples, range(n), [n] * n)
+        tables[n] = tuple(same.setdefault(yz, yz) for yz in ideals)
+    return tables[n]
 
 
 @dataclass
@@ -122,10 +133,9 @@ def _too_many_fields(spec: RingSpec) -> str | None:
 
 
 def _is_domain(spec: RingSpec) -> str | None:
-    # a finite commutative ring is a domain iff it is a prime field
-    m = spec.moduli[0]
-    domain = len(spec.moduli) == 1 and rings.factorize(m) == [(m, 1)]
-    return "is-domain" if domain else None
+    # a finite commutative ring is a domain iff it is a prime field: |R| is prime
+    q = spec.cardinality
+    return "is-domain" if rings.factorize(q) == [(q, 1)] else None
 
 
 def check_formula(case: Case) -> VerificationReport:
@@ -164,21 +174,26 @@ def check_null_graph(case: Case) -> VerificationReport:
     """Edgeless graph iff the ring is local with principal maximal ideal.
 
     Locality is detected exhaustively (non-units closed under addition) and
-    principality by searching for a non-unit x whose enumerated ideal Rx
-    (rings.principal_ideal, for x with |Rx| large enough) holds every non-unit.
+    principality by searching for a non-unit x whose ideal Rx (the product of
+    its residues' multiples, for x with |Rx| large enough) holds every non-unit.
     """
     claim, spec = "null-graph", case.spec
     if reason := _skip_reason(case, _is_domain):
         return _skip(claim, spec, reason)
     edgeless = case.graph.edge_count() == 0
 
-    nonunits = [a for a in spec.elements() if not rings.is_unit(spec, a)]
-    nonunit_set = set(nonunits)
-    local = all(spec.add(a, b) in nonunit_set for a in nonunits for b in nonunits)
+    ideals = [_ideals(case.tables, n) for n in spec.moduli]
+    units = set(itertools.product(*([y for y, yz in enumerate(ideal) if 1 in yz]
+                                    for ideal in ideals)))
+    nonunits = list(itertools.filterfalse(units.__contains__, spec.elements()))
+    # the last non-unit of a product plus (0,...,0,1), the second, is a unit
+    local = all(spec.add(a, b) not in units
+                for a in reversed(nonunits) for b in nonunits)
     # only an Rx as large as the non-units (|Rx| = prod |multiples|) can hold them
-    sizes = [[len(rings.multiples(y, n)) for y in range(n)] for n in spec.moduli]
-    principal = any(nonunit_set <= rings.principal_ideal(spec, x) for x in nonunits
-                    if math.prod(map(list.__getitem__, sizes, x)) >= len(nonunits))
+    sizes = [list(map(len, ideal)) for ideal in ideals]
+    principal = any(
+        set(nonunits) <= set(itertools.product(*map(tuple.__getitem__, ideals, x)))
+        for x in nonunits if math.prod(map(list.__getitem__, sizes, x)) >= len(nonunits))
     ok = edgeless == (local and principal)
     return VerificationReport(
         claim_id=claim, spec=spec,
@@ -204,9 +219,9 @@ def check_reduction(case: Case) -> VerificationReport:
     # over Z2^n the quotient is the ring's graph itself, solved once
     qc = gc if q is case.graph else solvers.chromatic_number(q)
     gw, qw = len(gc.clique), len(qc.clique)
-    if n not in case.booleans:
-        case.booleans[n] = graphs.build_cozero_graph(RingSpec((2,) * n))
-    boolean = case.booleans[n]
+    if (key := RingSpec((2,) * n)) not in case.tables:
+        case.tables[key] = graphs.build_cozero_graph(key)
+    boolean = case.tables[key]
     index = {label: v for v, label in enumerate(boolean.labels)}
     primes = [(i, p) for i, m in enumerate(spec.moduli) for p, _ in rings.factorize(m)]
     bijection = [index[tuple(int(label[i] % p != 0) for i, p in primes)]
@@ -225,12 +240,12 @@ def check_reduction(case: Case) -> VerificationReport:
 
 
 def check_invariants(case: Case) -> VerificationReport:
-    """Structural invariants checked exhaustively over the whole ring:
-    every pair, and every vertex with itself, is adjacent iff a is not in Rb
-    and b is not in Ra, with each Rb enumerated by rings.multiples (no gcd)
-    per factor, and each mismatched pair i <= j is named in order of i, then j;
-    associates share neighborhoods and are non-adjacent; the zero-count
-    parts partition the vertex set and each induces a complete subgraph."""
+    """Structural invariants checked exhaustively over the whole ring, on
+    whole rows, and pair by pair only where a row is wrong: every pair, and
+    every vertex with itself, is adjacent iff a is not in Rb and b is not in
+    Ra (each Rb listed per factor by rings.multiples, no gcd), each mismatched
+    pair i <= j named in order of i, then j; associates are non-adjacent
+    twins; the zero-count parts partition the vertices and induce cliques."""
     claim, spec = "graph-invariants", case.spec
     if reason := _skip_reason(case):
         return _skip(claim, spec, reason)
@@ -239,57 +254,63 @@ def check_invariants(case: Case) -> VerificationReport:
 
     # inside[i]: the vertices in R*label_i; contains[i]: the vertices whose
     # ideal holds label_i.  a-b is an edge iff b is in neither of a's masks.
-    # Rb is the product of its factors' multiples, so per factor into[y] (the
-    # vertices whose residue lies in yZ_n) and onto[y] (those whose residue's
-    # multiples hold y) are read off each column and ANDed over the factors.
+    # Rb is the product of its factors' multiples, so per factor into[yZ_n]
+    # (the vertices whose residue lies in yZ_n) and onto[y] (those whose
+    # residue's multiples hold y) are read off each column and ANDed.
     full = (1 << g.n) - 1
     inside = contains = [full] * g.n  # both rebound per factor, never mutated
+    classes = [full]  # Ra = Rb: refined per factor by the masks of gens
     for column, n in zip(zip(*g.labels), spec.moduli):
         at = graphs.positions(column)  # residue -> the vertices with it here
-        ideal = {y: rings.multiples(y, n) for y in at}
-        into = {y: sum(map(at.__getitem__, at.keys() & yz)) for y, yz in ideal.items()}
-        gens: dict = {}  # an ideal of Z_n -> the vertices whose residue generates it
-        for y, yz in ideal.items():
-            gens[yz] = gens.get(yz, 0) | at[y]
+        ideals = list(map(_ideals(case.tables, n).__getitem__, column))
+        gens = graphs.positions(ideals)  # an ideal -> the vertices generating it
+        into = {yz: sum(map(at.__getitem__, at.keys() & yz)) for yz in gens}
         onto = {x: sum(m for yz, m in gens.items() if x in yz) for x in at}
-        inside = list(map(operator.and_, inside, map(into.__getitem__, column)))
+        inside = list(map(operator.and_, inside, map(into.__getitem__, ideals)))
         contains = list(map(operator.and_, contains, map(onto.__getitem__, column)))
-    for i in range(g.n):
-        for j in graphs.bits((g.adj[i] ^ ~(inside[i] | contains[i])) & full >> i << i):
+        classes = [c & m for c in classes for m in gens.values() if c & m]
+    rows = [full & ~(a | b) for a, b in zip(inside, contains)]
+    for i in itertools.compress(range(g.n), map(operator.ne, rows, g.adj)):
+        for j in graphs.bits((g.adj[i] ^ rows[i]) & full >> i << i):
             problems.append(f"adjacency mismatch at {g.labels[i]},{g.labels[j]}")
 
-    # a class pair a < b can only fail if b is adjacent to a, or has another
-    # row, or a has a loop; only those b are tested pair by pair
-    index = {label: i for i, label in enumerate(g.labels)}
     same_row = graphs.positions(g.adj)
-    classes = rings.associate_classes(spec)
-    for rep, members in classes.classes:
-        cls = sum(1 << index[m] for m in members)  # members are in index order
+
+    def one_row(mask: int, within: int, expected: int) -> bool:
+        """Whether mask's vertices have one row, meeting within in expected."""
+        row = g.adj[(mask & -mask).bit_length() - 1]
+        return not mask & ~same_row[row] and row & within == expected
+
+    # in order of first member, each associate class whose rows are not one
+    # row missing it is tested pair by pair
+    for cls in sorted(filter(None, classes), key=lambda c: c & -c):
+        if one_row(cls, cls, 0):
+            continue
         for a in graphs.bits(cls):
-            row = g.adj[a]
-            suspects = row | ~same_row[row] | -(row >> a & 1)
-            for b in graphs.bits(suspects & cls & full >> (a + 1) << (a + 1)):
+            for b in graphs.bits(cls & full >> (a + 1) << (a + 1)):
                 if g.has_edge(a, b):
                     problems.append(f"associates adjacent: {a},{b}")
-                if row & ~(1 << b) != g.adj[b] & ~(1 << a):
+                if g.adj[a] & ~(1 << b) != g.adj[b] & ~(1 << a):
                     problems.append(f"associate neighborhoods differ: {a},{b}")
 
     nzc_note = "nzc=checked"
     split_fields = all(rings.factorize(m) == [(m, 1)] for m in spec.moduli)
     if split_fields and len(spec.moduli) >= 2:
         parts = graphs.nzc_partition(g)
-        covered = sorted(v for part in parts for v in part)
-        if covered != list(range(g.n)):
+        if sorted(v for part in parts for v in part) != list(range(g.n)):
             problems.append("zero-count parts do not partition the vertex set")
         # within a part, distinct zero patterns are incomparable hence
         # adjacent; equal patterns are associates hence non-adjacent (for
-        # Z2 factors the patterns always differ, so each part is complete)
-        patterns = [tuple(r == 0 for r in v) for v in g.labels]
-        same_pattern = graphs.positions(patterns)
+        # Z2 factors the patterns always differ, so each part is complete).
+        # Over prime fields a zero pattern is an associate class: residue 0
+        # generates {0}, any other residue the whole field
         for i, part in enumerate(parts, start=1):
             in_part = sum(1 << v for v in part)  # parts are in index order
+            if all(one_row(c & in_part, in_part, in_part & ~c)
+                   for c in classes if c & in_part):
+                continue
             for a in part:
-                expected = in_part & ~same_pattern[patterns[a]]
+                expected = in_part & ~next(c for c in classes if c >> a & 1)
                 wrong = (g.adj[a] ^ expected) & in_part & full >> (a + 1) << (a + 1)
                 for b in graphs.bits(wrong):
                     problems.append(f"zero-count part {i} adjacency wrong at {a},{b}")
@@ -332,8 +353,8 @@ def run_suite(names: list[str], specs: list[RingSpec],
         if name not in CLAIMS:
             raise UnknownClaimError(
                 f"unknown claim {name!r}; known: {', '.join(sorted(CLAIMS))}")
-    booleans: dict = {}
-    cases = (Case(spec, caps, booleans) for spec in specs)
+    tables: dict = {}
+    cases = (Case(spec, caps, tables) for spec in specs)
     reports = [CLAIMS[name](case) for case in cases for name in names]
     reports.sort(key=lambda r: (r.claim_id, str(r.spec)))
     return reports
@@ -342,21 +363,13 @@ def run_suite(names: list[str], specs: list[RingSpec],
 def default_ring_set(max_cardinality: int = 256) -> list[RingSpec]:
     """Every product of prime fields with cardinality <= max_cardinality,
     plus the standard local non-VNR examples."""
-    out: list[tuple[int, ...]] = []
     primes = [p for p in range(2, max_cardinality + 1)
               if rings.factorize(p) == [(p, 1)]]
-
-    def extend(prefix: tuple[int, ...], product: int, minimum: int) -> None:
-        if prefix:
-            out.append(prefix)
-        for p in primes:
-            if p > max_cardinality // product:
-                break
-            if p >= minimum:
-                extend(prefix + (p,), product * p, p)
-
-    extend((), 1, 2)
-    specs = [RingSpec(m) for m in out]
+    specs, level = [], [((), 1)]
+    while level:  # the products of one more prime, in ascending order
+        level = [(m + (p,), c * p) for m, c in level for p in primes
+                 if p >= max(m, default=2) and c * p <= max_cardinality]
+        specs.extend(RingSpec(m) for m, _ in level)
     specs.extend(RingSpec(m) for m in [(4,), (8,), (9,), (25,), (27,), (2, 4)])
     specs.sort(key=lambda s: (s.cardinality, s.moduli))
     return specs

@@ -143,6 +143,27 @@ class TestVerify:
         assert code == 0
         assert len(json.loads(out)) == 4
 
+    def test_vertex_guard_defaults_to_the_cardinality_cap(self, capsys):
+        # no search sits behind --max-vertices, so by default it skips
+        # nothing under the cardinality cap: only the six-field rule skips
+        ring = "x".join(["Z2"] * 10)
+        code, out, _ = run_cli(["verify", "--max-cardinality", "1024",
+                                "--rings", ring], capsys)
+        assert code == 0
+        reports = {r["claim_id"]: r for r in json.loads(out)}
+        for claim in ["clique-formula", "graph-invariants", "null-graph"]:
+            assert reports[claim]["pass"] and not reports[claim]["skipped"]
+        assert reports["clique-formula"]["observed"] == "omega=252 chi=252"
+        for claim in ["perfection", "quotient-reduction"]:
+            assert reports[claim]["reason"] == "cap-exceeded"
+        code, out, _ = run_cli(["analyze", "--max-cardinality", "1024", ring], capsys)
+        assert code == 0 and "vertices=1022" in out and "omega=252 chi=252" in out
+        # an explicit guard still skips
+        code, out, _ = run_cli(["verify", "--max-cardinality", "1024",
+                                "--max-vertices", "1021", "--rings", ring], capsys)
+        assert code == 0
+        assert all(r["reason"] == "cap-exceeded" for r in json.loads(out))
+
     def test_negative_max_vertices_exit_2(self, capsys):
         # not a run that skips every report as cap-exceeded
         code, out, _ = run_cli(["verify", "--max-vertices", "-1",

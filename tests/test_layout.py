@@ -118,13 +118,16 @@ FAST_PATHS = {"in_principal_ideal", "_gcd_signatures", "ideal_order"}
     ("rings", "principal_ideal", {"gcd", "in_principal_ideal"}),
     # nor read the case's solved clique or colouring
     ("verify", "check_invariants", FAST_PATHS | {"clique", "coloring", "gcd"}),
-    ("verify", "check_null_graph", FAST_PATHS | {"clique", "coloring", "gcd"}),
+    # nor tell units by gcd, through is_unit
+    ("verify", "check_null_graph", FAST_PATHS | {"clique", "coloring", "gcd", "is_unit"}),
     # the checkers of the chain-cover and rank-and-cover certificates must
     # not read the order that produced them
     ("solvers", "validate_coloring", FAST_PATHS),
     ("solvers", "validate_clique", FAST_PATHS),
     ("rings", "multiples", {"gcd", "in_principal_ideal"}),
     ("solvers", "validate_orientation", FAST_PATHS),
+    # the ideal tables both claims read are listed by multiples alone
+    ("verify", "_ideals", {"gcd", "in_principal_ideal", "_gcd_signatures"}),
 ])
 def test_oracles_stay_independent(module, function, forbidden):
     assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()

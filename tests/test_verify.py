@@ -2,8 +2,9 @@ import itertools
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cozero import graphs, rings, solvers
+from cozero import graphs, rings, solvers, verify
 from cozero.graphs import CozeroGraph
 from cozero.rings import RingSpec
 from cozero.verify import (
@@ -93,17 +94,35 @@ class TestCheckNullGraph:
         r = check_null_graph(Case(RingSpec((2, 4))))
         assert r.passed and "edgeless=False" in r.observed
 
+    @staticmethod
+    def full_search(spec: RingSpec) -> str:
+        """The claim's locality and principality, by is_unit, an all-pairs
+        closure in element order and principal_ideal of every non-unit."""
+        nonunits = [a for a in spec.elements() if not rings.is_unit(spec, a)]
+        local = all(spec.add(a, b) in nonunits for a in nonunits for b in nonunits)
+        principal = any(set(nonunits) <= rings.principal_ideal(spec, x)
+                        for x in nonunits)
+        return f"local={local} principal-max-ideal={principal}"
+
     def test_pruned_principality_matches_full_search(self):
-        # the claim enumerates Rx only for x with |Rx| >= #non-units
-        for spec in default_ring_set() + [RingSpec((4, 4)), RingSpec((8, 9)),
-                                          RingSpec((2, 4))]:
+        # the claim enumerates Rx only for x with |Rx| >= #non-units, reads
+        # units off the ideal tables and closes the non-units last one first
+        for spec in default_ring_set() + [RingSpec(m) for m in [
+                (4, 4), (8, 9), (2, 4), (16,), (27,), (2, 2, 4)]]:
             r = check_null_graph(Case(spec))
             if r.skipped:
                 continue
-            nonunits = {a for a in spec.elements() if not rings.is_unit(spec, a)}
-            principal = any(nonunits <= rings.principal_ideal(spec, x)
-                            for x in nonunits)
-            assert f"principal-max-ideal={principal}" in r.observed, spec
+            assert r.observed.endswith(self.full_search(spec)), spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 16]),
+                    min_size=1, max_size=3))
+    def test_small_products_match_full_search(self, moduli):
+        spec = RingSpec(tuple(moduli))
+        assume(spec.cardinality <= 300)
+        r = check_null_graph(Case(spec))
+        assert r.skipped == (len(moduli) == 1 and moduli[0] in (2, 3, 5))
+        assert r.skipped or r.observed.endswith(self.full_search(spec))
 
     def test_domain_skipped(self):
         r = check_null_graph(Case(RingSpec((7,))))
@@ -295,6 +314,26 @@ class TestInvariantsOnWrongGraphs:
         assert not r.passed
         assert messages[len(adjacency):] == twin[:5 - len(adjacency)]
 
+    @pytest.mark.parametrize("moduli", [(3, 4), (4, 9), (2, 3, 5)], ids=str)
+    def test_failing_classes_named_in_order(self, monkeypatch, moduli):
+        # an edge inside each of the two classes that come last in index
+        # order: the messages follow the classes' first members, whatever
+        # order the per-factor ideals are met in
+        spec = RingSpec(moduli)
+        g = graphs.build_cozero_graph(spec)
+        classes = [[g.labels.index(m) for m in members]
+                   for _, members in rings.associate_classes(spec).classes
+                   if len(members) > 1]
+        rows = list(g.adj)
+        for a, b, *_ in classes[-2:]:
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+        wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=tuple(rows))
+        r = self.report_on(monkeypatch, wrong)
+        messages = r.observed.split("; ")
+        twin = pairwise_twin_problems(wrong)
+        assert len(twin) >= 2 and messages[2:] == twin[:3]
+
     def test_loop_is_a_mismatch(self, monkeypatch):
         # no pair test sees a loop in a ring with singleton associate classes
         g = graphs.build_cozero_graph(RingSpec((2, 2, 2)))
@@ -452,6 +491,51 @@ class TestOneValidationPerGraph:
         # each run holds its own
         run_suite(["quotient-reduction"], rings_[:1])
         assert built.count(RingSpec((2, 2))) == 2
+
+
+class TestRunTables:
+    """Each run keeps its ideal tables and Z2^n graphs in one dict of its own;
+    nothing is cached at module level, so concurrent runs share no state."""
+
+    RINGS = [RingSpec(m) for m in [(2, 3), (4,), (3, 3), (2, 4), (12,)]]
+
+    def test_two_runs_share_no_table(self, monkeypatch):
+        seen: list = []
+        ideals = verify._ideals
+        monkeypatch.setattr(verify, "_ideals",
+                            lambda tables, n: seen.append(tables) or ideals(tables, n))
+        first = run_suite(sorted(CLAIMS), self.RINGS)
+        runs = [seen[:]]
+        seen.clear()
+        assert run_suite(sorted(CLAIMS), self.RINGS) == first
+        runs.append(seen)
+        assert all(len({id(t) for t in run}) == 1 for run in runs)
+        assert runs[0][0] is not runs[1][0]
+        # the same moduli, listed once per run, in equal tables
+        assert runs[0][0].keys() == runs[1][0].keys() >= {2, 3, 4, 12}
+
+    def test_equal_ideals_are_one_object(self):
+        tables: dict = {}
+        table = verify._ideals(tables, 12)
+        assert verify._ideals(tables, 12) is table is tables[12]
+        assert list(table) == [rings.multiples(y, 12) for y in range(12)]
+        # one object per ideal of Z12, one ideal per divisor
+        assert len({id(yz) for yz in table}) == len(set(table)) == 6
+
+    @pytest.mark.parametrize("module", [rings, verify], ids=lambda m: m.__name__)
+    def test_no_module_level_cache(self, module):
+        def mutable_state():
+            return {name: repr(value) for name, value in vars(module).items()
+                    if not name.startswith("__")
+                    and isinstance(value, (dict, list, set, bytearray))}
+
+        before = mutable_state()
+        run_suite(sorted(CLAIMS), self.RINGS)
+        assert mutable_state() == before
+        members = [*vars(module).values()] + [
+            attr for cls in vars(module).values() if isinstance(cls, type)
+            for attr in vars(cls).values()]
+        assert [m for m in members if hasattr(m, "cache_info")] == []
 
 
 class TestCapFirst:

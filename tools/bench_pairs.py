@@ -77,12 +77,20 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
     return out
 
 
+def pair_count(text: str) -> int:
+    """A --pairs value: quartiles need two runs a side, so at least 2."""
+    pairs = int(text)
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"{pairs} pairs; quartiles need at least 2")
+    return pairs
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent-dir", type=Path, required=True,
                     help="a checkout of the parent commit")
     ap.add_argument("--parent-sha", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=pair_count, default=10)
     ap.add_argument("--seconds", type=int, default=35)
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--out", type=Path, required=True)
