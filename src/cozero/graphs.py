@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .rings import (
-    AssociateClasses,
     CapExceededError,
     DEFAULT_MAX_CARDINALITY,
     Element,
     RingSpec,
-    associate_classes,
     factorize,
     is_von_neumann_regular,
     vertices,
@@ -214,29 +212,28 @@ def nzc_partition(g: CozeroGraph) -> list[list[int]]:
 class QuotientGraph(NamedTuple):
     graph: CozeroGraph
     class_sizes: tuple[int, ...]
-    origin: AssociateClasses
+    reps: tuple[int, ...]  # quotient vertex -> its representative in g
 
 
 def quotient_by_associates(g: CozeroGraph) -> QuotientGraph:
-    """Collapse each associate class to its representative.
+    """Collapse each associate class (one gcd signature, as Ra = Rb) to its
+    first vertex, its representative, in order of representative.
 
-    Every other member is checked to have its representative's row and not
-    to be adjacent to it, so the reduction re-proves on every instance that
-    the members are false twins, whose deletion keeps omega and chi.
+    Each class is checked, on whole rows, to share its representative's row
+    and to miss it, so the reduction re-proves on every instance that the
+    members are false twins, whose deletion keeps omega and chi.
     """
     if g.spec is None:
         raise ValueError("quotient needs a ring-backed graph")
-    classes = associate_classes(g.spec)
-    label_index = {label: i for i, label in enumerate(g.labels)}
-    rep_indices = sorted(label_index[rep] for rep, _ in classes.classes)
-    for v, label in enumerate(g.labels):
-        rep = label_index[classes.representative(label)]
-        if g.has_edge(v, rep) or g.adj[v] != g.adj[rep]:
-            raise AssertionError(
-                f"associates {v}, {rep} are adjacent or have different rows")
-    return QuotientGraph(graph=induced_subgraph(g, rep_indices),
-                         class_sizes=tuple(len(m) for _, m in classes.classes),
-                         origin=classes)
+    classes = positions(_gcd_signatures(g.spec, g.labels)).values()
+    reps = tuple((m & -m).bit_length() - 1 for m in classes)
+    same_row = positions(g.adj)
+    for members, rep in zip(classes, reps):
+        if wrong := members & (g.adj[rep] | ~same_row[g.adj[rep]]):
+            raise AssertionError(f"associates {bits(wrong)[0]}, {rep} are "
+                                 f"adjacent or have different rows")
+    return QuotientGraph(graph=induced_subgraph(g, reps),
+                         class_sizes=tuple(map(int.bit_count, classes)), reps=reps)
 
 
 def _label_str(label: Element) -> str:

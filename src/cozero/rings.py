@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 NATIVE_LIMIT = 2**64
@@ -185,10 +185,6 @@ class AssociateClasses:
 
     spec: RingSpec
     classes: tuple[tuple[Element, tuple[Element, ...]], ...]  # (representative, members)
-    index: dict[Element, int] = field(compare=False)
-
-    def representative(self, a: Element) -> Element:
-        return self.classes[self.index[a]][0]
 
 
 def associate_classes(spec: RingSpec) -> AssociateClasses:
@@ -208,5 +204,4 @@ def associate_classes(spec: RingSpec) -> AssociateClasses:
         if choice != zero and choice != units:
             members = tuple(itertools.product(*choice))
             classes.append((members[0], members))
-    index = {m: cid for cid, (_, members) in enumerate(classes) for m in members}
-    return AssociateClasses(spec=spec, classes=tuple(classes), index=index)
+    return AssociateClasses(spec=spec, classes=tuple(classes))

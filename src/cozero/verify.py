@@ -4,8 +4,9 @@ is a named check producing a structured pass/fail/skip report.
 Every claim is a function of one Case, which computes a ring's graph,
 validated principal-ideal order and colouring at most once and shares them,
 so run_suite builds each ring's graph once, validates its order once and
-solves its omega and chi once, both by one chain cover: its antichain is
-the maximum clique.  No exponential search runs.
+solves its omega and chi once, both by one chain cover, whose antichain is
+the maximum clique; quotient-reduction restricts the cover's colouring and
+antichain to the associate quotient.  No exponential search runs.
 
 Checks re-derive everything from scratch rather than trusting the
 ring-theoretic shortcuts: units (each residue's multiples hold 1), locality
@@ -208,17 +209,23 @@ def check_reduction(case: Case) -> VerificationReport:
     is isomorphic to the graph of Z2^n built directly, by the bijection that
     sends each class, fixed by the primes its members avoid, to its support
     (bit x % p != 0 for each prime p of each factor, in factorize order).  It
-    is emitted only if it is a permutation carrying each row onto its image's."""
+    is emitted only if it is a permutation carrying each row onto its image's.
+    The quotient is an induced subgraph, so the case's antichain and colouring,
+    restricted to it, prove from its rows alone that omega = chi = chi(graph)."""
     claim, spec = "quotient-reduction", case.spec
     if reason := _skip_reason(
             case, lambda s: _not_field_product(s) or _too_many_fields(s)):
         return _skip(claim, spec, reason)
     n = rings.min_prime_count(spec)
-    q = graphs.quotient_by_associates(case.graph).graph
-    gc = case.coloring
-    # over Z2^n the quotient is the ring's graph itself, solved once
-    qc = gc if q is case.graph else solvers.chromatic_number(q)
-    gw, qw = len(gc.clique), len(qc.clique)
+    quotient, gc = graphs.quotient_by_associates(case.graph), case.coloring
+    q, gw = quotient.graph, len(gc.clique)
+    # the antichain's vertices are kept twin-core vertices, each first of its
+    # row class, so of its associate class: a representative (others go to -1)
+    at = {rep: v for v, rep in enumerate(quotient.reps)}
+    clique_ok = gw == gc.count and solvers.validate_clique(
+        q, [at.get(v, -1) for v in gc.clique])
+    coloring_ok = solvers.validate_coloring(
+        q, [gc.assignment[rep] for rep in quotient.reps], gc.count)
     if (key := RingSpec((2,) * n)) not in case.tables:
         case.tables[key] = graphs.build_cozero_graph(key)
     boolean = case.tables[key]
@@ -229,13 +236,13 @@ def check_reduction(case: Case) -> VerificationReport:
     iso_ok = sorted(bijection) == list(range(boolean.n)) and all(
         sum(1 << bijection[j] for j in graphs.bits(row)) == boolean.adj[image]
         for row, image in zip(q.adj, bijection))
-    ok = gw == qw and gc.count == qc.count and iso_ok
     return VerificationReport(
         claim_id=claim, spec=spec,
         expected=f"quotient keeps omega and chi; quotient iso to graph of Z2^{n}",
-        observed=(f"omega {gw}->{qw} chi {gc.count}->{qc.count} "
+        observed=(f"omega {gw}->{gw if clique_ok else 'no-clique'} "
+                  f"chi {gc.count}->{gc.count if coloring_ok else 'no-coloring'} "
                   f"iso={'yes' if iso_ok else 'no'}"),
-        passed=ok,
+        passed=clique_ok and coloring_ok and iso_ok,
         witness={"bijection": bijection} if iso_ok else None)
 
 

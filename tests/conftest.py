@@ -39,13 +39,8 @@ def associate_classes_by_gcd(spec: RingSpec) -> AssociateClasses:
     for v in vertices_by_search(spec):
         key = tuple(math.gcd(x, n) for x, n in zip(v, spec.moduli))
         buckets.setdefault(key, []).append(v)
-    classes = []
-    index = {}
-    for members in sorted(buckets.values()):
-        for m in members:
-            index[m] = len(classes)
-        classes.append((members[0], tuple(members)))
-    return AssociateClasses(spec=spec, classes=tuple(classes), index=index)
+    classes = [(members[0], tuple(members)) for members in sorted(buckets.values())]
+    return AssociateClasses(spec=spec, classes=tuple(classes))
 
 
 def vnr_by_search(spec: RingSpec) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -206,6 +207,19 @@ class TestExport:
         assert code == 0
         assert out.count("label=") == 2
         assert out.count(" -- ") == 1
+
+    # pinned bytes: the quotient's vertex order and labels are those of the
+    # representatives of rings.associate_classes, in its order
+    @pytest.mark.parametrize("spec,fmt,sha256", [
+        ("Z3xZ3", "dot", "138590df4685849245a950665cc01b38a4fc3f5ccd39073364686cc7cb751375"),
+        ("Z3xZ3", "json", "682fd75a0ddca56e6606c5e1fe0b741795b478b1fb81152e1fd3e970f99cf3cc"),
+        ("Z4xZ9", "dot", "0d241b428047e2e3dbb16924302a641f8964ba499a987c5066090f793349fe50"),
+        ("Z4xZ9", "json", "2f253593ad40aa54894b05912debcb2eebc3b09feaeb6e59f081acf89777e4c4"),
+    ])
+    def test_quotient_export_bytes(self, capsys, spec, fmt, sha256):
+        code, out, _ = run_cli(["export", spec, "--quotient", "--format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_complement(self, capsys):
         code, out, _ = run_cli(["export", "Z2xZ2xZ2", "--complement",

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cozero.graphs import (
     CozeroGraph,
@@ -16,8 +16,22 @@ from cozero.graphs import (
     to_dot,
     to_json,
 )
-from cozero.rings import CapExceededError, RingSpec, parse_spec, vertices
+from cozero.rings import (
+    CapExceededError, RingSpec, associate_classes, parse_spec, vertices)
+from cozero.verify import default_ring_set
 from conftest import adjacency_by_oracle, ideal_by_enumeration
+
+
+def assert_quotient_is_by_associate_classes(spec):
+    """q.reps are the representatives of rings.associate_classes, ascending
+    and in its order, and q.class_sizes its member counts."""
+    g = build_cozero_graph(spec)
+    q = quotient_by_associates(g)
+    classes = associate_classes(spec).classes
+    assert [g.labels[r] for r in q.reps] == [rep for rep, _ in classes]
+    assert q.class_sizes == tuple(len(members) for _, members in classes)
+    assert all(a < b for a, b in zip(q.reps, q.reps[1:]))
+    assert q.graph.labels == tuple(g.labels[r] for r in q.reps)
 
 
 def brute_edge_count(spec):
@@ -254,14 +268,43 @@ class TestQuotient:
         # equal rows with loops at both: only the adjacency test tells
         looped = CozeroGraph(spec=g.spec, labels=g.labels,
                              adj=(g.adj[0] | 0b11, g.adj[1] | 0b11) + g.adj[2:])
-        for wrong in (adjacent, other_row, looped):
-            with pytest.raises(AssertionError, match="associates"):
+        for wrong, v, rep in ((adjacent, 1, 0), (other_row, 3, 2), (looped, 0, 0)):
+            with pytest.raises(AssertionError, match=(
+                    f"^associates {v}, {rep} are adjacent or have different rows$")):
                 quotient_by_associates(wrong)
+
+    def test_names_the_first_wrong_class(self):
+        # Z4xZ3: the class of (1,0) is vertices 2 and 6, and that of (2,1)
+        # vertices 4 and 5.  Dropping the edge 5-6 gives both a wrong member;
+        # the first class in order of representative is named, with its
+        # lowest wrong member, though vertex 5 comes before vertex 6
+        g = build_cozero_graph(RingSpec((4, 3)))
+        assert quotient_by_associates(g).reps == (0, 2, 3, 4) and g.has_edge(5, 6)
+        wrong = CozeroGraph.from_edges(g.n, [e for e in g.edges() if e != (5, 6)],
+                                       labels=g.labels, spec=g.spec)
+        with pytest.raises(AssertionError,
+                           match="^associates 6, 2 are adjacent or have different rows$"):
+            quotient_by_associates(wrong)
 
     def test_sizes_sum_to_vertex_count(self, small_spec):
         g = build_cozero_graph(small_spec)
         q = quotient_by_associates(g)
         assert sum(q.class_sizes) == g.n
+
+    def test_classes_are_the_associate_classes(self):
+        # the quotient's classes come from the gcd-signature table; they are
+        # rings.associate_classes', representatives in order, and sizes
+        extra = [parse_spec(t) for t in ["Z4xZ9", "Z8xZ27", "Z2xZ4", "Z36", "Z9xZ9"]]
+        for spec in default_ring_set() + extra:
+            assert_quotient_is_by_associate_classes(spec)
+
+    @given(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12]),
+                    min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_classes_are_the_associate_classes_property(self, moduli):
+        spec = RingSpec(tuple(moduli))
+        assume(spec.cardinality <= 600)
+        assert_quotient_is_by_associate_classes(spec)
 
 
 class TestExport:

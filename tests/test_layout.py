@@ -128,6 +128,9 @@ FAST_PATHS = {"in_principal_ideal", "_gcd_signatures", "ideal_order"}
     ("solvers", "validate_orientation", FAST_PATHS),
     # the ideal tables both claims read are listed by multiples alone
     ("verify", "_ideals", {"gcd", "in_principal_ideal", "_gcd_signatures"}),
+    # quotient-reduction solves and orders nothing: it restricts the case's
+    # antichain and colouring to the quotient and checks them on its rows
+    ("verify", "check_reduction", {"chromatic_number", "validated_order", "ideal_order"}),
 ])
 def test_oracles_stay_independent(module, function, forbidden):
     assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()

@@ -162,6 +162,36 @@ class TestCheckReduction:
             checked += 1
         assert checked >= 190
 
+    def test_restricted_colouring_must_colour_the_quotient(self):
+        # negative control: two adjacent representatives share a colour.
+        # quotient-reduction checks the case's colouring restricted to the
+        # quotient, where it fails without an exception
+        case = Case(RingSpec((2, 3, 5)))
+        quotient, gc = graphs.quotient_by_associates(case.graph), case.coloring
+        a, b = (quotient.reps[v] for v in quotient.graph.edges()[0])
+        assignment = list(gc.assignment)
+        assignment[b] = assignment[a]
+        case.__dict__["coloring"] = gc._replace(assignment=tuple(assignment))
+        r = check_reduction(case)
+        assert not r.passed and not r.skipped
+        assert r.observed == "omega 3->3 chi 3->no-coloring iso=yes"
+
+    def test_restricted_antichain_must_lie_on_representatives(self):
+        # negative control: one antichain vertex swapped for a false twin
+        # that is not its class's representative; it is still a clique of
+        # the whole graph, but names no vertex of the quotient
+        case = Case(RingSpec((2, 3, 5)))
+        g, gc = case.graph, case.coloring
+        rep, members = next((r, m) for r, m in rings.associate_classes(g.spec).classes
+                            if len(m) > 1 and g.labels.index(r) in gc.clique)
+        v, twin = g.labels.index(rep), g.labels.index(members[1])
+        clique = tuple(sorted({*gc.clique} - {v} | {twin}))
+        assert solvers.validate_clique(g, clique)
+        case.__dict__["coloring"] = gc._replace(clique=clique)
+        r = check_reduction(case)
+        assert not r.passed and not r.skipped
+        assert r.observed == "omega 3->no-clique chi 3->3 iso=yes"
+
     def test_flipped_boolean_edge_fails(self, monkeypatch):
         # negative control: Z2^3's graph with the edge (0,0,1)-(0,1,0) removed
         # is no image of the quotient of Z2xZ3xZ5
@@ -452,7 +482,7 @@ def count_validations(monkeypatch) -> tuple[list, list]:
 class TestOneValidationPerGraph:
     def test_verify_validates_each_graph_once(self, monkeypatch):
         # colouring and perfection share the case's order; quotient-reduction
-        # validates its quotient's, a graph of its own unless the ring is Z2^n
+        # restricts the case's certificates to its quotient and orders nothing
         built: dict = {}
         build = graphs.build_cozero_graph
         monkeypatch.setattr(graphs, "build_cozero_graph", lambda spec, **caps:
@@ -464,11 +494,10 @@ class TestOneValidationPerGraph:
         assert all(r.passed for r in reports)
         assert len(validated) == len(ordered)
         assert len({id(g) for g in ordered}) == len(ordered)
-        # the rings with a colouring or a perfection claim, and the quotients
-        # of the field products with two factors or more
+        # exactly the rings with a colouring or a perfection claim, once each
         full = [built[s][0] for s in rings_ if s not in (RingSpec((4,)), RingSpec((2, 4)))]
-        assert [g for g in ordered if any(g is h for h in full)] == full
-        assert len(ordered) == len(full) + 2
+        assert len(ordered) == len(full)
+        assert all(g is h for g, h in zip(ordered, full))
 
     def test_analyze_validates_each_ring_once(self, monkeypatch, capsys):
         from cozero.cli import main
