@@ -45,9 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ring size cap (default: $COZERO_MAX_CARDINALITY, "
                             f"else {rings.DEFAULT_MAX_CARDINALITY})")
         p.add_argument("--max-vertices", type=_positive_int,
-                       help="size guard, not a search limit: a graph with more "
-                            "vertices is an error in analyze and a cap-exceeded "
-                            "skip in verify (default: the cardinality cap)")
+                       help="size guard, not a search limit: a ring graph with "
+                            "more vertices is an error in analyze and export and "
+                            "a cap-exceeded skip in verify (default: the "
+                            "cardinality cap)")
 
     p_an = sub.add_parser("analyze", help="per-ring graph summary")
     add_common(p_an)
@@ -95,7 +96,6 @@ def _emit(text: str, out_path: str | None, parser) -> None:
 def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dict:
     g = graphs.build_cozero_graph(spec, max_cardinality=max_cardinality)
     solvers.check_cap(g.n, max_vertices)  # a size guard: no search runs
-    vnr = rings.is_von_neumann_regular(spec)
     info: dict = {
         "spec": str(spec),
         "cardinality": spec.cardinality,
@@ -103,7 +103,7 @@ def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dic
         "units": spec.cardinality - 1 - g.n,
         "vertices": g.n,
         "edges": g.edge_count(),
-        "vnr": vnr,
+        "vnr": spec.fields is not None,
     }
     order = solvers.validated_order(g)
     coloring = solvers.chromatic_number(g, order=order)
@@ -111,8 +111,8 @@ def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dic
     info["clique_witness"] = list(coloring.clique)
     info["chi"] = coloring.count
     info["perfect"] = solvers.is_perfect_desk_scale(g, order=order)
-    if vnr:
-        n = rings.min_prime_count(spec)
+    if spec.fields is not None:
+        n = len(spec.fields)
         info["field_factors"] = n
         if n >= 2:
             formula = math.comb(n, n // 2)
@@ -192,6 +192,7 @@ def cmd_export(args, parser) -> int:
         parser.exit(2, "cozero: error: choose one of --quotient/--complement\n")
     try:
         g = graphs.build_cozero_graph(specs[0], max_cardinality=args.max_cardinality)
+        solvers.check_cap(g.n, args.max_vertices)
         if args.quotient:
             g = graphs.quotient_by_associates(g).graph
         elif args.complement:

@@ -18,7 +18,6 @@ from .rings import (
     Element,
     RingSpec,
     factorize,
-    is_von_neumann_regular,
     vertices,
 )
 
@@ -198,9 +197,9 @@ def nzc_partition(g: CozeroGraph) -> list[list[int]]:
     subgraph.
     """
     spec = g.spec
-    if spec is None or not is_von_neumann_regular(spec):
+    if spec is None or spec.fields is None:
         raise ValueError("zero-count partition requires a product of fields")
-    if any(factorize(m) != [(m, 1)] for m in spec.moduli):
+    if len(spec.fields) != len(spec.moduli):
         raise ValueError("zero-count partition requires prime moduli (CRT-split spec)")
     n = len(spec.moduli)
     parts: list[list[int]] = [[] for _ in range(n - 1)]

@@ -5,6 +5,7 @@ a pure function on immutable data.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -54,6 +55,14 @@ class RingSpec:
     @property
     def one(self) -> Element:
         return (1,) * len(self.moduli)
+
+    @functools.cached_property
+    def fields(self) -> tuple[tuple[int, int], ...] | None:
+        """The (factor index, prime) pairs of the CRT split in factorize order,
+        or None unless every modulus is squarefree (R is a product of fields)."""
+        fields = tuple((i, p) for i, n in enumerate(self.moduli) for p, _ in factorize(n))
+        # each modulus is at least the product of its primes, equal iff squarefree
+        return fields if math.prod(p for _, p in fields) == self.cardinality else None
 
     def elements(self):
         """All ring elements in lexicographic residue order."""
@@ -169,14 +178,14 @@ def vertices(spec: RingSpec) -> list[Element]:
 
 def is_von_neumann_regular(spec: RingSpec) -> bool:
     """True iff every modulus is squarefree (the ring is a product of fields)."""
-    return all(e == 1 for n in spec.moduli for _, e in factorize(n))
+    return spec.fields is not None
 
 
 def min_prime_count(spec: RingSpec) -> int:
     """Number of field factors after CRT splitting (the n of the clique formula)."""
-    if not is_von_neumann_regular(spec):
+    if spec.fields is None:
         raise ValueError(f"{spec} is not von Neumann regular")
-    return len(crt_split(spec).split.moduli)
+    return len(spec.fields)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,12 @@ certificate, which certifies perfection; a minimum chain cover of it
 same size (König), which is also the maximum clique the CLI reports.
 
 The searches, max_clique (branch and bound), find_odd_hole and
-are_isomorphic, serve any graph and stay only as the tests' references;
-max_clique is also a name the benchmark's tracer wraps.  Their caps raise
-instead of degrading to heuristics.  Tie-breaking is by lowest vertex index
-throughout so witnesses are reproducible.
+are_isomorphic, serve any graph and stay only as the tests' references.
+The benchmark's tracer wraps them and validate_certificate by name, and
+counts rings.in_principal_ideal: deleting any of these breaks perfbench's
+--trace 1 until the tracer skips absent names.  Their caps raise instead of
+degrading to heuristics.  Tie-breaking is by lowest vertex index throughout
+so witnesses are reproducible.
 """
 from __future__ import annotations
 
@@ -437,18 +439,15 @@ def is_perfect_desk_scale(g: CozeroGraph, order: ValidatedOrder | None = None) -
     g's.  Substituting an independent set for a vertex keeps a graph perfect
     (Lovász), so the core is perfect iff g is.  Without an order, g may also
     be the complement of a ring's graph or of an induced subgraph of one:
-    the order is then validated as an orientation of the core itself
-    (perfection is closed under complements).  If both fail, AssertionError
-    is raised; ValueError on a graph with no ring behind it.
+    if g's order fails, its complement's is validated instead (perfection is
+    closed under complements).  If both fail, AssertionError is raised;
+    ValueError on a graph with no ring behind it.
     """
     if order is None:
-        core = induced_subgraph(g, _false_twin_reduce(g))
-        certificate = ideal_order(core)
-        if not (validate_orientation(core, *certificate)
-                or validate_orientation(complement(core), *certificate)):
-            raise AssertionError(
-                f"ideal orientation of {core.spec} orients neither the graph "
-                f"nor its complement transitively")
+        try:
+            validated_order(g)
+        except AssertionError:
+            validated_order(complement(g))
     elif order.graph is not g:
         raise ValueError("the order was validated for another graph")
     return True

@@ -112,40 +112,32 @@ def _skip(claim_id: str, spec: RingSpec, reason: str) -> VerificationReport:
                               reason=reason)
 
 
-def _skip_reason(case: Case, inapplicable=lambda spec: None) -> str | None:
+# skip rules: a reason and its test of the ring's RingSpec.fields; a claim
+# lists its rules in order, and each may assume that none before it held
+_NOT_VNR = "not-vnr", lambda fields: fields is None
+_TOO_FEW_FIELDS = "too-few-factors", lambda fields: len(fields) < 2
+_TOO_MANY_FIELDS = "cap-exceeded", lambda fields: len(fields) > _MAX_FIELDS
+# a finite commutative ring is a domain iff it is a prime field
+_DOMAIN = "is-domain", lambda fields: fields is not None and len(fields) == 1
+
+
+def _skip_reason(case: Case, *rules) -> str | None:
     """Why a claim skips the case, or None: the cardinality cap (first, so a
-    ring over it is never factored), inapplicable(spec), the graph's caps."""
+    ring over it is never factored), the first rule that holds, in order,
+    then the graph's caps."""
     if case.spec.cardinality > case.caps.max_cardinality:
         return "cap-exceeded"
-    return inapplicable(case.spec) or ("cap-exceeded" if case.graph is None else None)
-
-
-def _not_vnr(spec: RingSpec) -> str | None:
-    return None if rings.is_von_neumann_regular(spec) else "not-vnr"
-
-
-def _not_field_product(spec: RingSpec) -> str | None:
-    return _not_vnr(spec) or (
-        "too-few-factors" if rings.min_prime_count(spec) < 2 else None)
-
-
-def _too_many_fields(spec: RingSpec) -> str | None:
-    return "cap-exceeded" if rings.min_prime_count(spec) > _MAX_FIELDS else None
-
-
-def _is_domain(spec: RingSpec) -> str | None:
-    # a finite commutative ring is a domain iff it is a prime field: |R| is prime
-    q = spec.cardinality
-    return "is-domain" if rings.factorize(q) == [(q, 1)] else None
+    return (next((reason for reason, holds in rules if holds(case.spec.fields)), None)
+            or ("cap-exceeded" if case.graph is None else None))
 
 
 def check_formula(case: Case) -> VerificationReport:
     """omega = chi = C(n, floor(n/2)) for a product of n fields."""
     claim, spec = "clique-formula", case.spec
-    if reason := _skip_reason(case, _not_field_product):
+    if reason := _skip_reason(case, _NOT_VNR, _TOO_FEW_FIELDS):
         return _skip(claim, spec, reason)
     g, coloring = case.graph, case.coloring
-    n = rings.min_prime_count(spec)
+    n = len(spec.fields)
     expected = math.comb(n, n // 2)
     ok = (len(coloring.clique) == expected == coloring.count
           and solvers.validate_clique(g, coloring.clique)
@@ -161,7 +153,7 @@ def check_formula(case: Case) -> VerificationReport:
 def check_perfection(case: Case) -> VerificationReport:
     """The graph of a product of fields has no odd hole or antihole."""
     claim, spec = "perfection", case.spec
-    if reason := _skip_reason(case, lambda s: _not_vnr(s) or _too_many_fields(s)):
+    if reason := _skip_reason(case, _NOT_VNR, _TOO_MANY_FIELDS):
         return _skip(claim, spec, reason)
     perfect = solvers.is_perfect_desk_scale(case.graph, order=case.order)
     return VerificationReport(
@@ -179,7 +171,7 @@ def check_null_graph(case: Case) -> VerificationReport:
     its residues' multiples, for x with |Rx| large enough) holds every non-unit.
     """
     claim, spec = "null-graph", case.spec
-    if reason := _skip_reason(case, _is_domain):
+    if reason := _skip_reason(case, _DOMAIN):
         return _skip(claim, spec, reason)
     edgeless = case.graph.edge_count() == 0
 
@@ -213,10 +205,9 @@ def check_reduction(case: Case) -> VerificationReport:
     The quotient is an induced subgraph, so the case's antichain and colouring,
     restricted to it, prove from its rows alone that omega = chi = chi(graph)."""
     claim, spec = "quotient-reduction", case.spec
-    if reason := _skip_reason(
-            case, lambda s: _not_field_product(s) or _too_many_fields(s)):
+    if reason := _skip_reason(case, _NOT_VNR, _TOO_FEW_FIELDS, _TOO_MANY_FIELDS):
         return _skip(claim, spec, reason)
-    n = rings.min_prime_count(spec)
+    n = len(spec.fields)
     quotient, gc = graphs.quotient_by_associates(case.graph), case.coloring
     q, gw = quotient.graph, len(gc.clique)
     # the antichain's vertices are kept twin-core vertices, each first of its
@@ -230,8 +221,7 @@ def check_reduction(case: Case) -> VerificationReport:
         case.tables[key] = graphs.build_cozero_graph(key)
     boolean = case.tables[key]
     index = {label: v for v, label in enumerate(boolean.labels)}
-    primes = [(i, p) for i, m in enumerate(spec.moduli) for p, _ in rings.factorize(m)]
-    bijection = [index[tuple(int(label[i] % p != 0) for i, p in primes)]
+    bijection = [index[tuple(int(label[i] % p != 0) for i, p in spec.fields)]
                  for label in q.labels]
     iso_ok = sorted(bijection) == list(range(boolean.n)) and all(
         sum(1 << bijection[j] for j in graphs.bits(row)) == boolean.adj[image]
@@ -301,8 +291,8 @@ def check_invariants(case: Case) -> VerificationReport:
                     problems.append(f"associate neighborhoods differ: {a},{b}")
 
     nzc_note = "nzc=checked"
-    split_fields = all(rings.factorize(m) == [(m, 1)] for m in spec.moduli)
-    if split_fields and len(spec.moduli) >= 2:
+    # a split product of prime fields: one field per modulus
+    if spec.fields is not None and len(spec.fields) == len(spec.moduli) >= 2:
         parts = graphs.nzc_partition(g)
         if sorted(v for part in parts for v in part) != list(range(g.n)):
             problems.append("zero-count parts do not partition the vertex set")

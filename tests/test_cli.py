@@ -233,6 +233,17 @@ class TestExport:
         assert code == 0 and out == ""
         assert path.read_text().count(" -- ") == 1
 
+    @pytest.mark.parametrize("variant", [[], ["--quotient"], ["--complement"]])
+    def test_vertex_cap_exit_1(self, capsys, variant):
+        # the guard of analyze, on the ring's graph whichever variant is exported
+        code, out, err = run_cli(["export", "Z2xZ2xZ2", "--max-vertices", "1",
+                                  *variant], capsys)
+        assert (code, out) == (1, "")
+        assert err == "cozero: error: graph has 6 vertices, cap is 1\n"
+        code, out, _ = run_cli(["export", "Z2xZ2xZ2", "--max-vertices", "6",
+                                *variant], capsys)
+        assert code == 0 and out.startswith("graph cozero {")
+
     def test_two_specs_exit_2(self, capsys):
         code, _, _ = run_cli(["export", "Z4", "Z8"], capsys)
         assert code == 2

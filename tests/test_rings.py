@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -235,6 +236,38 @@ class TestVonNeumannRegular:
 
     def test_matches_regularity_search(self, small_spec):
         assert is_von_neumann_regular(small_spec) == vnr_by_search(small_spec)
+
+
+def assert_fields_match_search(spec, regular):
+    """fields is None iff the ring is not regular; else one (factor, prime)
+    pair per CRT-split factor, that factor's prime, and each factor's primes
+    multiply to its modulus."""
+    if not regular:
+        assert spec.fields is None
+        return
+    assert tuple(p for _, p in spec.fields) == crt_split(spec).split.moduli
+    for i, n in enumerate(spec.moduli):
+        assert math.prod(p for j, p in spec.fields if j == i) == n
+
+
+def test_fields_on_default_rings():
+    # r = r*r*s holds in a product iff it holds in every factor, so the
+    # search runs per factor: on the whole ring it would take |R|^2 products
+    specs = default_ring_set()
+    moduli = {n for spec in specs for n in spec.moduli}
+    by_factor = {n: vnr_by_search(RingSpec((n,))) for n in moduli}
+    for spec in specs:
+        assert_fields_match_search(spec, all(map(by_factor.get, spec.moduli)))
+
+
+@given(st.lists(st.integers(2, 36), min_size=1, max_size=3))
+@example([4, 3])
+@example([30, 7])
+@settings(max_examples=60, deadline=None)
+def test_fields_property(moduli):
+    spec = RingSpec(tuple(moduli))
+    assume(spec.cardinality <= 216)
+    assert_fields_match_search(spec, vnr_by_search(spec))
 
 
 class TestMinPrimeCount:

@@ -448,6 +448,16 @@ class TestOneCasePerRing:
             expected = 1 if spec in [RingSpec((2, 3, 5)), RingSpec((3, 3))] else 0
             assert sum(h is full for n, h in solved if n == "chi") == expected
 
+    def test_each_modulus_factored_once(self, monkeypatch):
+        # the skip rules and claims all read RingSpec.fields, cached per spec
+        specs = default_ring_set()
+        factored: list = []
+        factorize = rings.factorize
+        monkeypatch.setattr(rings, "factorize",
+                            lambda n: factored.append(n) or factorize(n))
+        run_suite(sorted(CLAIMS), specs)
+        assert sorted(factored) == sorted(m for spec in specs for m in spec.moduli)
+
     def test_analyze_runs_no_clique_search(self, monkeypatch, capsys):
         from cozero.cli import main
         searched: list = []
