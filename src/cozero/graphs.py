@@ -114,15 +114,16 @@ def build_cozero_graph(spec: RingSpec,
     return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows[s] for s in sigs))
 
 
-def ideal_order(g: CozeroGraph) -> tuple[tuple[int, ...], ...]:
-    """The principal-ideal order on a ring-backed graph's labels, u->v iff
-    Ru is strictly inside Rv, or Ru = Rv and u < v, as its out-rows and the
-    certificate solvers.validate_orientation checks: (out, rank, covers),
-    rank[u] = |Ru|.  The next vertex of u's signature covers u; the last one
-    is covered by the first vertex of each present signature one prime step
-    d -> d/p up, the steps passing through absent ones, so cores, quotients
-    and induced subgraphs are served too.  On an induced subgraph of a
-    cozero-divisor graph the arcs orient its complement transitively.
+def ideal_order(g: CozeroGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The certificate of the principal-ideal order on a ring-backed graph's
+    labels, u->v iff Ru is strictly inside Rv, or Ru = Rv and u < v, that
+    solvers.validate_orientation checks: (rank, covers), rank[u] = |Ru|.
+    Comparable ideals of one size are equal, so the arcs are the complement
+    edges taken up the (rank, index) order, and the validator derives them
+    from the adjacency.  The next vertex of u's signature covers u; the last
+    one is covered by the first vertex of each present signature one prime
+    step d -> d/p up, the steps passing through absent ones, so cores,
+    quotients and induced subgraphs are served too.
     """
     if g.spec is None:
         raise ValueError("orientation needs a ring-backed graph")
@@ -138,30 +139,26 @@ def ideal_order(g: CozeroGraph) -> tuple[tuple[int, ...], ...]:
               for j, d in enumerate(ds)] for i, ds in enumerate(divs)]
     sizes = map(math.prod, itertools.product(*([m // d for d in ds]
                                                for m, ds in zip(moduli, divs))))
-    # by index: the vertices of the signature or above it, and its first
-    # vertex or, if it has none, its covers
-    upset, reach = [], []
-    at = {}  # present signature -> (the vertices strictly above, covers, |Rs|)
+    # by index: the signature's first vertex or, if it has none, its covers
+    reach = []
+    at = {}  # present signature -> (covers of its last vertex, |Rs|)
     for c, (t, digits, size) in enumerate(zip(
             itertools.product(*divs), itertools.product(*map(range, lens)), sizes)):
-        a = f = 0
+        f = 0
         for drop, j in zip(drops, digits):
             for d in drop[j]:
-                a |= upset[c - d]
                 f |= reach[c - d]
         here = members.get(t, 0)
-        upset.append(a | here)
         reach.append(here & -here or f)
         if here:
-            at[t] = a, f, size
-    out, rank, covers = [], [], []
+            at[t] = f, size
+    rank, covers = [], []
     for u, s in enumerate(sigs):
-        a, f, size = at[s]
+        f, size = at[s]
         later = members[s] & (-1 << (u + 1))
-        out.append(a | later)
         rank.append(size)
         covers.append(later & -later or f)
-    return tuple(out), tuple(rank), tuple(covers)
+    return tuple(rank), tuple(covers)
 
 
 def complement(g: CozeroGraph) -> CozeroGraph:

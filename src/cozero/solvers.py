@@ -3,11 +3,12 @@ perfection certificates by transitive orientations, for ring-backed graphs;
 and three exponential searches that no CLI path runs.
 
 Chromatic number and perfection are for ring-backed graphs only, and raise
-ValueError on a bare graph.  Both read one principal-ideal order, checked
-as a transitive orientation of the complement by its rank-and-cover
-certificate, which certifies perfection; a minimum chain cover of it
-(Dilworth) colors the graph, certified by an antichain, a clique of the
-same size (König), which is also the maximum clique the CLI reports.
+ValueError on a bare graph.  Both read one principal-ideal order: its
+out-rows are the complement's edges taken up a rank, derived from the
+adjacency, and its covers prove them a transitive orientation, which
+certifies perfection.  A minimum chain cover of it (Dilworth) colors the
+graph, certified by an antichain, a clique of the same size (König), which
+is also the maximum clique the CLI reports.
 
 The searches, max_clique (branch and bound), find_odd_hole and
 are_isomorphic, serve any graph and stay only as the tests' references.
@@ -46,7 +47,8 @@ class OddCycleCertificate(NamedTuple):
 
 
 class ValidatedOrder(NamedTuple):
-    """graph's false-twin core, with its validated principal-ideal order."""
+    """graph's false-twin core, with its validated principal-ideal order as
+    out-rows derived from the core's adjacency."""
     graph: CozeroGraph
     keep: tuple[int, ...]  # core vertex -> vertex of graph
     core: CozeroGraph
@@ -88,51 +90,54 @@ def validate_certificate(g: CozeroGraph, cert: OddCycleCertificate) -> bool:
     return True
 
 
-def validate_orientation(g: CozeroGraph, out, rank, covers) -> bool:
-    """Check, from g.adj alone, that out (out-rows as bitsets) is a
-    transitive orientation of the complement of g, by a rank-and-cover
-    certificate.  With the vertices ordered by (rank[u], u), for every u:
-    (a) out[u] lies inside u's complement row, and after u; (b) covers[u]
-    lies inside out[u], and out[u] is covers[u] joined with out[v] for each
-    v in covers[u]; (c) twice the arc total is the size of all complement rows.
+def validate_orientation(g: CozeroGraph, rank, covers) -> tuple[int, ...] | None:
+    """The orientation of the complement of g up the order (rank[u], u), as
+    out-rows (bitsets) derived from g.adj, if the cover certificate proves
+    it transitive; else None.  Walking down the order, out[u] is u's
+    complement row restricted to the vertices after u, and covers[u] must
+    lie inside out[u], with out[u] the join of covers[u] and out[v] for each
+    v in covers[u].
 
-    By (a) the arcs are acyclic, at most one per complement edge, so by (c)
-    each complement edge has one.  Transitivity, by induction down the
-    order: let each out[v] after u be closed (w in out[v] puts out[w] inside
-    it).  By (b) each w in out[u] is a cover, with out[w] inside out[u], or
-    lies in out[v] of a cover v, after u by (a), so out[w] is inside out[v],
-    inside out[u].  Nothing is assumed of rank or covers.  The complement is
-    then a comparability graph, so it and g are perfect.
+    Each complement edge is oriented once, up a total order, so the arcs
+    are acyclic.  Transitivity, by induction down the order: let each out[v]
+    after u be closed (w in out[v] puts out[w] inside it).  Each w in out[u]
+    is a cover, with out[w] inside out[u], or lies in out[v] of a cover v,
+    after u, so out[w] is inside out[v], inside out[u].  Nothing is assumed
+    of rank or covers.  The complement is then a comparability graph, so it
+    and g are perfect.
     """
     n = g.n
-    if not len(out) == len(rank) == len(covers) == n:
-        return False
+    if not len(rank) == len(covers) == n:
+        return None
+    out = [0] * n
     after = 0  # the vertices after u in the order
     # a stable sort keeps equal ranks in index order
     for u in reversed(sorted(range(n), key=rank.__getitem__)):
-        row, low = out[u], covers[u]
-        # a row outside after (negative, say) names a vertex it may not
-        if row & ~after or row & g.adj[u] or low & ~row:
-            return False
+        row, low = after & ~g.adj[u], covers[u]
+        # the join below refuses a cover outside row too, but only after
+        # walking it, and a negative one never ends
+        if low & ~row:
+            return None
         joined = low
         for v in bits(low):
             joined |= out[v]
         if joined != row:
-            return False
+            return None
+        out[u] = row
         after |= 1 << u
-    full = (1 << n) - 1
-    return 2 * sum(map(int.bit_count, out)) == sum(
-        (full & ~(row | 1 << u)).bit_count() for u, row in enumerate(g.adj))
+    return tuple(out)
 
 
 def validated_order(g: CozeroGraph) -> ValidatedOrder:
     """The principal-ideal order on a ring-backed graph's false-twin core,
-    validated by its rank-and-cover certificate on the core's adjacency.
-    ValueError on a bare graph; AssertionError if the certificate fails."""
+    derived from the core's adjacency and validated by its rank-and-cover
+    certificate.  ValueError on a bare graph; AssertionError if the
+    certificate fails."""
     keep = _false_twin_reduce(g)
     core = induced_subgraph(g, keep)
-    out, rank, covers = ideal_order(core)
-    if not validate_orientation(core, out, rank, covers):
+    out = validate_orientation(core, *ideal_order(core))
+    # a 0-vertex core (Z2, Z3, ...) has the valid, empty, out-rows ()
+    if out is None:
         raise AssertionError(
             f"ideal orientation of {core.spec} does not orient the complement "
             f"transitively")
@@ -437,17 +442,13 @@ def is_perfect_desk_scale(g: CozeroGraph, order: ValidatedOrder | None = None) -
     """Perfection of a ring-backed graph, certified by the validated
     principal-ideal order of its false-twin core: order, if the caller holds
     g's.  Substituting an independent set for a vertex keeps a graph perfect
-    (Lovász), so the core is perfect iff g is.  Without an order, g may also
-    be the complement of a ring's graph or of an induced subgraph of one:
-    if g's order fails, its complement's is validated instead (perfection is
-    closed under complements).  If both fail, AssertionError is raised;
-    ValueError on a graph with no ring behind it.
+    (Lovász), so the core is perfect iff g is.  AssertionError if the order
+    fails, as on a ring-backed graph whose rows are not its ring's (the
+    complement of a ring's graph, say); ValueError on a graph with no ring
+    behind it.
     """
     if order is None:
-        try:
-            validated_order(g)
-        except AssertionError:
-            validated_order(complement(g))
+        validated_order(g)
     elif order.graph is not g:
         raise ValueError("the order was validated for another graph")
     return True

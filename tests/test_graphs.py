@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +10,7 @@ from cozero.graphs import (
     CozeroGraph,
     build_cozero_graph,
     complement,
+    ideal_order,
     induced_subgraph,
     nzc,
     nzc_partition,
@@ -18,6 +20,7 @@ from cozero.graphs import (
 )
 from cozero.rings import (
     CapExceededError, RingSpec, associate_classes, parse_spec, vertices)
+from cozero.solvers import _false_twin_reduce
 from cozero.verify import default_ring_set
 from conftest import adjacency_by_oracle, ideal_by_enumeration
 
@@ -155,6 +158,23 @@ class TestComplement:
     def test_z2_cubed_complement_edges(self):
         g = build_cozero_graph(RingSpec((2, 2, 2)))
         assert complement(g).edge_count() == 15 - 9
+
+
+class TestIdealOrder:
+    def test_peak_allocation_on_boolean_core(self):
+        # the certificate is one rank and one cover mask per vertex, and one
+        # reach mask per signature; a per-signature mask of the vertices at
+        # or above it would take the peak to 3.7 MB
+        g = build_cozero_graph(RingSpec((2,) * 11))
+        core = induced_subgraph(g, _false_twin_reduce(g))
+        tracemalloc.start()
+        try:
+            rank, covers = ideal_order(core)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rank) == len(covers) == core.n == 2046
+        assert peak < 2.5e6, peak
 
 
 class TestInducedSubgraph:

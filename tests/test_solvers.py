@@ -284,23 +284,35 @@ def _arcs(out):
     return [(u, v) for u, row in enumerate(out) for v in bits(row)]
 
 
-def _permissive(out):
-    """The most permissive certificate for out: covers = out, and ranks
-    that put every arc upwards whenever out is acyclic (minus the number of
-    vertices each vertex reaches)."""
-    reach = list(out)
-    for _ in out:
-        for u, row in enumerate(reach):
-            for v in bits(row):
-                reach[u] |= reach[v]
-    return [-row.bit_count() for row in reach], list(out)
+def _derived(g, rank):
+    """The orientation of g's complement up (rank[u], u), from the
+    definition: u->v iff v comes after u and is not adjacent to u."""
+    order = sorted(range(g.n), key=lambda u: (rank[u], u))
+    out = [0] * g.n
+    for i, u in enumerate(order):
+        for v in order[i + 1:]:
+            if not g.has_edge(u, v):
+                out[u] |= 1 << v
+    return out
+
+
+def _transitive(out):
+    """u->w->x puts u->x, tried on every triple."""
+    return all(out[u] >> x & 1 or not (out[u] >> w & 1 and out[w] >> x & 1)
+               for u, w, x in itertools.product(range(len(out)), repeat=3))
+
+
+def _ideal_out(g):
+    return validate_orientation(g, *ideal_order(g))
 
 
 class TestOrientation:
     def test_valid_on_default_rings(self):
+        # Z2's graph has no vertex, and its valid out-rows () are falsy
         for spec in default_ring_set():
             g = build_cozero_graph(spec)
-            assert validate_orientation(g, *ideal_order(g)), spec
+            out = _ideal_out(g)
+            assert out is not None and len(out) == g.n, spec
 
     @pytest.mark.parametrize("moduli", NON_VNR_MODULI)
     def test_valid_on_non_vnr_rings(self, moduli):
@@ -308,14 +320,14 @@ class TestOrientation:
         # ring: the covers step through them
         g = build_cozero_graph(RingSpec(moduli))
         for h in (g, _core(g), quotient_by_associates(g).graph):
-            assert validate_orientation(h, *ideal_order(h))
+            assert _ideal_out(h) is not None
 
     def test_valid_on_induced_subgraph(self):
         for moduli in [(4, 9), (2, 3, 5), (3, 3, 3), (2, 2, 2, 2), (8, 3)]:
             g = build_cozero_graph(RingSpec(moduli))
             for keep in (range(1, g.n, 3), range(0, g.n, 2)):
                 sub = induced_subgraph(g, keep)
-                assert validate_orientation(sub, *ideal_order(sub))
+                assert _ideal_out(sub) is not None
 
     def test_matches_the_definition(self):
         # u->v iff Ru is strictly inside Rv, or Ru = Rv and u < v, with
@@ -324,7 +336,8 @@ class TestOrientation:
             g = build_cozero_graph(RingSpec(moduli))
             for h in (g, induced_subgraph(g, range(1, g.n, 3))):
                 ideals = [principal_ideal(h.spec, a) for a in h.labels]
-                out, rank, covers = ideal_order(h)
+                rank, covers = ideal_order(h)
+                out = validate_orientation(h, rank, covers)
                 assert list(rank) == list(map(len, ideals))
                 for u, v in itertools.product(range(h.n), repeat=2):
                     arc = ideals[u] < ideals[v] or (ideals[u] == ideals[v] and u < v)
@@ -347,119 +360,113 @@ class TestOrientation:
                 solve(h, order=order)
 
     def test_rejects_broken_orientations(self):
-        # flipping an arc between twins keeps the orientation transitive;
-        # Z2^4 has no twins, and each single flip there breaks transitivity:
-        # the certificates are the most permissive, so only that can fail
+        # moving v to just before u flips the arc u->v and no other when
+        # every vertex between them is adjacent to v; Z2^4 has no twins,
+        # and each such flip breaks transitivity, even under the most
+        # permissive covers (the rows)
         g = build_cozero_graph(RingSpec((2,) * 4))
-        out, rank, covers = map(list, ideal_order(g))
-        assert validate_orientation(g, out, rank, covers)
-        assert validate_orientation(g, out, *_permissive(out))
+        rank, covers = map(list, ideal_order(g))
+        out = validate_orientation(g, rank, covers)
+        assert list(out) == _derived(g, rank)
+        assert validate_orientation(g, rank, out) == out
+        order = sorted(range(g.n), key=rank.__getitem__)
+        flips = 0
         for u, v in _arcs(out):
-            flipped = out.copy()
-            flipped[u] &= ~(1 << v)
-            flipped[v] |= 1 << u
-            dropped = out.copy()
-            dropped[u] &= ~(1 << v)
-            assert not validate_orientation(g, flipped, *_permissive(flipped)), (u, v)
-            assert not validate_orientation(g, dropped, *_permissive(dropped)), (u, v)
-        for a, b in g.edges():
-            for u, v in ((a, b), (b, a)):
-                added = out.copy()
-                added[u] |= 1 << v
-                assert not validate_orientation(g, added, *_permissive(added)), (u, v)
-        assert not validate_orientation(g, out[:-1], rank[:-1], covers[:-1])
-        assert not validate_orientation(g, out[:-1], rank, covers)
-        assert not validate_orientation(g, [-1] + out[1:], rank, [-1] + covers[1:])
-        # a negative cover names every vertex, and must not be walked
-        assert not validate_orientation(g, out, rank, [-1] + covers[1:])
+            between = order[order.index(u) + 1:order.index(v)]
+            if not all(g.has_edge(x, v) for x in between):
+                continue
+            moved = [order.index(x) for x in range(g.n)]
+            moved[v] = moved[u] - 0.5
+            flipped = _derived(g, moved)
+            assert set(_arcs(flipped)) ^ set(_arcs(out)) == {(u, v), (v, u)}
+            assert validate_orientation(g, moved, flipped) is None, (u, v)
+            flips += 1
+        assert flips
+        # certificates of the wrong length, or with a negative cover, which
+        # names every vertex and must not be walked
+        assert validate_orientation(g, rank[:-1], covers[:-1]) is None
+        assert validate_orientation(g, rank, covers[:-1]) is None
+        assert validate_orientation(g, rank[:-1], covers) is None
+        assert validate_orientation(g, rank, [-1] + covers[1:]) is None
+        assert validate_orientation(g, rank, covers[:-1] + [-1]) is None
 
     @pytest.mark.parametrize("moduli", [(2,) * 4, (4, 9), (2, 2, 3, 5)])
     def test_rejects_a_dropped_non_cover_arc(self, moduli):
-        # the arc is implied by the covers, so its loss breaks the join (b)
-        # under the order's own certificate and transitivity under any
+        # an arc u->v that is no cover is implied by a cover whose row holds
+        # v: without those covers, the join misses v
         g = _core(build_cozero_graph(RingSpec(moduli)))
-        out, rank, covers = map(list, ideal_order(g))
+        rank, covers = map(list, ideal_order(g))
+        out = validate_orientation(g, rank, covers)
         dropped_any = False
         for u, v in _arcs(out):
             if covers[u] >> v & 1:
                 continue
-            dropped = out.copy()
-            dropped[u] &= ~(1 << v)
-            assert not validate_orientation(g, dropped, rank, covers), (u, v)
-            assert not validate_orientation(g, dropped, *_permissive(dropped)), (u, v)
+            bad = covers.copy()
+            bad[u] = sum(1 << w for w in bits(covers[u]) if not out[w] >> v & 1)
+            assert validate_orientation(g, rank, bad) is None, (u, v)
             dropped_any = True
         assert dropped_any
 
     def test_rejects_a_cycle_disguised_by_false_ranks(self):
-        # with no edges the complement is a triangle; a directed 3-cycle on
-        # it, closed under its covers or not, fails every ranking
-        # a loop is a cycle that (b) and (c) alone let stand for the one
-        # complement edge of two isolated vertices
-        loop = [0b01, 0]
-        for rank in itertools.product(range(2), repeat=2):
-            assert not validate_orientation(CozeroGraph.from_edges(2, []), loop, rank, loop)
-        g = CozeroGraph.from_edges(3, [])
-        cycle = [0b010, 0b100, 0b001]
-        closed = [0b110, 0b101, 0b011]
-        for rank in itertools.product(range(3), repeat=3):
-            for covers in (cycle, [0] * 3):
-                assert not validate_orientation(g, cycle, rank, covers)
-                assert not validate_orientation(g, closed, rank, covers)
-                assert not validate_orientation(g, closed, rank, closed)
-        # on a ring graph: reverse the long arc of a chain u->w->v
+        # the rank is not trusted: ranks unlike |Ru| that order the same
+        # arcs pass, and a false rank that reverses the long arc of a chain
+        # u->w->v derives an orientation that is not transitive
         g = build_cozero_graph(RingSpec((2,) * 4))
-        out, rank, _ = map(list, ideal_order(g))
+        rank, covers = map(list, ideal_order(g))
+        out = validate_orientation(g, rank, covers)
+        assert validate_orientation(g, [0] * g.n, covers) == out
         [(u, v)] = [(u, v) for u, v in _arcs(out)
                     if any(out[w] >> v & 1 for w in bits(out[u]))][:1]
-        cyclic = out.copy()
-        cyclic[u] &= ~(1 << v)
-        cyclic[v] |= 1 << u
-        for false in (rank, [-r for r in rank], [0] * g.n,
-                      [rank[x] if x != v else rank[u] - 1 for x in range(g.n)]):
-            assert not validate_orientation(g, cyclic, false, cyclic)
+        false = [rank[x] if x != v else rank[u] - 1 for x in range(g.n)]
+        reversed_ = _derived(g, false)
+        assert reversed_[v] >> u & 1 and not _transitive(reversed_)
+        for certificate in (covers, reversed_, out):
+            assert validate_orientation(g, false, certificate) is None
 
     def test_rejects_a_cover_that_is_not_an_arc(self):
+        # a cover off u's derived row: u itself, a vertex before u, or one
+        # adjacent to u
         g = build_cozero_graph(RingSpec((2, 2, 3)))
-        out, rank, covers = map(list, ideal_order(g))
+        rank, covers = map(list, ideal_order(g))
+        out = validate_orientation(g, rank, covers)
         for u in range(g.n):
             for x in bits(((1 << g.n) - 1) & ~out[u]):
                 bad = covers.copy()
                 bad[u] |= 1 << x
-                assert not validate_orientation(g, out, rank, bad), (u, x)
+                assert validate_orientation(g, rank, bad) is None, (u, x)
 
     def test_rejects_an_arc_onto_a_neighbour(self):
-        # the edge 0-1 oriented in place of the complement edge 1-2: the
-        # orientation is transitive and has as many arcs as the complement
+        # with the edge 0-1, 0's row up the order 0, 1, 2 is {2}: a cover
+        # naming 1 is refused, though {1, 2} would be transitive
         g = CozeroGraph.from_edges(3, [(0, 1)])
-        out = [0b110, 0, 0]
-        assert not validate_orientation(g, out, [0, 1, 2], out)
-        # on a ring graph, even when the arc goes up the ranks and is its
-        # own cover
+        assert validate_orientation(g, [0, 1, 2], [0b100, 0b100, 0]) == (0b100, 0b100, 0)
+        assert validate_orientation(g, [0, 1, 2], [0b110, 0b100, 0]) is None
+        # on a ring graph, even when the neighbour is lifted above every rank
+        # and its row joins the cover's
         g = build_cozero_graph(RingSpec((2, 3, 5)))
-        out, rank, covers = map(list, ideal_order(g))
+        rank, covers = map(list, ideal_order(g))
+        out = validate_orientation(g, rank, covers)
         for a, b in g.edges():
             for u, v in ((a, b), (b, a)):
-                added, bad = out.copy(), covers.copy()
-                added[u] |= 1 << v | out[v]
+                bad = covers.copy()
                 bad[u] |= 1 << v
                 lifted = rank.copy()
                 lifted[v] = max(rank) + 1
-                assert not validate_orientation(g, added, rank, bad), (u, v)
-                assert not validate_orientation(g, added, lifted, bad), (u, v)
-                assert not validate_orientation(g, added, *_permissive(added)), (u, v)
+                assert validate_orientation(g, rank, bad) is None, (u, v)
+                assert validate_orientation(g, lifted, bad) is None, (u, v)
+                joined = list(out)
+                joined[u] |= 1 << v | out[v]
+                assert validate_orientation(g, rank, joined) is None, (u, v)
 
     def test_rejects_every_orientation_of_c5(self):
-        # the complement of C5 is C5, an odd hole, so no orientation of it
-        # is transitive
+        # the complement of C5 is C5, an odd hole, so none of the 120
+        # rankings orients it transitively, whatever the covers
         g = cycle_graph(5)
-        edges = complement(g).edges()
-        for flips in itertools.product((False, True), repeat=len(edges)):
-            out = [0] * 5
-            for (u, v), flip in zip(edges, flips):
-                if flip:
-                    u, v = v, u
-                out[u] |= 1 << v
-            assert not validate_orientation(g, out, *_permissive(out))
+        for order in itertools.permutations(range(5)):
+            rank = [order.index(u) for u in range(5)]
+            out = _derived(g, rank)
+            assert not _transitive(out)
+            assert validate_orientation(g, rank, out) is None, order
 
     def test_ring_graphs_skip_hole_search(self, monkeypatch):
         def refuse(adj, min_len):
@@ -469,20 +476,55 @@ class TestOrientation:
         for moduli in [(2,) * 6, (2,) * 7, (2, 3, 5), (3, 3, 3)] + NON_VNR_MODULI:
             g = build_cozero_graph(RingSpec(moduli))
             assert is_perfect_desk_scale(g) is True
-            # the complement keeps the spec; the orientation orients g itself
-            assert is_perfect_desk_scale(complement(g)) is True
+            # the complement keeps the spec, but its rows are not the ring's
+            # (except Z4's single vertex), and nothing falls back to the
+            # complement's complement
+            h = complement(g)
+            if h.adj == g.adj:
+                assert is_perfect_desk_scale(h) is True
+            else:
+                with pytest.raises(AssertionError, match="orientation"):
+                    is_perfect_desk_scale(h)
         # a bare graph is refused before any search could run
         with pytest.raises(ValueError):
             is_perfect_desk_scale(cycle_graph(5))
 
     def test_invalid_ring_orientation_raises(self):
-        # a ring-backed graph whose rows are neither those of its ring nor
-        # their complement: no search stands in for the failed certificate
+        # a ring-backed graph whose rows are not those of its ring: no
+        # search stands in for the failed certificate
         g = build_cozero_graph(RingSpec((2, 2, 2)))
         c5 = cycle_graph(5).adj + (0,)
         wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=c5)
         with pytest.raises(AssertionError, match="orientation"):
             is_perfect_desk_scale(wrong)
+
+
+def test_orientation_against_brute_force():
+    # random graphs of up to 8 vertices and random ranks, ties included:
+    # the validator returns the rows of the definition when they are
+    # transitive, under the rows themselves or their transitive reduction
+    # as covers, and None when they are not
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(0, 8)
+        g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng)
+        rank = [rng.randrange(n + 1) for _ in range(n)]
+        out = _derived(g, rank)
+        transitive = _transitive(out)
+        outcomes[transitive] += 1
+        if not transitive:
+            assert validate_orientation(g, rank, out) is None, (g.adj, rank)
+            continue
+        hasse = []  # each row less the rows of its members
+        for row in out:
+            implied = 0
+            for w in bits(row):
+                implied |= out[w]
+            hasse.append(row & ~implied)
+        for covers in (out, hasse):
+            assert validate_orientation(g, rank, covers) == tuple(out), (g.adj, rank)
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 def _core(g: CozeroGraph) -> CozeroGraph:
@@ -517,7 +559,7 @@ class TestChainCover:
 
     @staticmethod
     def certified(core: CozeroGraph) -> int:
-        count, colors, antichain = _chain_cover(ideal_order(core)[0])
+        count, colors, antichain = _chain_cover(_ideal_out(core))
         assert validate_coloring(core, colors, count)
         assert validate_clique(core, antichain)
         assert len(antichain) == count
@@ -619,12 +661,11 @@ class TestChainCover:
     def test_shifted_orientation_raises(self, monkeypatch):
         # an orientation taken as valid whose rows belong to the next vertex:
         # its matching is no chain cover of the core, and no search stands in
-        def shifted(g):
-            out, rank, covers = ideal_order(g)
-            return out[1:] + out[:1], rank, covers
+        def shifted(g, rank, covers):
+            out = validate_orientation(g, rank, covers)
+            return out[1:] + out[:1]
 
-        monkeypatch.setattr(solvers, "ideal_order", shifted)
-        monkeypatch.setattr(solvers, "validate_orientation", lambda g, *cert: True)
+        monkeypatch.setattr(solvers, "validate_orientation", shifted)
         for moduli in [(2,) * 4, (2, 3, 5), (4, 9)]:
             with pytest.raises(AssertionError, match="chain cover"):
                 chromatic_number(build_cozero_graph(RingSpec(moduli)))
