@@ -1,22 +1,22 @@
 """Claim suite: each finitely checkable statement about cozero-divisor graphs
 is a named check producing a structured pass/fail/skip report.
 
-Every claim is a function of one Case, which computes a ring's graph,
-validated principal-ideal order and colouring at most once and shares them,
-so run_suite builds each ring's graph once, validates its order once and
-solves its omega and chi once, both by one chain cover, whose antichain is
-the maximum clique; quotient-reduction restricts the cover's colouring and
-antichain to the associate quotient.  No exponential search runs.
+Every claim is a function of one Case, which builds a ring's graph,
+validates its principal-ideal order and solves omega and chi, both by one
+chain cover whose antichain is the maximum clique, at most once per run;
+quotient-reduction restricts the cover's colouring and antichain to the
+associate quotient.  No exponential search runs.
 
 Checks re-derive everything from scratch rather than trusting the
 ring-theoretic shortcuts: units (each residue's multiples hold 1), locality
 by closing the non-units under addition, and principality and adjacency from
 the paper's membership definition (a-b is an edge iff a is not in Rb and b
-is not in Ra), with Rb the product of its factors' multiples, each listed in
-full with no gcd once per run and modulus.
+is not in Ra), with Rb the product of its factors' multiples: once per run
+and modulus, with no gcd, each distinct ideal is listed in full once and each
+other generator y matched to it by two memberships (z in yZ, y in zZ).
 Every witness embedded in a report is re-validated independently of the
 solver that produced it.  The quotient's bijection onto the graph of Z2^n
-is constructed from supports, not searched for, then validated row by row.
+is constructed from supports, not searched for, then validated on its rows.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import graphs, rings, solvers
@@ -73,12 +74,18 @@ class Case:
         return solvers.chromatic_number(self.graph, order=self.order)
 
 
-def _ideals(tables: dict, n: int) -> tuple[frozenset[int], ...]:
-    """multiples(y, n) for each y in Z_n, kept by n; equal ideals are one object."""
+def _ideals(tables: dict, n: int) -> list[frozenset[int]]:
+    """multiples(y, n) for each y in Z_n, kept by n, each ideal one object: y's
+    walk y, 2y, ... mod n runs through yZ_n, so y shares the ideal of its first
+    z < y with y in zZ_n, or, if the walk reaches 0 first, the walk is yZ_n."""
     if n not in tables:
-        same: dict = {}
-        ideals = map(rings.multiples, range(n), [n] * n)
-        tables[n] = tuple(same.setdefault(yz, yz) for yz in ideals)
+        tables[n] = table = [frozenset({0})]
+        for y in range(1, n):
+            walk, z = [0], y
+            while z and not (z < y and y in table[z]):
+                walk.append(z)
+                z = (z + y) % n
+            table.append(table[z] if z else frozenset(walk))
     return tables[n]
 
 
@@ -182,10 +189,13 @@ def check_null_graph(case: Case) -> VerificationReport:
     # the last non-unit of a product plus (0,...,0,1), the second, is a unit
     local = all(spec.add(a, b) not in units
                 for a in reversed(nonunits) for b in nonunits)
-    # only an Rx as large as the non-units (|Rx| = prod |multiples|) can hold them
+    # only an Rx as large as the non-units (|Rx| = prod |multiples|) can hold
+    # them; a non-unit x has a non-unit x_i, so |Rx| <= |x_i Z_{n_i}| * |R| / n_i
     sizes = [list(map(len, ideal)) for ideal in ideals]
-    principal = any(
-        set(nonunits) <= set(itertools.product(*map(tuple.__getitem__, ideals, x)))
+    bound = max(max(m for m, yz in zip(size, ideal) if 1 not in yz) * spec.cardinality // n
+                for size, ideal, n in zip(sizes, ideals, spec.moduli))
+    principal = bound >= len(nonunits) and any(
+        set(nonunits) <= set(itertools.product(*map(list.__getitem__, ideals, x)))
         for x in nonunits if math.prod(map(list.__getitem__, sizes, x)) >= len(nonunits))
     ok = edgeless == (local and principal)
     return VerificationReport(
@@ -201,7 +211,9 @@ def check_reduction(case: Case) -> VerificationReport:
     is isomorphic to the graph of Z2^n built directly, by the bijection that
     sends each class, fixed by the primes its members avoid, to its support
     (bit x % p != 0 for each prime p of each factor, in factorize order).  It
-    is emitted only if it is a permutation carrying each row onto its image's.
+    is emitted only if it is a permutation carrying each row onto its image's;
+    on a split product of prime fields each representative is a 0/1 label, so
+    it is the identity, and the rows must be the boolean graph's.
     The quotient is an induced subgraph, so the case's antichain and colouring,
     restricted to it, prove from its rows alone that omega = chi = chi(graph)."""
     claim, spec = "quotient-reduction", case.spec
@@ -223,9 +235,10 @@ def check_reduction(case: Case) -> VerificationReport:
     index = {label: v for v, label in enumerate(boolean.labels)}
     bijection = [index[tuple(int(label[i] % p != 0) for i, p in spec.fields)]
                  for label in q.labels]
-    iso_ok = sorted(bijection) == list(range(boolean.n)) and all(
-        sum(1 << bijection[j] for j in graphs.bits(row)) == boolean.adj[image]
-        for row, image in zip(q.adj, bijection))
+    iso_ok = q.adj == boolean.adj if bijection == list(range(boolean.n)) else (
+        sorted(bijection) == list(range(boolean.n)) and all(
+            sum(1 << bijection[j] for j in graphs.bits(row)) == boolean.adj[image]
+            for row, image in zip(q.adj, bijection)))
     return VerificationReport(
         claim_id=claim, spec=spec,
         expected=f"quotient keeps omega and chi; quotient iso to graph of Z2^{n}",
@@ -240,7 +253,7 @@ def check_invariants(case: Case) -> VerificationReport:
     """Structural invariants checked exhaustively over the whole ring, on
     whole rows, and pair by pair only where a row is wrong: every pair, and
     every vertex with itself, is adjacent iff a is not in Rb and b is not in
-    Ra (each Rb listed per factor by rings.multiples, no gcd), each mismatched
+    Ra (each Rb listed per factor by _ideals, no gcd), each mismatched
     pair i <= j named in order of i, then j; associates are non-adjacent
     twins; the zero-count parts partition the vertices and induce cliques."""
     claim, spec = "graph-invariants", case.spec
@@ -251,19 +264,21 @@ def check_invariants(case: Case) -> VerificationReport:
 
     # inside[i]: the vertices in R*label_i; contains[i]: the vertices whose
     # ideal holds label_i.  a-b is an edge iff b is in neither of a's masks.
-    # Rb is the product of its factors' multiples, so per factor into[yZ_n]
-    # (the vertices whose residue lies in yZ_n) and onto[y] (those whose
-    # residue's multiples hold y) are read off each column and ANDed.
+    # Rb is the product of its factors' multiples, so per factor into[y] (the
+    # vertices whose residue lies in yZ_n) and onto[y] (those whose residue's
+    # multiples hold y) are read off each column and ANDed.
     full = (1 << g.n) - 1
     inside = contains = [full] * g.n  # both rebound per factor, never mutated
     classes = [full]  # Ra = Rb: refined per factor by the masks of gens
-    for column, n in zip(zip(*g.labels), spec.moduli):
+    for column, table in zip(zip(*g.labels), [_ideals(case.tables, n) for n in spec.moduli]):
         at = graphs.positions(column)  # residue -> the vertices with it here
-        ideals = list(map(_ideals(case.tables, n).__getitem__, column))
-        gens = graphs.positions(ideals)  # an ideal -> the vertices generating it
+        gens: dict = {}  # an ideal -> the vertices generating it
+        for x, m in at.items():
+            gens[table[x]] = gens.get(table[x], 0) | m
         into = {yz: sum(map(at.__getitem__, at.keys() & yz)) for yz in gens}
+        into = {x: into[table[x]] for x in at}
         onto = {x: sum(m for yz, m in gens.items() if x in yz) for x in at}
-        inside = list(map(operator.and_, inside, map(into.__getitem__, ideals)))
+        inside = list(map(operator.and_, inside, map(into.__getitem__, column)))
         contains = list(map(operator.and_, contains, map(onto.__getitem__, column)))
         classes = [c & m for c in classes for m in gens.values() if c & m]
     rows = [full & ~(a | b) for a, b in zip(inside, contains)]
@@ -372,5 +387,23 @@ def default_ring_set(max_cardinality: int = 256) -> list[RingSpec]:
     return specs
 
 
+def _layout(value, pad: str = "") -> str:
+    """value as json.dumps(value, indent=2) writes it, nested at pad."""
+    kind, inner, esc = type(value), pad + "  ", encode_basestring_ascii
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if not value or kind not in (list, tuple, dict):
+        return json.dumps(value)  # a string, a number or an empty container
+    if kind is dict:
+        items = [f"{esc(k)}: {esc(v) if type(v) is str else _layout(v, inner)}"
+                 for k, v in value.items()]
+    else:  # a list of plain ints, such as a witness, in one call
+        items = (map(int.__repr__, value) if {*map(type, value)} == {int}
+                 else [_layout(v, inner) for v in value])
+    start, end = "{}" if kind is dict else "[]"
+    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{end}"
+
+
 def reports_to_json(reports: list[VerificationReport]) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
+    """The reports as json.dumps([...], indent=2) writes them, byte for byte."""
+    return _layout([r.to_json_dict() for r in reports]) + "\n"

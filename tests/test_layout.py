@@ -126,7 +126,8 @@ FAST_PATHS = {"in_principal_ideal", "_gcd_signatures", "ideal_order"}
     ("solvers", "validate_clique", FAST_PATHS),
     ("rings", "multiples", {"gcd", "in_principal_ideal"}),
     ("solvers", "validate_orientation", FAST_PATHS),
-    # the ideal tables both claims read are listed by multiples alone
+    # the ideal tables both claims read are listed by walking the multiples
+    # of each residue: additions and memberships alone
     ("verify", "_ideals", {"gcd", "in_principal_ideal", "_gcd_signatures"}),
     # quotient-reduction solves and orders nothing: it restricts the case's
     # antichain and colouring to the quotient and checks them on its rows

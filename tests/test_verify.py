@@ -210,6 +210,35 @@ class TestCheckReduction:
         assert not r.passed and not r.skipped
         assert r.observed.endswith("iso=no") and r.witness is None
 
+    @pytest.mark.parametrize("moduli,identity", [
+        ((2, 3, 5), True), ((3, 2, 2), True), ((6, 5), False), ((10, 3), False)])
+    def test_bijection_is_the_identity_on_split_specs(self, moduli, identity):
+        # a split product of prime fields has 0/1 representatives, so its
+        # rows are compared whole; a modulus holding two primes permutes
+        r = check_reduction(Case(RingSpec(moduli)))
+        assert r.passed and not r.skipped and r.observed.endswith("iso=yes")
+        bijection = r.witness["bijection"]
+        assert (bijection == list(range(len(bijection)))) == identity
+
+    @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=["identity", "permuted"])
+    def test_corrupted_quotient_row_fails(self, monkeypatch, moduli):
+        # negative control: one edge of the quotient dropped, under the
+        # whole-row comparison and under the permutation alike
+        quotient_by_associates = graphs.quotient_by_associates
+
+        def corrupted(g):
+            quotient = quotient_by_associates(g)
+            q = quotient.graph
+            a, b = q.edges()[-1]
+            adj = list(q.adj)
+            adj[a], adj[b] = adj[a] ^ 1 << b, adj[b] ^ 1 << a
+            return quotient._replace(graph=CozeroGraph(q.spec, q.labels, tuple(adj)))
+
+        monkeypatch.setattr(graphs, "quotient_by_associates", corrupted)
+        r = check_reduction(Case(RingSpec(moduli)))
+        assert not r.passed and not r.skipped
+        assert r.observed.endswith("iso=no") and r.witness is None
+
     def test_six_field_rule_is_the_old_vertex_cap(self):
         # more than six fields is exactly a twin core, and a quotient, of more
         # than 64 vertices; such rings skip before their graph is built
@@ -553,6 +582,14 @@ class TestRunTables:
         # the same moduli, listed once per run, in equal tables
         assert runs[0][0].keys() == runs[1][0].keys() >= {2, 3, 4, 12}
 
+    def test_walk_matches_multiples(self):
+        # each distinct ideal is one object, listed by its least generator
+        for n in range(2, 301):
+            table = verify._ideals({}, n)
+            assert table == [rings.multiples(y, n) for y in range(n)], n
+            divisors = sum(n % d == 0 for d in range(1, n + 1))
+            assert len({id(yz) for yz in table}) == divisors, n
+
     def test_equal_ideals_are_one_object(self):
         tables: dict = {}
         table = verify._ideals(tables, 12)
@@ -618,6 +655,30 @@ class TestReportJson:
         assert data[0]["spec"] == "Z2xZ2"
         assert data[0]["pass"] is True
         assert "elapsed" not in data[0]
+
+    @staticmethod
+    def report(**fields) -> verify.VerificationReport:
+        return verify.VerificationReport(**{
+            "claim_id": "graph-invariants", "spec": RingSpec((2, 3)), "expected": "e",
+            "observed": "o", "passed": True, **fields})
+
+    def test_writer_matches_json_dumps(self):
+        suite = run_suite(sorted(CLAIMS), [RingSpec(m) for m in [
+            (2, 3, 5), (6, 5), (4,), (7,), (2,) * 7]])
+        # passes with a clique, a bijection or no witness, and skips
+        assert {(r.passed, r.skipped, r.witness and tuple(r.witness)) for r in suite} == {
+            (True, False, ("clique",)), (True, False, ("bijection",)),
+            (True, False, None), (True, True, None)}
+        shapes = [self.report(passed=False, witness={"clique": []}),
+                  self.report(witness={"bijection": [2, 0, 1], "clique": [0]}),
+                  self.report(skipped=True, reason="cap-exceeded"),
+                  self.report(witness={"bits": [1, True, 0, False]})]
+        escapes = [self.report(
+            claim_id='q"uote\\back\nline', observed="\u00e9t\u00e9 \u03c9 \U0001d4b3",
+            reason="\t\x00", witness={'k"\n': ["s", -1, None, True, {}, [[]], 0.5]})]
+        for reports in [[], suite, shapes, escapes]:
+            expected = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
+            assert reports_to_json(reports) == expected
 
     def test_byte_identical_runs(self):
         specs = [RingSpec((2, 2)), RingSpec((3, 3)), RingSpec((8,))]
