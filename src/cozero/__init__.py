@@ -7,14 +7,8 @@ from .rings import (
     RingSpec,
     RingSpecError,
     associate_classes,
-    crt_split,
     factorize,
-    in_principal_ideal,
-    is_unit,
-    is_von_neumann_regular,
-    min_prime_count,
     parse_spec,
-    principal_ideal,
     vertices,
 )
 from .graphs import (
@@ -30,14 +24,9 @@ from .graphs import (
     to_json,
 )
 from .solvers import (
-    CliqueResult,
     ColoringResult,
-    OddCycleCertificate,
-    are_isomorphic,
     chromatic_number,
-    find_odd_hole,
     is_perfect_desk_scale,
-    max_clique,
 )
 
 __version__ = "0.1.0"

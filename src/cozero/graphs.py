@@ -191,7 +191,8 @@ def nzc_partition(g: CozeroGraph) -> list[list[int]]:
     Only meaningful over a product of prime fields; same-part vertices with
     distinct zero patterns are always adjacent, so over Z2 factors (where
     equal count forces distinct patterns) each part induces a complete
-    subgraph.
+    subgraph.  A label with no zero or no non-zero component is no vertex,
+    and is left out of every part.
     """
     spec = g.spec
     if spec is None or spec.fields is None:
@@ -201,7 +202,8 @@ def nzc_partition(g: CozeroGraph) -> list[list[int]]:
     n = len(spec.moduli)
     parts: list[list[int]] = [[] for _ in range(n - 1)]
     for i, label in enumerate(g.labels):
-        parts[nzc(label) - 1].append(i)
+        if 0 < (k := nzc(label)) < n:
+            parts[k - 1].append(i)
     return parts
 
 

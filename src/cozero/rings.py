@@ -10,7 +10,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 NATIVE_LIMIT = 2**64
 DEFAULT_MAX_CARDINALITY = 10_000
@@ -68,13 +67,6 @@ class RingSpec:
         """All ring elements in lexicographic residue order."""
         return itertools.product(*(range(n) for n in self.moduli))
 
-    def validate_element(self, a: Element) -> None:
-        if len(a) != len(self.moduli):
-            raise ValueError(f"element {a} has wrong arity for {self}")
-        for x, n in zip(a, self.moduli):
-            if not 0 <= x < n:
-                raise ValueError(f"residue {x} out of range mod {n}")
-
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.moduli))
 
@@ -116,19 +108,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-class CrtSplit(NamedTuple):
-    """A spec and the spec with every factor split into prime powers."""
-
-    original: RingSpec
-    split: RingSpec
-
-
-def crt_split(spec: RingSpec) -> CrtSplit:
-    """Split every Z_n factor into its prime-power components Z_{p^e}."""
-    flat = tuple(p**e for n in spec.moduli for p, e in factorize(n))
-    return CrtSplit(original=spec, split=RingSpec(flat))
 
 
 def is_unit(spec: RingSpec, a: Element) -> bool:
@@ -174,18 +153,6 @@ def vertices(spec: RingSpec) -> list[Element]:
     skip = set(itertools.product(*(_gcd_buckets(n)[1] for n in spec.moduli)))
     skip.add(spec.zero)
     return list(itertools.filterfalse(skip.__contains__, spec.elements()))
-
-
-def is_von_neumann_regular(spec: RingSpec) -> bool:
-    """True iff every modulus is squarefree (the ring is a product of fields)."""
-    return spec.fields is not None
-
-
-def min_prime_count(spec: RingSpec) -> int:
-    """Number of field factors after CRT splitting (the n of the clique formula)."""
-    if spec.fields is None:
-        raise ValueError(f"{spec} is not von Neumann regular")
-    return len(spec.fields)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ graph, certified by an antichain, a clique of the same size (König), which
 is also the maximum clique the CLI reports.
 
 The searches, max_clique (branch and bound), find_odd_hole and
-are_isomorphic, serve any graph and stay only as the tests' references.
-The benchmark's tracer wraps them and validate_certificate by name, and
-counts rings.in_principal_ideal: deleting any of these breaks perfbench's
---trace 1 until the tracer skips absent names.  Their caps raise instead of
-degrading to heuristics.  Tie-breaking is by lowest vertex index throughout
-so witnesses are reproducible.
+are_isomorphic, serve any graph and stay here only as the tests' references;
+the package namespace does not re-export them.  The benchmark's tracer wraps
+them and validate_certificate by name in this module, and counts
+rings.in_principal_ideal: deleting or moving any of these breaks perfbench's
+--trace 1.  Their caps raise instead of degrading to heuristics.
+Tie-breaking is by lowest vertex index throughout so witnesses are
+reproducible.
 """
 from __future__ import annotations
 

@@ -186,3 +186,58 @@ def test_oracle_checker_catches_planted_calls():
     assert "gcd" in names_in(source, "principal_ideal")
     assert names_in(source, "check_invariants") >= {
         "in_principal_ideal", "ideal_order", "gcd"}
+
+
+# public names that no package module reads, each with a reader elsewhere:
+# the references that perfbench/tracer.py resolves by name in their modules,
+# and is_unit, which the tests' vertex oracle reads
+UNREAD_REFERENCES = {"max_clique", "find_odd_hole", "are_isomorphic",
+                     "validate_certificate", "principal_ideal",
+                     "in_principal_ideal", "is_unit"}
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """The public top-level functions and classes of rings, graphs and
+    solvers that no module but __init__ reads outside their own definition."""
+    trees = {m: ast.parse(src) for m, src in sources.items() if m != "__init__"}
+    unread = []
+    for module in ("rings", "graphs", "solvers"):
+        for node in trees[module].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and not any(node.name in reads(stmt) for tree in trees.values()
+                                for stmt in tree.body if stmt is not node)):
+                unread.append(node.name)
+    return unread
+
+
+def package_sources() -> dict[str, str]:
+    return {m: (SRC / f"{m}.py").read_text() for m in MODULES}
+
+
+def test_every_public_name_is_read_by_the_package():
+    sources = package_sources()
+    assert set(unread_public_names(sources)) - UNREAD_REFERENCES == set()
+    defined = {node.name for m in ("rings", "graphs", "solvers")
+               for node in ast.parse(sources[m]).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert UNREAD_REFERENCES <= defined
+
+
+def test_namespace_exports_only_names_the_package_reads():
+    sources = package_sources()
+    exported = {alias.name for node in ast.parse(sources["__init__"]).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert exported & (UNREAD_REFERENCES | set(unread_public_names(sources))) == set()
+
+
+def test_unread_checker():
+    sources = {
+        "rings": ("class Spec:\n    pass\n"
+                  "def unit(spec: Spec):\n    return unit(spec)\n"
+                  "def vertices(spec):\n    return spec\n"),
+        "graphs": "from .rings import vertices\nx = vertices\n",
+        "solvers": "import math\ndef solve(g):\n    return math.gcd(g, 1)\n",
+        "__init__": "from .rings import unit\nfrom .solvers import solve\n",
+    }
+    assert unread_public_names(sources) == ["unit", "solve"]

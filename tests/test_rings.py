@@ -8,12 +8,9 @@ from cozero.rings import (
     RingSpec,
     RingSpecError,
     associate_classes,
-    crt_split,
     factorize,
     in_principal_ideal,
     is_unit,
-    is_von_neumann_regular,
-    min_prime_count,
     multiples,
     parse_spec,
     principal_ideal,
@@ -22,9 +19,7 @@ from cozero.rings import (
 from cozero.verify import default_ring_set
 from conftest import (
     associate_classes_by_gcd,
-    from_split,
     ideal_by_enumeration,
-    to_split,
     unit_by_search,
     vertices_by_search,
     vnr_by_search,
@@ -90,37 +85,6 @@ class TestFactorize:
             for p, e in factors:
                 product *= p**e
             assert product == n
-
-
-class TestCrtSplit:
-    @pytest.mark.parametrize("moduli,split", [
-        ((6,), (2, 3)),
-        ((2, 3, 5), (2, 3, 5)),
-        ((12,), (4, 3)),
-        ((360,), (8, 9, 5)),
-        ((10, 12), (2, 5, 4, 3)),
-    ])
-    def test_moduli(self, moduli, split):
-        assert crt_split(RingSpec(moduli)).split.moduli == split
-
-    def test_preserves_cardinality(self, small_spec):
-        assert crt_split(small_spec).split.cardinality == small_spec.cardinality
-
-    def test_bijection_is_ring_isomorphism(self, small_spec):
-        # exhaustive: phi respects +, *, 0, 1 and round-trips
-        cs = crt_split(small_spec)
-        elems = list(small_spec.elements())
-        images = [to_split(cs, a) for a in elems]
-        assert len(set(images)) == len(elems)
-        assert to_split(cs, small_spec.zero) == cs.split.zero
-        assert to_split(cs, small_spec.one) == cs.split.one
-        for a in elems:
-            assert from_split(cs, to_split(cs, a)) == a
-        for a, b in itertools.product(elems[:40], elems[:40]):
-            assert to_split(cs, small_spec.add(a, b)) == \
-                cs.split.add(to_split(cs, a), to_split(cs, b))
-            assert to_split(cs, small_spec.mul(a, b)) == \
-                cs.split.mul(to_split(cs, a), to_split(cs, b))
 
 
 class TestIsUnit:
@@ -223,6 +187,8 @@ def test_per_factor_tables_property(moduli):
 
 
 class TestVonNeumannRegular:
+    """RingSpec.fields is not None exactly on the von Neumann regular rings."""
+
     @pytest.mark.parametrize("moduli,expected", [
         ((2, 3), True),
         ((4,), False),
@@ -232,22 +198,25 @@ class TestVonNeumannRegular:
         ((9,), False),
     ])
     def test_squarefree_criterion(self, moduli, expected):
-        assert is_von_neumann_regular(RingSpec(moduli)) == expected
+        assert (RingSpec(moduli).fields is not None) == expected
 
     def test_matches_regularity_search(self, small_spec):
-        assert is_von_neumann_regular(small_spec) == vnr_by_search(small_spec)
+        assert (small_spec.fields is not None) == vnr_by_search(small_spec)
 
 
 def assert_fields_match_search(spec, regular):
-    """fields is None iff the ring is not regular; else one (factor, prime)
-    pair per CRT-split factor, that factor's prime, and each factor's primes
-    multiply to its modulus."""
+    """fields is None iff the ring is not regular; else the (factor, prime)
+    pairs in factor order, and each factor's primes divide its modulus, are
+    ascending and distinct, and multiply to it."""
     if not regular:
         assert spec.fields is None
         return
-    assert tuple(p for _, p in spec.fields) == crt_split(spec).split.moduli
-    for i, n in enumerate(spec.moduli):
-        assert math.prod(p for j, p in spec.fields if j == i) == n
+    by_factor = [[p for j, p in spec.fields if j == i] for i in range(len(spec.moduli))]
+    assert [(i, p) for i, primes in enumerate(by_factor) for p in primes] == list(spec.fields)
+    for n, primes in zip(spec.moduli, by_factor):
+        assert all(factorize(p) == [(p, 1)] and n % p == 0 for p in primes)
+        assert primes == sorted(set(primes))
+        assert math.prod(primes) == n
 
 
 def test_fields_on_default_rings():
@@ -271,6 +240,8 @@ def test_fields_property(moduli):
 
 
 class TestMinPrimeCount:
+    """len(RingSpec.fields) is the number of fields, the n of the clique formula."""
+
     @pytest.mark.parametrize("moduli,n", [
         ((2, 3, 5), 3),
         ((6,), 2),
@@ -279,11 +250,7 @@ class TestMinPrimeCount:
         ((2, 15), 3),
     ])
     def test_counts(self, moduli, n):
-        assert min_prime_count(RingSpec(moduli)) == n
-
-    def test_rejects_non_vnr(self):
-        with pytest.raises(ValueError):
-            min_prime_count(RingSpec((4,)))
+        assert len(RingSpec(moduli).fields) == n
 
 
 class TestAssociateClasses:
@@ -322,7 +289,7 @@ class TestAssociateClasses:
     def test_vnr_class_count(self):
         for moduli in [(2, 2), (2, 3), (3, 3), (2, 3, 5), (2, 2, 2, 2), (6,)]:
             spec = RingSpec(moduli)
-            n = min_prime_count(spec)
+            n = len(spec.fields)
             assert len(associate_classes(spec).classes) == 2 ** n - 2
 
     def test_vnr_representatives_are_01_patterns(self):

@@ -150,14 +150,13 @@ class TestCheckReduction:
         # search finds, on every default field product of at most six fields
         checked = 0
         for spec in default_ring_set():
-            if (not rings.is_von_neumann_regular(spec)
-                    or not 2 <= rings.min_prime_count(spec) <= 6):
+            if spec.fields is None or not 2 <= len(spec.fields) <= 6:
                 continue
             r = check_reduction(Case(spec))
             assert r.passed and not r.skipped and r.observed.endswith("iso=yes")
             q = graphs.quotient_by_associates(graphs.build_cozero_graph(spec))
             boolean = graphs.build_cozero_graph(
-                RingSpec((2,) * rings.min_prime_count(spec)))
+                RingSpec((2,) * len(spec.fields)))
             assert r.witness["bijection"] == solvers.are_isomorphic(q.graph, boolean)
             checked += 1
         assert checked >= 190
@@ -243,12 +242,12 @@ class TestCheckReduction:
         # more than six fields is exactly a twin core, and a quotient, of more
         # than 64 vertices; such rings skip before their graph is built
         wide = [RingSpec((2,) * n) for n in range(7, 11)] + [RingSpec((2,) * 6 + (5,))]
-        vnr = [s for s in default_ring_set() if rings.is_von_neumann_regular(s)]
+        vnr = [s for s in default_ring_set() if s.fields is not None]
         for spec in vnr + wide:
             g = graphs.build_cozero_graph(spec)
             core = len(solvers._all_twin_reduce(g))
             quotient = graphs.quotient_by_associates(g).graph.n
-            assert (rings.min_prime_count(spec) > 6) == (core > 64) == (quotient > 64)
+            assert (len(spec.fields) > 6) == (core > 64) == (quotient > 64)
         for spec in wide:
             case = Case(spec, Caps(max_vertices=1022))
             for check in (check_perfection, check_reduction):
@@ -401,6 +400,20 @@ class TestInvariantsOnWrongGraphs:
         r = self.report_on(monkeypatch, wrong)
         assert not r.passed
         assert r.observed == f"adjacency mismatch at {g.labels[0]},{g.labels[0]}"
+
+    @pytest.mark.parametrize("label", [(0, 0, 0), (1, 1, 1)], ids=["zero", "unit"])
+    def test_non_vertex_label_is_in_no_part(self, monkeypatch, label):
+        # zero has three zero components and a unit none, so neither has a
+        # zero-count part: planted at any vertex, it is filed into none and
+        # the report fails, with no exception
+        g = graphs.build_cozero_graph(RingSpec((2, 2, 2)))
+        for v in range(g.n):
+            labels = g.labels[:v] + (label,) + g.labels[v + 1:]
+            wrong = CozeroGraph(spec=g.spec, labels=labels, adj=g.adj)
+            assert v not in itertools.chain(*graphs.nzc_partition(wrong))
+            r = self.report_on(monkeypatch, wrong)
+            assert not r.passed and not r.skipped
+            assert "zero-count parts do not partition the vertex set" in r.observed.split("; ")
 
     @pytest.mark.parametrize("spec", RINGS, ids=str)
     def test_every_pair_flipped(self, monkeypatch, spec):

@@ -1,11 +1,14 @@
 """Measure a change against its parent commit with perfbench, in alternating
 pairs, and write the result as a BENCH JSON file.
 
-    git archive PARENT | tar -x -C /tmp/parent
-    python3 tools/bench_pairs.py --parent-dir /tmp/parent --parent-sha PARENT \
-        --pairs 10 --seconds 35 --out BENCH_11.json
+    python3 tools/bench_pairs.py --parent-sha PARENT --pairs 10 --seconds 35 \
+        --out BENCH_11.json
 
-Run from the repository root; the change is the working tree.  For each
+Run from the repository root.  The change is HEAD when the working tree is
+clean, else a commit object of the working tree on top of HEAD; new files
+are part of it only once they are staged.  Both commits are extracted with
+``git archive`` into temporary directories, so the two sides run the same
+way, with no bytecode or untracked file of the working tree.  For each
 workload, pair i runs ``perfbench/run.py --trace 0`` of both checkouts with
 seed 1000 + i, the parent first in even pairs and the change first in odd
 ones, each with its own benchmark files.  The file records every run's
@@ -14,18 +17,20 @@ many pairs the change won on each metric (lower is better; ties count for
 neither), and whether a gain would be claimable: the change wins at least
 nine tenths of the pairs and the medians differ by more than the parent's
 interquartile distance.  Both git shas, the change's tree of ``src``, nproc
-and the Python version are recorded with them.  New files are part of the
-change only once they are staged.
+and the Python version are recorded with them.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +41,15 @@ METRICS = ("wall_ref_s", "peak_rss_mb", "setup_s")
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def extract(commit: str, dest: Path) -> Path:
+    """The files of commit, written into dest by ``git archive``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
 
 
 def change_sha() -> str:
@@ -87,33 +101,34 @@ def pair_count(text: str) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent-dir", type=Path, required=True,
-                    help="a checkout of the parent commit")
     ap.add_argument("--parent-sha", required=True)
     ap.add_argument("--pairs", type=pair_count, default=10)
     ap.add_argument("--seconds", type=int, default=35)
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
-    sides = {"parent": args.parent_dir.resolve(), "change": ROOT}
-    sha = change_sha()
-    record = {"parent_sha": args.parent_sha, "change_sha": sha,
+    parent, sha = git("rev-parse", args.parent_sha), change_sha()
+    record = {"parent_sha": parent, "change_sha": sha,
               "change_src_tree": git("rev-parse", f"{sha}:src"),
               "nproc": len(os.sched_getaffinity(0)),
               "python": platform.python_version(),
               "command": f"perfbench/run.py --seconds {args.seconds} --trace 0",
               "workloads": {}}
-    for workload in args.workloads.split(","):
-        runs: dict = {"parent": [], "change": []}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(sides[side], workload, 1000 + i, args.seconds))
-            print(workload, i, {s: runs[s][-1]["wall_ref_s"] for s in order},
-                  file=sys.stderr, flush=True)
-        record["workloads"][workload] = {"runs": runs, **compare(runs["parent"],
-                                                                 runs["change"])}
-        args.out.write_text(json.dumps(record, indent=2) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {side: extract(commit, Path(tmp, side))
+                 for side, commit in (("parent", parent), ("change", sha))}
+        for workload in args.workloads.split(","):
+            runs: dict = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_once(sides[side], workload, 1000 + i,
+                                               args.seconds))
+                print(workload, i, {s: runs[s][-1]["wall_ref_s"] for s in order},
+                      file=sys.stderr, flush=True)
+            record["workloads"][workload] = {"runs": runs, **compare(runs["parent"],
+                                                                     runs["change"])}
+            args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 
