@@ -13,7 +13,6 @@ from .rings import (
 )
 from .graphs import (
     CozeroGraph,
-    QuotientGraph,
     build_cozero_graph,
     complement,
     induced_subgraph,

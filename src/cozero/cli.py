@@ -194,7 +194,7 @@ def cmd_export(args, parser) -> int:
         g = graphs.build_cozero_graph(specs[0], max_cardinality=args.max_cardinality)
         solvers.check_cap(g.n, args.max_vertices)
         if args.quotient:
-            g = graphs.quotient_by_associates(g).graph
+            g = graphs.quotient_by_associates(g)
         elif args.complement:
             g = graphs.complement(g)
     except CapExceededError as exc:

@@ -10,7 +10,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .rings import (
     CapExceededError,
@@ -207,17 +206,11 @@ def nzc_partition(g: CozeroGraph) -> list[list[int]]:
     return parts
 
 
-class QuotientGraph(NamedTuple):
-    graph: CozeroGraph
-    class_sizes: tuple[int, ...]
-    reps: tuple[int, ...]  # quotient vertex -> its representative in g
-
-
-def quotient_by_associates(g: CozeroGraph) -> QuotientGraph:
+def quotient_by_associates(g: CozeroGraph) -> CozeroGraph:
     """Collapse each associate class (one gcd signature, as Ra = Rb) to its
-    first vertex, its representative, in order of representative.
+    first vertex, in vertex order: what `cozero export --quotient` writes.
 
-    Each class is checked, on whole rows, to share its representative's row
+    Each class is checked, on whole rows, to share its first vertex's row
     and to miss it, so the reduction re-proves on every instance that the
     members are false twins, whose deletion keeps omega and chi.
     """
@@ -230,8 +223,7 @@ def quotient_by_associates(g: CozeroGraph) -> QuotientGraph:
         if wrong := members & (g.adj[rep] | ~same_row[g.adj[rep]]):
             raise AssertionError(f"associates {bits(wrong)[0]}, {rep} are "
                                  f"adjacent or have different rows")
-    return QuotientGraph(graph=induced_subgraph(g, reps),
-                         class_sizes=tuple(map(int.bit_count, classes)), reps=reps)
+    return induced_subgraph(g, reps)
 
 
 def _label_str(label: Element) -> str:

@@ -4,8 +4,8 @@ is a named check producing a structured pass/fail/skip report.
 Every claim is a function of one Case, which builds a ring's graph,
 validates its principal-ideal order and solves omega and chi, both by one
 chain cover whose antichain is the maximum clique, at most once per run;
-quotient-reduction restricts the cover's colouring and antichain to the
-associate quotient.  No exponential search runs.
+quotient-reduction restricts both to the order's false-twin core, proven
+the associate quotient.  No exponential search runs.
 
 Checks re-derive everything from scratch rather than trusting the
 ring-theoretic shortcuts: units (each residue's multiples hold 1), locality
@@ -214,34 +214,42 @@ def check_reduction(case: Case) -> VerificationReport:
     is emitted only if it is a permutation carrying each row onto its image's;
     on a split product of prime fields each representative is a 0/1 label, so
     it is the identity, and the rows must be the boolean graph's.
-    The quotient is an induced subgraph, so the case's antichain and colouring,
+    Over fields Ra = Rb iff a and b have one support: if the row classes are
+    the support classes and no row holds its vertex, associates are false
+    twins and the order's core, the first of each row class, is the quotient.
+    The core is an induced subgraph, so the case's antichain and colouring,
     restricted to it, prove from its rows alone that omega = chi = chi(graph)."""
     claim, spec = "quotient-reduction", case.spec
     if reason := _skip_reason(case, _NOT_VNR, _TOO_FEW_FIELDS, _TOO_MANY_FIELDS):
         return _skip(claim, spec, reason)
     n = len(spec.fields)
-    quotient, gc = graphs.quotient_by_associates(case.graph), case.coloring
-    q, gw = quotient.graph, len(gc.clique)
+    expected = f"quotient keeps omega and chi; quotient iso to graph of Z2^{n}"
+    g, order, gc = case.graph, case.order, case.coloring
+    supports = list(zip(*(map([int(x % p != 0) for x in range(spec.moduli[i])].__getitem__,
+                              map(operator.itemgetter(i), g.labels)) for i, p in spec.fields)))
+    if not (len({*zip(g.adj, supports)}) == len({*g.adj}) == len({*supports})
+            and not any(row >> v & 1 for v, row in enumerate(g.adj))):
+        return VerificationReport(claim, spec, expected, passed=False,
+                                  observed="associates are not false twins")
+    q, gw = order.core, len(gc.clique)
     # the antichain's vertices are kept twin-core vertices, each first of its
     # row class, so of its associate class: a representative (others go to -1)
-    at = {rep: v for v, rep in enumerate(quotient.reps)}
+    at = {rep: v for v, rep in enumerate(order.keep)}
     clique_ok = gw == gc.count and solvers.validate_clique(
         q, [at.get(v, -1) for v in gc.clique])
     coloring_ok = solvers.validate_coloring(
-        q, [gc.assignment[rep] for rep in quotient.reps], gc.count)
+        q, [gc.assignment[rep] for rep in order.keep], gc.count)
     if (key := RingSpec((2,) * n)) not in case.tables:
         case.tables[key] = graphs.build_cozero_graph(key)
     boolean = case.tables[key]
     index = {label: v for v, label in enumerate(boolean.labels)}
-    bijection = [index[tuple(int(label[i] % p != 0) for i, p in spec.fields)]
-                 for label in q.labels]
+    bijection = [index.get(supports[rep], -1) for rep in order.keep]
     iso_ok = q.adj == boolean.adj if bijection == list(range(boolean.n)) else (
         sorted(bijection) == list(range(boolean.n)) and all(
             sum(1 << bijection[j] for j in graphs.bits(row)) == boolean.adj[image]
             for row, image in zip(q.adj, bijection)))
     return VerificationReport(
-        claim_id=claim, spec=spec,
-        expected=f"quotient keeps omega and chi; quotient iso to graph of Z2^{n}",
+        claim_id=claim, spec=spec, expected=expected,
         observed=(f"omega {gw}->{gw if clique_ok else 'no-clique'} "
                   f"chi {gc.count}->{gc.count if coloring_ok else 'no-coloring'} "
                   f"iso={'yes' if iso_ok else 'no'}"),
@@ -358,16 +366,16 @@ class UnknownClaimError(ValueError):
 
 def run_suite(names: list[str], specs: list[RingSpec],
               caps: Caps = Caps()) -> list[VerificationReport]:
-    """Run every named check against every spec, one Case per spec;
-    inapplicable pairs become skip reports, never dropped.  Output sorted by
-    claim id then spec text."""
+    """Run each distinct named check against each distinct spec, one Case per
+    spec; inapplicable pairs become skip reports, never dropped.  Output
+    sorted by claim id then spec text."""
     for name in names:
         if name not in CLAIMS:
             raise UnknownClaimError(
                 f"unknown claim {name!r}; known: {', '.join(sorted(CLAIMS))}")
     tables: dict = {}
-    cases = (Case(spec, caps, tables) for spec in specs)
-    reports = [CLAIMS[name](case) for case in cases for name in names]
+    cases = (Case(spec, caps, tables) for spec in dict.fromkeys(specs))
+    reports = [CLAIMS[name](case) for case in cases for name in dict.fromkeys(names)]
     reports.sort(key=lambda r: (r.claim_id, str(r.spec)))
     return reports
 

@@ -144,6 +144,14 @@ class TestVerify:
         assert code == 0
         assert len(json.loads(out)) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "clique-formula,clique-formula", "Z2xZ3"],
+        ["--suite", "quotient-reduction", "Z2xZ3", "Z2xZ3"]])
+    def test_duplicates_report_once(self, capsys, argv):
+        code, out, _ = run_cli(["verify", *argv], capsys)
+        assert code == 0
+        assert len(json.loads(out)) == 1
+
     def test_vertex_guard_defaults_to_the_cardinality_cap(self, capsys):
         # no search sits behind --max-vertices, so by default it skips
         # nothing under the cardinality cap: only the six-field rule skips

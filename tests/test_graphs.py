@@ -4,7 +4,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cozero.graphs import (
     CozeroGraph,
@@ -20,21 +20,31 @@ from cozero.graphs import (
 )
 from cozero.rings import (
     CapExceededError, RingSpec, associate_classes, parse_spec, vertices)
-from cozero.solvers import _false_twin_reduce
+from cozero.solvers import _false_twin_reduce, validated_order
 from cozero.verify import default_ring_set
 from conftest import adjacency_by_oracle, ideal_by_enumeration
 
 
 def assert_quotient_is_by_associate_classes(spec):
-    """q.reps are the representatives of rings.associate_classes, ascending
-    and in its order, and q.class_sizes its member counts."""
+    """The quotient's labels are the representatives of
+    rings.associate_classes, in its order and ascending in the graph's, and
+    its rows are the graph's between them."""
     g = build_cozero_graph(spec)
     q = quotient_by_associates(g)
     classes = associate_classes(spec).classes
-    assert [g.labels[r] for r in q.reps] == [rep for rep, _ in classes]
-    assert q.class_sizes == tuple(len(members) for _, members in classes)
-    assert all(a < b for a, b in zip(q.reps, q.reps[1:]))
-    assert q.graph.labels == tuple(g.labels[r] for r in q.reps)
+    assert q.labels == tuple(rep for rep, _ in classes)
+    at = {label: v for v, label in enumerate(g.labels)}
+    reps = [at[label] for label in q.labels]
+    assert all(a < b for a, b in zip(reps, reps[1:]))
+    assert q.adj == induced_subgraph(g, reps).adj
+
+
+def assert_core_is_quotient(spec):
+    """Over fields, the false-twin core that quotient-reduction reads and the
+    associate quotient that `export --quotient` writes are one graph."""
+    g = build_cozero_graph(spec)
+    q, core = quotient_by_associates(g), validated_order(g).core
+    assert (q.labels, q.adj) == (core.labels, core.adj), spec
 
 
 def brute_edge_count(spec):
@@ -262,20 +272,18 @@ class TestNzc:
 class TestQuotient:
     def test_z3z3(self):
         q = quotient_by_associates(build_cozero_graph(RingSpec((3, 3))))
-        assert q.graph.n == 2
-        assert q.graph.edge_count() == 1
-        assert q.class_sizes == (2, 2)
+        assert q.n == 2
+        assert q.edge_count() == 1
+        assert q.labels == ((0, 1), (1, 0))
 
     def test_z2_powers_identity(self):
         g = build_cozero_graph(RingSpec((2, 2, 2)))
         q = quotient_by_associates(g)
-        assert q.graph.n == g.n
-        assert all(s == 1 for s in q.class_sizes)
+        assert (q.labels, q.adj) == (g.labels, g.adj)
 
     def test_z3z5z7(self):
         q = quotient_by_associates(build_cozero_graph(RingSpec((3, 5, 7))))
-        assert q.graph.n == 6
-        assert sum(q.class_sizes) == 105 - 48 - 1
+        assert q.n == 6
 
     def test_members_must_be_false_twins_of_their_representative(self):
         # Z3xZ3: vertex 1 = (0,2) is an associate of vertex 0 = (0,1)
@@ -299,7 +307,8 @@ class TestQuotient:
         # the first class in order of representative is named, with its
         # lowest wrong member, though vertex 5 comes before vertex 6
         g = build_cozero_graph(RingSpec((4, 3)))
-        assert quotient_by_associates(g).reps == (0, 2, 3, 4) and g.has_edge(5, 6)
+        assert quotient_by_associates(g).labels == tuple(g.labels[v] for v in (0, 2, 3, 4))
+        assert g.has_edge(5, 6)
         wrong = CozeroGraph.from_edges(g.n, [e for e in g.edges() if e != (5, 6)],
                                        labels=g.labels, spec=g.spec)
         with pytest.raises(AssertionError,
@@ -307,9 +316,11 @@ class TestQuotient:
             quotient_by_associates(wrong)
 
     def test_sizes_sum_to_vertex_count(self, small_spec):
+        # the associate classes partition the vertices, one quotient vertex each
         g = build_cozero_graph(small_spec)
-        q = quotient_by_associates(g)
-        assert sum(q.class_sizes) == g.n
+        classes = associate_classes(small_spec).classes
+        assert sum(len(members) for _, members in classes) == g.n
+        assert quotient_by_associates(g).n == len(classes)
 
     def test_classes_are_the_associate_classes(self):
         # the quotient's classes come from the gcd-signature table; they are
@@ -325,6 +336,24 @@ class TestQuotient:
         spec = RingSpec(tuple(moduli))
         assume(spec.cardinality <= 600)
         assert_quotient_is_by_associate_classes(spec)
+
+    def test_twin_core_is_the_quotient_over_fields(self):
+        fields = [s for s in default_ring_set()
+                  if s.fields is not None and len(s.fields) >= 2]
+        assert len(fields) == 201
+        for spec in fields:
+            assert_core_is_quotient(spec)
+
+    # squarefree moduli, split or not: every such product is one of fields
+    @given(st.lists(st.sampled_from([2, 3, 5, 6, 7, 10, 14, 15, 30]),
+                    min_size=1, max_size=3))
+    @example([6, 5])
+    @example([10, 3])
+    @settings(max_examples=60, deadline=None)
+    def test_twin_core_is_the_quotient_over_fields_property(self, moduli):
+        spec = RingSpec(tuple(moduli))
+        assume(spec.cardinality <= 600 and len(spec.fields) >= 2)
+        assert_core_is_quotient(spec)
 
 
 class TestExport:

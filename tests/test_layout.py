@@ -129,9 +129,11 @@ FAST_PATHS = {"in_principal_ideal", "_gcd_signatures", "ideal_order"}
     # the ideal tables both claims read are listed by walking the multiples
     # of each residue: additions and memberships alone
     ("verify", "_ideals", {"gcd", "in_principal_ideal", "_gcd_signatures"}),
-    # quotient-reduction solves and orders nothing: it restricts the case's
-    # antichain and colouring to the quotient and checks them on its rows
-    ("verify", "check_reduction", {"chromatic_number", "validated_order", "ideal_order"}),
+    # quotient-reduction solves, orders and reduces nothing: it restricts the
+    # case's antichain and colouring to the order's core, the quotient, and
+    # checks them on its rows
+    ("verify", "check_reduction", {"chromatic_number", "validated_order", "ideal_order",
+                                   "quotient_by_associates", "induced_subgraph"}),
 ])
 def test_oracles_stay_independent(module, function, forbidden):
     assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()

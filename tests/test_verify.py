@@ -157,17 +157,18 @@ class TestCheckReduction:
             q = graphs.quotient_by_associates(graphs.build_cozero_graph(spec))
             boolean = graphs.build_cozero_graph(
                 RingSpec((2,) * len(spec.fields)))
-            assert r.witness["bijection"] == solvers.are_isomorphic(q.graph, boolean)
+            assert r.witness["bijection"] == solvers.are_isomorphic(q, boolean)
             checked += 1
         assert checked >= 190
 
     def test_restricted_colouring_must_colour_the_quotient(self):
         # negative control: two adjacent representatives share a colour.
         # quotient-reduction checks the case's colouring restricted to the
-        # quotient, where it fails without an exception
+        # quotient, the case's false-twin core, where it fails without an
+        # exception
         case = Case(RingSpec((2, 3, 5)))
-        quotient, gc = graphs.quotient_by_associates(case.graph), case.coloring
-        a, b = (quotient.reps[v] for v in quotient.graph.edges()[0])
+        order, gc = case.order, case.coloring
+        a, b = (order.keep[v] for v in order.core.edges()[0])
         assignment = list(gc.assignment)
         assignment[b] = assignment[a]
         case.__dict__["coloring"] = gc._replace(assignment=tuple(assignment))
@@ -220,21 +221,72 @@ class TestCheckReduction:
         assert (bijection == list(range(len(bijection)))) == identity
 
     @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=["identity", "permuted"])
-    def test_corrupted_quotient_row_fails(self, monkeypatch, moduli):
-        # negative control: one edge of the quotient dropped, under the
+    def test_corrupted_quotient_row_fails(self, moduli):
+        # negative control: one edge dropped from the core that the claim
+        # reads as the quotient, after the colouring is computed, under the
         # whole-row comparison and under the permutation alike
-        quotient_by_associates = graphs.quotient_by_associates
+        case = Case(RingSpec(moduli))
+        order, _ = case.order, case.coloring
+        q = order.core
+        a, b = q.edges()[-1]
+        adj = list(q.adj)
+        adj[a], adj[b] = adj[a] ^ 1 << b, adj[b] ^ 1 << a
+        case.__dict__["order"] = order._replace(
+            core=CozeroGraph(q.spec, q.labels, tuple(adj)))
+        r = check_reduction(case)
+        assert not r.passed and not r.skipped
+        assert r.observed.endswith("iso=no") and r.witness is None
 
-        def corrupted(g):
-            quotient = quotient_by_associates(g)
-            q = quotient.graph
-            a, b = q.edges()[-1]
-            adj = list(q.adj)
-            adj[a], adj[b] = adj[a] ^ 1 << b, adj[b] ^ 1 << a
-            return quotient._replace(graph=CozeroGraph(q.spec, q.labels, tuple(adj)))
+    @staticmethod
+    def planted(moduli, corrupt):
+        """A case whose order and colouring are computed, then whose graph is
+        replaced by corrupt(graph, a non-kept vertex, the mask of its class)."""
+        case = Case(RingSpec(moduli))
+        g, order, _ = case.graph, case.order, case.coloring
+        v = next(v for v in range(g.n) if v not in order.keep)
+        members = graphs.positions(g.adj)[g.adj[v]]
+        case.__dict__["graph"] = CozeroGraph(g.spec, g.labels, corrupt(g, v, members))
+        return case
 
-        monkeypatch.setattr(graphs, "quotient_by_associates", corrupted)
-        r = check_reduction(Case(RingSpec(moduli)))
+    @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=["identity", "permuted"])
+    def test_associate_with_another_row_fails(self, moduli):
+        # negative control: one associate that the core does not keep loses
+        # an edge, so its class has two rows; the report fails, naming the
+        # class check, and nothing raises
+        def drop_edge(g, v, members):
+            w = graphs.bits(g.adj[v])[0]
+            adj = list(g.adj)
+            adj[v], adj[w] = adj[v] ^ 1 << w, adj[w] ^ 1 << v
+            return tuple(adj)
+
+        r = check_reduction(self.planted(moduli, drop_edge))
+        assert not r.passed and not r.skipped and r.witness is None
+        assert r.observed == "associates are not false twins"
+
+    @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=["identity", "permuted"])
+    def test_loop_inside_an_associate_class_fails(self, moduli):
+        # negative control: each member of a class gets the whole class in
+        # its row; the members still share one row, but it holds them
+        def loop_class(g, v, members):
+            adj = tuple(row | members if members >> u & 1 else row
+                        for u, row in enumerate(g.adj))
+            assert len({*adj}) == len({*g.adj})  # the row classes are kept
+            return adj
+
+        r = check_reduction(self.planted(moduli, loop_class))
+        assert not r.passed and not r.skipped and r.witness is None
+        assert r.observed == "associates are not false twins"
+
+    def test_unit_label_fails_without_raising(self):
+        # negative control: the one-member class (1,0,0) of Z2xZ3xZ5 relabelled
+        # as the unit (1,1,1) keeps one support per row, but that support has
+        # no image in the graph of Z2^3, so the bijection is no permutation
+        case = Case(RingSpec((2, 3, 5)))
+        g, _ = case.graph, case.coloring
+        labels = list(g.labels)
+        labels[labels.index((1, 0, 0))] = (1, 1, 1)
+        case.__dict__["graph"] = CozeroGraph(g.spec, tuple(labels), g.adj)
+        r = check_reduction(case)
         assert not r.passed and not r.skipped
         assert r.observed.endswith("iso=no") and r.witness is None
 
@@ -246,7 +298,7 @@ class TestCheckReduction:
         for spec in vnr + wide:
             g = graphs.build_cozero_graph(spec)
             core = len(solvers._all_twin_reduce(g))
-            quotient = graphs.quotient_by_associates(g).graph.n
+            quotient = graphs.quotient_by_associates(g).n
             assert (len(spec.fields) > 6) == (core > 64) == (quotient > 64)
         for spec in wide:
             case = Case(spec, Caps(max_vertices=1022))
@@ -451,6 +503,16 @@ class TestRunSuite:
         assert len(reports) == 2
         assert any(r.skipped for r in reports)
 
+    def test_duplicates_report_once(self):
+        # a report is keyed by (claim id, spec): a name or a spec given twice
+        # runs once, in first-seen order before the sort
+        z6, z9 = RingSpec((2, 3)), RingSpec((3, 3))
+        once = run_suite(["quotient-reduction", "clique-formula"], [z6, z9])
+        assert len(once) == 4
+        twice = run_suite(["quotient-reduction", "clique-formula", "quotient-reduction"],
+                          [z6, z9, RingSpec((2, 3))])
+        assert twice == once
+
 
 class TestOneCasePerRing:
     RINGS = [RingSpec(m) for m in [(2, 3, 5), (3, 3), (4,), (7,), (2, 4)]]
@@ -534,16 +596,25 @@ def count_validations(monkeypatch) -> tuple[list, list]:
 class TestOneValidationPerGraph:
     def test_verify_validates_each_graph_once(self, monkeypatch):
         # colouring and perfection share the case's order; quotient-reduction
-        # restricts the case's certificates to its quotient and orders nothing
+        # restricts the case's certificates to the order's core and builds no
+        # quotient: one induced subgraph, the core, per ordered ring
         built: dict = {}
         build = graphs.build_cozero_graph
         monkeypatch.setattr(graphs, "build_cozero_graph", lambda spec, **caps:
                             built.setdefault(spec, []).append(build(spec, **caps))
                             or built[spec][-1])
         ordered, validated = count_validations(monkeypatch)
+        induced, quotients = [], []
+        induced_subgraph, quotient = graphs.induced_subgraph, graphs.quotient_by_associates
+        for module in (graphs, solvers):
+            monkeypatch.setattr(module, "induced_subgraph", lambda g, keep:
+                                induced.append(g) or induced_subgraph(g, keep))
+        monkeypatch.setattr(graphs, "quotient_by_associates",
+                            lambda g: quotients.append(g) or quotient(g))
         rings_ = [RingSpec(m) for m in [(2, 3, 5), (3, 3), (4,), (7,), (2, 4), (2,) * 4]]
         reports = run_suite(sorted(CLAIMS), rings_)
         assert all(r.passed for r in reports)
+        assert quotients == [] and induced == ordered
         assert len(validated) == len(ordered)
         assert len({id(g) for g in ordered}) == len(ordered)
         # exactly the rings with a colouring or a perfection claim, once each
