@@ -41,19 +41,6 @@ class CozeroGraph:
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.adj)) // 2
 
-    @staticmethod
-    def from_edges(n: int, edges, labels=None, spec=None) -> "CozeroGraph":
-        """Build a bare graph from an edge list (tests, negative controls)."""
-        rows = [0] * n
-        for i, j in edges:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad edge ({i}, {j})")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        if labels is None:
-            labels = tuple((i,) for i in range(n))
-        return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows))
-
 
 def bits(mask: int) -> list[int]:
     """Indices of the set bits of mask, ascending."""

@@ -51,10 +51,6 @@ class RingSpec:
     def zero(self) -> Element:
         return (0,) * len(self.moduli)
 
-    @property
-    def one(self) -> Element:
-        return (1,) * len(self.moduli)
-
     @functools.cached_property
     def fields(self) -> tuple[tuple[int, int], ...] | None:
         """The (factor index, prime) pairs of the CRT split in factorize order,
@@ -69,9 +65,6 @@ class RingSpec:
 
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.moduli))
-
-    def mul(self, a: Element, b: Element) -> Element:
-        return tuple((x * y) % n for x, y, n in zip(a, b, self.moduli))
 
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.moduli)
@@ -108,10 +101,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def is_unit(spec: RingSpec, a: Element) -> bool:
-    return all(math.gcd(x, n) == 1 for x, n in zip(a, spec.moduli))
 
 
 def in_principal_ideal(spec: RingSpec, a: Element, b: Element) -> bool:

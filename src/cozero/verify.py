@@ -261,40 +261,40 @@ def check_invariants(case: Case) -> VerificationReport:
     """Structural invariants checked exhaustively over the whole ring, on
     whole rows, and pair by pair only where a row is wrong: every pair, and
     every vertex with itself, is adjacent iff a is not in Rb and b is not in
-    Ra (each Rb listed per factor by _ideals, no gcd), each mismatched
-    pair i <= j named in order of i, then j; associates are non-adjacent
-    twins; the zero-count parts partition the vertices and induce cliques."""
+    Ra, each mismatched pair i <= j named in order of i, then j; associates
+    are non-adjacent twins; the zero-count parts partition the vertices and
+    induce cliques.  A vertex is keyed once by its ideal in each factor
+    (from _ideals, no gcd), whose product is Ra: a key is an associate class,
+    and b is in Ra iff Rb <= Ra, a in Rb iff Ra <= Rb, factor by factor, so
+    each class has one expected row, folded from per-factor inclusion masks."""
     claim, spec = "graph-invariants", case.spec
     if reason := _skip_reason(case):
         return _skip(claim, spec, reason)
     g = case.graph
     problems: list[str] = []
 
-    # inside[i]: the vertices in R*label_i; contains[i]: the vertices whose
-    # ideal holds label_i.  a-b is an edge iff b is in neither of a's masks.
-    # Rb is the product of its factors' multiples, so per factor into[y] (the
-    # vertices whose residue lies in yZ_n) and onto[y] (those whose residue's
-    # multiples hold y) are read off each column and ANDed.
+    keys = list(zip(*(map(_ideals(case.tables, n).__getitem__, column)
+                      for n, column in zip(spec.moduli, zip(*g.labels)))))
+    classes = graphs.positions(keys)  # in order of first member
     full = (1 << g.n) - 1
-    inside = contains = [full] * g.n  # both rebound per factor, never mutated
-    classes = [full]  # Ra = Rb: refined per factor by the masks of gens
-    for column, table in zip(zip(*g.labels), [_ideals(case.tables, n) for n in spec.moduli]):
-        at = graphs.positions(column)  # residue -> the vertices with it here
-        gens: dict = {}  # an ideal -> the vertices generating it
-        for x, m in at.items():
-            gens[table[x]] = gens.get(table[x], 0) | m
-        into = {yz: sum(map(at.__getitem__, at.keys() & yz)) for yz in gens}
-        into = {x: into[table[x]] for x in at}
-        onto = {x: sum(m for yz, m in gens.items() if x in yz) for x in at}
-        inside = list(map(operator.and_, inside, map(into.__getitem__, column)))
-        contains = list(map(operator.and_, contains, map(onto.__getitem__, column)))
-        classes = [c & m for c in classes for m in gens.values() if c & m]
-    rows = [full & ~(a | b) for a, b in zip(inside, contains)]
-    for i in itertools.compress(range(g.n), map(operator.ne, rows, g.adj)):
-        for j in graphs.bits((g.adj[i] ^ rows[i]) & full >> i << i):
-            problems.append(f"adjacency mismatch at {g.labels[i]},{g.labels[j]}")
-
+    # per factor, an ideal -> the vertices whose ideal there lies inside it
+    # (below) or holds it (above); a-b is an edge iff b is in neither fold
+    below, above = [], []
+    for column in zip(*classes):
+        gens: dict = {}  # an ideal -> the vertices generating it here
+        for yz, m in zip(column, classes.values()):
+            gens[yz] = gens.get(yz, 0) | m
+        below.append({yz: sum(m for xz, m in gens.items() if xz <= yz) for yz in gens})
+        above.append({yz: sum(m for xz, m in gens.items() if yz <= xz) for yz in gens})
+    fold = functools.partial(functools.reduce, operator.and_)
+    rows = {key: full & ~(fold(map(dict.__getitem__, below, key))
+                          | fold(map(dict.__getitem__, above, key))) for key in classes}
     same_row = graphs.positions(g.adj)
+    # the vertices whose row is not their class's, named pair by pair
+    off_row = sum(m & ~same_row.get(rows[key], 0) for key, m in classes.items())
+    for i in graphs.bits(off_row):
+        for j in graphs.bits((g.adj[i] ^ rows[keys[i]]) & full >> i << i):
+            problems.append(f"adjacency mismatch at {g.labels[i]},{g.labels[j]}")
 
     def one_row(mask: int, within: int, expected: int) -> bool:
         """Whether mask's vertices have one row, meeting within in expected."""
@@ -302,10 +302,9 @@ def check_invariants(case: Case) -> VerificationReport:
         return not mask & ~same_row[row] and row & within == expected
 
     # in order of first member, each associate class whose rows are not one
-    # row missing it is tested pair by pair
-    for cls in sorted(filter(None, classes), key=lambda c: c & -c):
-        if one_row(cls, cls, 0):
-            continue
+    # row missing it is tested pair by pair; a class with no vertex off its
+    # expected row, which misses the class, passes
+    for cls in [c for c in classes.values() if c & off_row and not one_row(c, c, 0)]:
         for a in graphs.bits(cls):
             for b in graphs.bits(cls & full >> (a + 1) << (a + 1)):
                 if g.has_edge(a, b):
@@ -327,10 +326,10 @@ def check_invariants(case: Case) -> VerificationReport:
         for i, part in enumerate(parts, start=1):
             in_part = sum(1 << v for v in part)  # parts are in index order
             if all(one_row(c & in_part, in_part, in_part & ~c)
-                   for c in classes if c & in_part):
+                   for c in {classes[keys[v]] for v in part}):
                 continue
             for a in part:
-                expected = in_part & ~next(c for c in classes if c >> a & 1)
+                expected = in_part & ~classes[keys[a]]
                 wrong = (g.adj[a] ^ expected) & in_part & full >> (a + 1) << (a + 1)
                 for b in graphs.bits(wrong):
                     problems.append(f"zero-count part {i} adjacency wrong at {a},{b}")
@@ -342,13 +341,12 @@ def check_invariants(case: Case) -> VerificationReport:
     else:
         nzc_note = "nzc=skipped (not a split product of prime fields)"
 
-    ok = not problems
     return VerificationReport(
         claim_id=claim, spec=spec,
         expected="adjacency definitions agree; associates are twins; "
                  "zero-count parts are cliques partitioning the vertices",
-        observed="ok; " + nzc_note if ok else "; ".join(problems[:5]),
-        passed=ok)
+        observed="; ".join(problems[:5]) or "ok; " + nzc_note,
+        passed=not problems)
 
 
 CLAIMS = {

@@ -22,7 +22,7 @@ from cozero.rings import (
     CapExceededError, RingSpec, associate_classes, parse_spec, vertices)
 from cozero.solvers import _false_twin_reduce, validated_order
 from cozero.verify import default_ring_set
-from conftest import adjacency_by_oracle, ideal_by_enumeration
+from conftest import adjacency_by_oracle, from_edges, ideal_by_enumeration
 
 
 def assert_quotient_is_by_associate_classes(spec):
@@ -157,7 +157,7 @@ class TestContainmentAdjacency:
 
 class TestComplement:
     def test_small(self):
-        g = CozeroGraph.from_edges(2, [(0, 1)])
+        g = from_edges(2, [(0, 1)])
         assert complement(g).edge_count() == 0
 
     def test_involution(self, small_spec):
@@ -289,10 +289,9 @@ class TestQuotient:
         # Z3xZ3: vertex 1 = (0,2) is an associate of vertex 0 = (0,1)
         g = build_cozero_graph(RingSpec((3, 3)))
         assert g.labels[:2] == ((0, 1), (0, 2))
-        adjacent = CozeroGraph.from_edges(g.n, g.edges() + [(0, 1)],
-                                          labels=g.labels, spec=g.spec)
-        other_row = CozeroGraph.from_edges(g.n, [e for e in g.edges() if 1 not in e][:1]
-                                           + [(1, 2)], labels=g.labels, spec=g.spec)
+        adjacent = from_edges(g.n, g.edges() + [(0, 1)], labels=g.labels, spec=g.spec)
+        other_row = from_edges(g.n, [e for e in g.edges() if 1 not in e][:1]
+                               + [(1, 2)], labels=g.labels, spec=g.spec)
         # equal rows with loops at both: only the adjacency test tells
         looped = CozeroGraph(spec=g.spec, labels=g.labels,
                              adj=(g.adj[0] | 0b11, g.adj[1] | 0b11) + g.adj[2:])
@@ -309,8 +308,8 @@ class TestQuotient:
         g = build_cozero_graph(RingSpec((4, 3)))
         assert quotient_by_associates(g).labels == tuple(g.labels[v] for v in (0, 2, 3, 4))
         assert g.has_edge(5, 6)
-        wrong = CozeroGraph.from_edges(g.n, [e for e in g.edges() if e != (5, 6)],
-                                       labels=g.labels, spec=g.spec)
+        wrong = from_edges(g.n, [e for e in g.edges() if e != (5, 6)],
+                           labels=g.labels, spec=g.spec)
         with pytest.raises(AssertionError,
                            match="^associates 6, 2 are adjacent or have different rows$"):
             quotient_by_associates(wrong)

@@ -116,8 +116,11 @@ FAST_PATHS = {"in_principal_ideal", "_gcd_signatures", "ideal_order"}
 
 @pytest.mark.parametrize("module,function,forbidden", [
     ("rings", "principal_ideal", {"gcd", "in_principal_ideal"}),
-    # nor read the case's solved clique or colouring
-    ("verify", "check_invariants", FAST_PATHS | {"clique", "coloring", "gcd"}),
+    # nor read the case's solved clique, colouring or order, nor take its
+    # associate classes from the ring layer or the quotient: they are keyed
+    # by the run's own ideal tables
+    ("verify", "check_invariants", FAST_PATHS | {
+        "clique", "coloring", "gcd", "order", "associate_classes", "quotient_by_associates"}),
     # nor tell units by gcd, through is_unit
     ("verify", "check_null_graph", FAST_PATHS | {"clique", "coloring", "gcd", "is_unit"}),
     # the checkers of the chain-cover and rank-and-cover certificates must
@@ -191,11 +194,10 @@ def test_oracle_checker_catches_planted_calls():
 
 
 # public names that no package module reads, each with a reader elsewhere:
-# the references that perfbench/tracer.py resolves by name in their modules,
-# and is_unit, which the tests' vertex oracle reads
+# the references that perfbench/tracer.py resolves by name in their modules
 UNREAD_REFERENCES = {"max_clique", "find_odd_hole", "are_isomorphic",
                      "validate_certificate", "principal_ideal",
-                     "in_principal_ideal", "is_unit"}
+                     "in_principal_ideal"}
 
 
 def unread_public_names(sources: dict[str, str]) -> list[str]:

@@ -10,7 +10,6 @@ from cozero.rings import (
     associate_classes,
     factorize,
     in_principal_ideal,
-    is_unit,
     multiples,
     parse_spec,
     principal_ideal,
@@ -20,6 +19,8 @@ from cozero.verify import default_ring_set
 from conftest import (
     associate_classes_by_gcd,
     ideal_by_enumeration,
+    is_unit,
+    one,
     unit_by_search,
     vertices_by_search,
     vnr_by_search,
@@ -96,7 +97,7 @@ class TestIsUnit:
         assert not is_unit(RingSpec((2, 2)), (1, 0))
 
     def test_identity(self, small_spec):
-        assert is_unit(small_spec, small_spec.one)
+        assert is_unit(small_spec, one(small_spec))
 
     def test_matches_inverse_search(self, small_spec):
         for a in small_spec.elements():
@@ -105,7 +106,7 @@ class TestIsUnit:
     def test_unit_iff_one_in_ideal(self, small_spec):
         for a in small_spec.elements():
             assert is_unit(small_spec, a) == \
-                in_principal_ideal(small_spec, small_spec.one, a)
+                in_principal_ideal(small_spec, one(small_spec), a)
 
 
 class TestPrincipalIdeal:

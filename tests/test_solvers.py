@@ -41,6 +41,7 @@ from conftest import (
     chromatic_by_search,
     complete_graph,
     cycle_graph,
+    from_edges,
     has_induced_odd_cycle_by_subsets,
     random_graph,
     random_ring_subgraph,
@@ -62,7 +63,7 @@ class TestMaxClique:
         assert max_clique(build_cozero_graph(RingSpec((4,)))).size == 1
 
     def test_empty_graph(self):
-        g = CozeroGraph.from_edges(0, [])
+        g = from_edges(0, [])
         assert max_clique(g).size == 0
 
     def test_witness_validates(self, small_spec):
@@ -124,7 +125,7 @@ class TestChromaticNumber:
         assert g.n == 3 and g.edge_count() == 0
         res = chromatic_number(g)
         assert res.count == 1
-        assert chromatic_by_search(CozeroGraph.from_edges(4, []))[0] == 1
+        assert chromatic_by_search(from_edges(4, []))[0] == 1
         assert chromatic_number(build_cozero_graph(RingSpec((5,)))).count == 0
 
     def test_assignment_proper(self, small_spec):
@@ -150,7 +151,7 @@ class TestChromaticNumber:
             assert count == brute_force_chromatic(g)
 
     @pytest.mark.parametrize("g", [
-        cycle_graph(5), CozeroGraph.from_edges(10, DSATUR_TRAP_EDGES)],
+        cycle_graph(5), from_edges(10, DSATUR_TRAP_EDGES)],
         ids=["c5", "dsatur-trap"])
     def test_bare_graph_raises(self, g):
         with pytest.raises(ValueError):
@@ -186,7 +187,7 @@ class TestFindOddHole:
         assert cert is not None and len(cert.cycle) == 5
         assert validate_certificate(cycle_graph(5), cert)
         # each vertex blown up into 10 false twins: the cap counts the core
-        blown = CozeroGraph.from_edges(50, [
+        blown = from_edges(50, [
             (10 * i + a, 10 * ((i + 1) % 5) + b)
             for i in range(5) for a in range(10) for b in range(10)])
         cert = find_odd_hole(blown, max_vertices=5)
@@ -218,7 +219,7 @@ class TestFindOddHole:
         # C5 and C7 sharing no vertices: minimum is 5
         edges = [(i, (i + 1) % 5) for i in range(5)]
         edges += [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
-        g = CozeroGraph.from_edges(12, edges)
+        g = from_edges(12, edges)
         cert = find_odd_hole(g)
         assert len(cert.cycle) == 5
 
@@ -269,7 +270,7 @@ class TestIsPerfect:
             assert _all_twin_reduce(g) == _all_twin_reduce(complement(g))
 
     def test_bipartite_perfect(self):
-        g = CozeroGraph.from_edges(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)])
+        g = from_edges(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)])
         assert find_odd_hole(g) is None and find_odd_hole(complement(g)) is None
         with pytest.raises(ValueError):
             is_perfect_desk_scale(g)
@@ -438,7 +439,7 @@ class TestOrientation:
     def test_rejects_an_arc_onto_a_neighbour(self):
         # with the edge 0-1, 0's row up the order 0, 1, 2 is {2}: a cover
         # naming 1 is refused, though {1, 2} would be transitive
-        g = CozeroGraph.from_edges(3, [(0, 1)])
+        g = from_edges(3, [(0, 1)])
         assert validate_orientation(g, [0, 1, 2], [0b100, 0b100, 0]) == (0b100, 0b100, 0)
         assert validate_orientation(g, [0, 1, 2], [0b110, 0b100, 0]) is None
         # on a ring graph, even when the neighbour is lifted above every rank
@@ -636,7 +637,7 @@ class TestChainCover:
             assert chromatic_by_search(g)[0] == max_clique(g).size
             with pytest.raises(AssertionError, match="orientation"):
                 chromatic_number(g)
-        bare = [cycle_graph(5), CozeroGraph.from_edges(10, DSATUR_TRAP_EDGES)]
+        bare = [cycle_graph(5), from_edges(10, DSATUR_TRAP_EDGES)]
         assert [chromatic_by_search(g)[0] for g in bare] == [3, 3]
         for g in bare:
             with pytest.raises(ValueError):
@@ -681,7 +682,7 @@ class TestDeepSearch:
 
     def test_deep_coloring(self):
         path = [(10 + i, 11 + i) for i in range(1199)]
-        g = CozeroGraph.from_edges(1210, DSATUR_TRAP_EDGES + path)
+        g = from_edges(1210, DSATUR_TRAP_EDGES + path)
         count, colors = chromatic_by_search(g)
         assert count == 3
         assert validate_coloring(g, colors, count)
@@ -741,12 +742,12 @@ class TestIsomorphism:
         assert are_isomorphic(complete_graph(3), cycle_graph(3)) is not None
 
     def test_triangle_vs_path(self):
-        p3 = CozeroGraph.from_edges(3, [(0, 1), (1, 2)])
+        p3 = from_edges(3, [(0, 1), (1, 2)])
         assert are_isomorphic(complete_graph(3), p3) is None
 
     def test_same_degree_sequence_non_isomorphic(self):
         # C6 vs two triangles: both 2-regular on 6 vertices
-        two_triangles = CozeroGraph.from_edges(
+        two_triangles = from_edges(
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert are_isomorphic(cycle_graph(6), two_triangles) is None
 
@@ -755,7 +756,7 @@ class TestIsomorphism:
         g = random_graph(8, 0.5, rng)
         perm = list(range(8))
         rng.shuffle(perm)
-        h = CozeroGraph.from_edges(
+        h = from_edges(
             8, [(perm[i], perm[j]) for i, j in g.edges()])
         mapping = are_isomorphic(g, h)
         assert mapping is not None
@@ -764,7 +765,7 @@ class TestIsomorphism:
 
     def test_symmetric(self):
         g = cycle_graph(5)
-        h = CozeroGraph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+        h = from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
         assert (are_isomorphic(g, h) is None) == (are_isomorphic(h, g) is None)
 
     def test_size_cap(self):

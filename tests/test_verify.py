@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +22,7 @@ from cozero.verify import (
     reports_to_json,
     run_suite,
 )
-from conftest import cycle_graph, ideal_by_enumeration
+from conftest import cycle_graph, ideal_by_enumeration, is_unit
 
 
 class TestCheckFormula:
@@ -98,7 +99,7 @@ class TestCheckNullGraph:
     def full_search(spec: RingSpec) -> str:
         """The claim's locality and principality, by is_unit, an all-pairs
         closure in element order and principal_ideal of every non-unit."""
-        nonunits = [a for a in spec.elements() if not rings.is_unit(spec, a)]
+        nonunits = [a for a in spec.elements() if not is_unit(spec, a)]
         local = all(spec.add(a, b) in nonunits for a in nonunits for b in nonunits)
         principal = any(set(nonunits) <= rings.principal_ideal(spec, x)
                         for x in nonunits)
@@ -326,6 +327,21 @@ class TestCheckInvariants:
     def test_mixed_fields(self):
         assert check_invariants(Case(RingSpec((3, 5)))).passed
 
+    def test_peak_allocation_on_large_classes(self):
+        # 5,264 vertices in 79 associate classes: one expected row per class,
+        # and the class map; a mask per vertex, such as a list of rows or of
+        # ideal masks, would take the peak past 10 MB
+        case = Case(RingSpec((9, 9, 9, 9)))
+        assert case.graph.n == 5264
+        tracemalloc.start()
+        try:
+            r = check_invariants(case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.passed
+        assert peak < 2e6, peak
+
 
 def pairwise_mismatches(g: CozeroGraph) -> list[str]:
     """The adjacency mismatches of g, pair by pair in order of i, then j,
@@ -361,7 +377,9 @@ class TestInvariantsOnWrongGraphs:
     """check_invariants against graphs.build_cozero_graph patched to return
     a wrong graph: it must fail and name the mismatched pairs in order."""
 
-    RINGS = [RingSpec(m) for m in [(2, 2, 2), (2, 3, 5), (4, 9), (8, 3)]]
+    # Z6xZ5: a squarefree composite modulus, whose Z6 column has four
+    # ideals, so a product of fields with no zero-count check
+    RINGS = [RingSpec(m) for m in [(2, 2, 2), (2, 3, 5), (4, 9), (8, 3), (6, 5)]]
 
     def report_on(self, monkeypatch, wrong: CozeroGraph):
         monkeypatch.setattr(graphs, "build_cozero_graph",
@@ -394,7 +412,7 @@ class TestInvariantsOnWrongGraphs:
         (kind, RingSpec(m))
         for kind in ["associates", "same-part", "any", "one-way", "loop",
                      "edge-and-loop", "loop-and-edge"]
-        for m in [(3, 5), (2, 2, 3), (2, 3, 5), (9,), (4, 9)]
+        for m in [(3, 5), (2, 2, 3), (2, 3, 5), (9,), (4, 9), (6, 5)]
         if kind != "same-part" or m in [(3, 5), (2, 2, 3), (2, 3, 5)]], ids=str)
     def test_twin_messages_match_pairwise(self, monkeypatch, spec, kind):
         # bits flipped inside an associate class or a zero-count part, in

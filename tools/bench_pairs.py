@@ -99,12 +99,21 @@ def pair_count(text: str) -> int:
     return pairs
 
 
+def workload_list(text: str) -> list[str]:
+    """A --workloads value: names from WORKLOADS, comma-separated, none empty."""
+    names = text.split(",")
+    if unknown := [name for name in names if name not in WORKLOADS]:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload(s) {unknown}; choose from {', '.join(WORKLOADS)}")
+    return names
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent-sha", required=True)
     ap.add_argument("--pairs", type=pair_count, default=10)
     ap.add_argument("--seconds", type=int, default=35)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
+    ap.add_argument("--workloads", type=workload_list, default=list(WORKLOADS))
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
     parent, sha = git("rev-parse", args.parent_sha), change_sha()
@@ -117,7 +126,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sides = {side: extract(commit, Path(tmp, side))
                  for side, commit in (("parent", parent), ("change", sha))}
-        for workload in args.workloads.split(","):
+        for workload in args.workloads:
             runs: dict = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
