@@ -2,11 +2,9 @@
 clique/chromatic numbers, perfection certification, and claim verification."""
 
 from .rings import (
-    AssociateClasses,
     CapExceededError,
     RingSpec,
     RingSpecError,
-    associate_classes,
     factorize,
     parse_spec,
     vertices,
@@ -16,7 +14,6 @@ from .graphs import (
     build_cozero_graph,
     complement,
     induced_subgraph,
-    nzc,
     nzc_partition,
     quotient_by_associates,
     to_dot,

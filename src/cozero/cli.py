@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import graphs, rings, solvers, verify
-from .rings import CapExceededError, RingSpec, RingSpecError
+from .rings import RingSpec, RingSpecError
 
 
 def _positive_int(text: str) -> int:
@@ -93,9 +93,8 @@ def _emit(text: str, out_path: str | None, parser) -> None:
         sys.stdout.write(text)
 
 
-def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dict:
-    g = graphs.build_cozero_graph(spec, max_cardinality=max_cardinality)
-    solvers.check_cap(g.n, max_vertices)  # a size guard: no search runs
+def _analyze_one(case: verify.Case) -> dict:
+    spec, g, coloring = case.spec, case.graph, case.coloring
     info: dict = {
         "spec": str(spec),
         "cardinality": spec.cardinality,
@@ -104,13 +103,11 @@ def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dic
         "vertices": g.n,
         "edges": g.edge_count(),
         "vnr": spec.fields is not None,
+        "omega": len(coloring.clique),
+        "clique_witness": list(coloring.clique),
+        "chi": coloring.count,
+        "perfect": solvers.is_perfect_desk_scale(g, order=case.order),
     }
-    order = solvers.validated_order(g)
-    coloring = solvers.chromatic_number(g, order=order)
-    info["omega"] = len(coloring.clique)
-    info["clique_witness"] = list(coloring.clique)
-    info["chi"] = coloring.count
-    info["perfect"] = solvers.is_perfect_desk_scale(g, order=order)
     if spec.fields is not None:
         n = len(spec.fields)
         info["field_factors"] = n
@@ -118,7 +115,9 @@ def _analyze_one(spec: RingSpec, max_cardinality: int, max_vertices: int) -> dic
             formula = math.comb(n, n // 2)
             info["formula"] = formula
             info["formula_match"] = (len(coloring.clique) == formula == coloring.count)
-    info["associate_classes"] = len(rings.associate_classes(spec).classes)
+    # a class is a gcd signature, one divisor per modulus, but the zero's and the units'
+    info["associate_classes"] = math.prod(
+        e + 1 for n in spec.moduli for _, e in rings.factorize(n)) - 2
     return info
 
 
@@ -140,22 +139,21 @@ def _format_analysis(info: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_analyze(args, parser) -> int:
+def cmd_analyze(args, parser, caps: verify.Caps) -> int:
     specs = _gather_specs(args, parser)
     if not specs:
         parser.exit(2, "cozero: error: no ring specs given\n")
     chunks = []
     status = 0
-    for spec in specs:
-        try:
-            info = _analyze_one(spec, args.max_cardinality, args.max_vertices)
-        except CapExceededError as exc:
+    for case in (verify.Case(spec, caps) for spec in specs):
+        if case.graph is None:
             if args.format == "json":
-                chunks.append({"spec": str(spec), "error": str(exc)})
+                chunks.append({"spec": str(case.spec), "error": case.built})
             else:
-                chunks.append(f"{spec}: error: {exc}\n")
+                chunks.append(f"{case.spec}: error: {case.built}\n")
             status = 1
             continue
+        info = _analyze_one(case)
         chunks.append(info if args.format == "json" else _format_analysis(info))
     if args.format == "json":
         _emit(json.dumps(chunks, indent=2) + "\n", args.out, parser)
@@ -164,7 +162,7 @@ def cmd_analyze(args, parser) -> int:
     return status
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args, parser, caps: verify.Caps) -> int:
     names = sorted(verify.CLAIMS)
     if args.suite is not None:
         names = [t for t in args.suite.split(",") if t]
@@ -173,8 +171,6 @@ def cmd_verify(args, parser) -> int:
     specs = _gather_specs(args, parser)
     if not specs:
         specs = verify.default_ring_set()
-    caps = verify.Caps(max_cardinality=args.max_cardinality,
-                       max_vertices=args.max_vertices)
     try:
         reports = verify.run_suite(names, specs, caps)
     except verify.UnknownClaimError as exc:
@@ -184,22 +180,20 @@ def cmd_verify(args, parser) -> int:
     return 1 if failed else 0
 
 
-def cmd_export(args, parser) -> int:
+def cmd_export(args, parser, caps: verify.Caps) -> int:
     specs = _gather_specs(args, parser)
     if len(specs) != 1:
         parser.exit(2, "cozero: error: export takes exactly one ring spec\n")
     if args.quotient and args.complement:
         parser.exit(2, "cozero: error: choose one of --quotient/--complement\n")
-    try:
-        g = graphs.build_cozero_graph(specs[0], max_cardinality=args.max_cardinality)
-        solvers.check_cap(g.n, args.max_vertices)
-        if args.quotient:
-            g = graphs.quotient_by_associates(g)
-        elif args.complement:
-            g = graphs.complement(g)
-    except CapExceededError as exc:
-        sys.stderr.write(f"cozero: error: {exc}\n")
+    case = verify.Case(specs[0], caps)
+    if (g := case.graph) is None:
+        sys.stderr.write(f"cozero: error: {case.built}\n")
         return 1
+    if args.quotient:
+        g = graphs.quotient_by_associates(g)
+    elif args.complement:
+        g = graphs.complement(g)
     text = graphs.to_dot(g) if args.format == "dot" else graphs.to_json(g)
     _emit(text, args.out, parser)
     return 0
@@ -208,10 +202,11 @@ def cmd_export(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.max_vertices is None:  # a graph has fewer vertices than its ring
-        args.max_vertices = args.max_cardinality
+    # the vertex guard defaults to the cardinality cap: a graph has fewer
+    # vertices than its ring
+    caps = verify.Caps(args.max_cardinality, args.max_vertices or args.max_cardinality)
     handlers = {"analyze": cmd_analyze, "verify": cmd_verify, "export": cmd_export}
-    return handlers[args.command](args, parser)
+    return handlers[args.command](args, parser, caps)
 
 
 if __name__ == "__main__":

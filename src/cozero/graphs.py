@@ -166,11 +166,6 @@ def induced_subgraph(g: CozeroGraph, keep) -> CozeroGraph:
                        adj=tuple(rows))
 
 
-def nzc(x: Element) -> int:
-    """Number of zero components of a tuple."""
-    return x.count(0)
-
-
 def nzc_partition(g: CozeroGraph) -> list[list[int]]:
     """Vertex-index sets A_1..A_{n-1} grouped by zero-component count.
 
@@ -188,7 +183,7 @@ def nzc_partition(g: CozeroGraph) -> list[list[int]]:
     n = len(spec.moduli)
     parts: list[list[int]] = [[] for _ in range(n - 1)]
     for i, label in enumerate(g.labels):
-        if 0 < (k := nzc(label)) < n:
+        if 0 < (k := label.count(0)) < n:
             parts[k - 1].append(i)
     return parts
 

@@ -48,22 +48,29 @@ _MAX_FIELDS = 6
 
 @dataclass(frozen=True)
 class Case:
-    """One ring of a run: its spec and caps, and its graph (None over either
-    cap), validated principal-ideal order, and colouring with its maximum
-    clique, each computed on first use; tables, shared by a run's cases, holds
-    the graphs of Z2^n that quotient-reduction uses, by spec, and _ideals'."""
+    """One ring as analyze, verify and export take it: its spec and caps, and
+    its graph or the message of the cap it exceeds (built), validated
+    principal-ideal order, and colouring with its maximum clique, each
+    computed on first use; graph is None over either cap.  tables, shared by
+    a run's cases, holds the graphs of Z2^n that quotient-reduction uses, by
+    spec, and _ideals'."""
     spec: RingSpec
     caps: Caps = Caps()
     tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     @functools.cached_property
-    def graph(self) -> CozeroGraph | None:
+    def built(self) -> CozeroGraph | str:
         try:
             g = graphs.build_cozero_graph(
                 self.spec, max_cardinality=self.caps.max_cardinality)
-        except CapExceededError:
-            return None
-        return g if g.n <= self.caps.max_vertices else None
+            solvers.check_cap(g.n, self.caps.max_vertices)  # a guard: no search runs
+        except CapExceededError as exc:
+            return str(exc)
+        return g
+
+    @functools.cached_property
+    def graph(self) -> CozeroGraph | None:
+        return None if isinstance(self.built, str) else self.built
 
     @functools.cached_property
     def order(self) -> solvers.ValidatedOrder:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from cozero.cli import main
-from cozero.rings import parse_spec
+from cozero.rings import associate_classes, parse_spec
+from cozero.verify import default_ring_set
 from conftest import unit_by_search
 
 
@@ -61,6 +62,21 @@ class TestAnalyze:
             spec = parse_spec(text)
             assert info["units"] == sum(
                 unit_by_search(spec, a) for a in spec.elements()), text
+
+    @pytest.mark.parametrize("specs", [
+        [str(spec) for spec in default_ring_set()],
+        ["Z2xZ3xZ5xZ7xZ11", "Z7xZ7xZ7xZ7", "Z4xZ9xZ25", "Z9xZ9xZ9",
+         "Z5xZ5xZ5xZ5", "Z3xZ3xZ3xZ3xZ3", "Z8xZ27"],
+        ["Z8", "Z4xZ6", "Z12xZ18", "Z2xZ4xZ8", "Z100", "Z36xZ10"],
+    ], ids=["default-rings", "analyze-classes", "non-squarefree"])
+    def test_class_count_is_the_signature_count(self, capsys, specs):
+        # analyze counts the gcd signatures; the oracle lists every class
+        code, out, _ = run_cli(["analyze", "--format", "json",
+                                "--max-vertices", "2048", *specs], capsys)
+        assert code == 0
+        for text, info in zip(specs, json.loads(out), strict=True):
+            assert info["associate_classes"] == len(
+                associate_classes(parse_spec(text)).classes), text
 
     def test_rings_flag(self, capsys):
         code, out, _ = run_cli(["analyze", "--rings", "Z2xZ2,Z3xZ3"], capsys)

@@ -163,6 +163,15 @@ def test_report_path_runs_no_search(module, function):
     assert names_in((SRC / f"{module}.py").read_text(), function) & SEARCHES == set()
 
 
+# analyze, verify and export take each ring's graph, vertex guard, order and
+# colouring from one verify.Case, and analyze counts the associate classes
+# by their gcd signatures without listing them
+def test_cli_takes_each_ring_from_a_case():
+    assert reads(ast.parse((SRC / "cli.py").read_text())) & {
+        "build_cozero_graph", "check_cap", "validated_order", "chromatic_number",
+        "associate_classes"} == set()
+
+
 # names_in sees top-level functions only, not methods such as verify.Case's
 @pytest.mark.parametrize("module", ["verify", "cli"])
 def test_report_modules_run_no_search(module):
@@ -194,10 +203,12 @@ def test_oracle_checker_catches_planted_calls():
 
 
 # public names that no package module reads, each with a reader elsewhere:
-# the references that perfbench/tracer.py resolves by name in their modules
+# the references that perfbench/tracer.py resolves by name in their modules;
+# associate_classes, the tests' class oracle since analyze counts the gcd
+# signatures, stays in rings for the tracer until it moves to the tests
 UNREAD_REFERENCES = {"max_clique", "find_odd_hole", "are_isomorphic",
                      "validate_certificate", "principal_ideal",
-                     "in_principal_ideal"}
+                     "in_principal_ideal", "associate_classes"}
 
 
 def unread_public_names(sources: dict[str, str]) -> list[str]:

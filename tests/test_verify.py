@@ -591,6 +591,16 @@ class TestOneCasePerRing:
         assert [info["omega"] for info in infos] == [3, 3, 1]
 
 
+@pytest.mark.parametrize("text", ["Z2xZ3xZ5", "Z2xZ2xZ2xZ2xZ2", "Z3xZ5xZ7"])
+def test_analyze_and_verify_share_a_witness(capsys, text):
+    # both take the clique from one Case's colouring
+    from cozero.cli import main
+    assert main(["analyze", "--format", "json", text]) == 0
+    [info] = json.loads(capsys.readouterr().out)
+    [report] = run_suite(["clique-formula"], [rings.parse_spec(text)])
+    assert report.passed and info["clique_witness"] == report.witness["clique"]
+
+
 def count_validations(monkeypatch) -> tuple[list, list]:
     """Record the graph of each validated_order call, and the graph of each
     validate_orientation call, as the library makes them."""
@@ -648,6 +658,53 @@ class TestOneValidationPerGraph:
         assert capsys.readouterr().out.count("perfect=true") == 4
         assert [str(g.spec) for g in ordered] == specs
         assert len(validated) == 4
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        """Record the spec text of each graph the library builds."""
+        built: list = []
+        build = graphs.build_cozero_graph
+        monkeypatch.setattr(graphs, "build_cozero_graph", lambda spec, **caps:
+                            built.append(str(spec)) or build(spec, **caps))
+        return built
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_analyze_builds_each_ring_once(self, monkeypatch, capsys, fmt):
+        # a ring over the vertex guard too: built once, its message the guard's
+        from cozero.cli import main
+        built = self.count_builds(monkeypatch)
+        specs = ["Z2xZ3", "Z2xZ2xZ2", "Z4", "Z9"]
+        assert main(["analyze", "--max-vertices", "5", "--format", fmt, *specs]) == 1
+        assert built == specs
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(out)[1] == {"spec": "Z2xZ2xZ2",
+                                          "error": "graph has 6 vertices, cap is 5"}
+        else:
+            assert "\nZ2xZ2xZ2: error: graph has 6 vertices, cap is 5\n" in out
+
+    @pytest.mark.parametrize("argv,code", [
+        (["Z2xZ2xZ2", "--max-vertices", "5"], 1),
+        (["Z2xZ2xZ2", "--max-vertices", "5", "--quotient"], 1),
+        (["Z12", "--quotient"], 0),
+        (["Z12", "--complement"], 0),
+    ])
+    def test_export_builds_its_ring_once(self, monkeypatch, capsys, argv, code):
+        from cozero.cli import main
+        built = self.count_builds(monkeypatch)
+        assert main(["export", *argv]) == code
+        assert built == argv[:1]
+        assert capsys.readouterr().err == (
+            "cozero: error: graph has 6 vertices, cap is 5\n" if code else "")
+
+    def test_verify_builds_a_ring_over_the_guard_once(self, monkeypatch, capsys):
+        # each of the five claims skips it as cap-exceeded, from one build
+        from cozero.cli import main
+        built = self.count_builds(monkeypatch)
+        assert main(["verify", "--max-vertices", "5", "Z2xZ2xZ2"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["reason"] for r in reports] == ["cap-exceeded"] * 5
+        assert built == ["Z2xZ2xZ2"]
 
     def test_boolean_graph_built_once_per_n(self, monkeypatch):
         built: list = []
