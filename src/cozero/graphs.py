@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 from .rings import (
     CapExceededError,
@@ -21,11 +20,18 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class CozeroGraph:
-    spec: RingSpec | None
-    labels: tuple[Element, ...]
-    adj: tuple[int, ...]  # adj[i] bit j set iff i-j is an edge
+    """A graph on labels, immutable; equal only to itself."""
+    __slots__ = ("spec", "labels", "adj")
+
+    def __init__(self, spec: RingSpec | None, labels: tuple[Element, ...],
+                 adj: tuple[int, ...]):  # adj[i] bit j set iff i-j is an edge
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "adj", adj)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a CozeroGraph is immutable")
 
     @property
     def n(self) -> int:

@@ -9,7 +9,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 NATIVE_LIMIT = 2**64
 DEFAULT_MAX_CARDINALITY = 10_000
@@ -25,23 +25,36 @@ class CapExceededError(RuntimeError):
     """A configured size cap (cardinality or solver vertex count) was hit."""
 
 
-@dataclass(frozen=True)
 class RingSpec:
-    """A direct product of modular rings, written e.g. "Z2xZ3xZ5"."""
+    """A direct product of modular rings, written e.g. "Z2xZ3xZ5".
 
-    moduli: tuple[int, ...]
+    Immutable, and equal and hashed by its moduli, but never equal to a bare
+    tuple, so a spec and an int modulus can key one dict."""
 
-    def __post_init__(self):
-        if not self.moduli:
+    def __init__(self, moduli: tuple[int, ...]):
+        if not moduli:
             raise RingSpecError("ring spec needs at least one factor")
-        for n in self.moduli:
+        for n in moduli:
             if n < 2:
                 raise RingSpecError(f"modulus {n} < 2")
         card = 1
-        for n in self.moduli:
+        for n in moduli:
             card *= n
             if card >= NATIVE_LIMIT:
                 raise RingSpecError("ring cardinality overflows native integers")
+        self.__dict__["moduli"] = moduli  # a __dict__, not __slots__: fields caches there
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a RingSpec is immutable")
+
+    def __eq__(self, other):
+        return self.moduli == other.moduli if isinstance(other, RingSpec) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.moduli)
+
+    def __repr__(self) -> str:
+        return f"RingSpec(moduli={self.moduli!r})"
 
     @property
     def cardinality(self) -> int:
@@ -144,12 +157,10 @@ def vertices(spec: RingSpec) -> list[Element]:
     return list(itertools.filterfalse(skip.__contains__, spec.elements()))
 
 
-@dataclass(frozen=True)
-class AssociateClasses:
-    """Partition of the vertex set by equality of generated principal ideals."""
-
-    spec: RingSpec
-    classes: tuple[tuple[Element, tuple[Element, ...]], ...]  # (representative, members)
+class AssociateClasses(namedtuple("AssociateClasses", "spec classes")):
+    """Partition of the vertex set by equality of generated principal ideals:
+    classes holds (representative, members) pairs."""
+    __slots__ = ()
 
 
 def associate_classes(spec: RingSpec) -> AssociateClasses:

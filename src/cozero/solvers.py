@@ -21,7 +21,7 @@ reproducible.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .graphs import (
     CozeroGraph, bits, complement, ideal_order, induced_subgraph, positions)
@@ -31,29 +31,20 @@ DEFAULT_VERTEX_CAP = 512
 ISO_VERTEX_CAP = 64
 
 
-class CliqueResult(NamedTuple):
-    size: int
-    witness: tuple[int, ...]
+CliqueResult = namedtuple("CliqueResult", "size witness")
+
+# assignment: vertex index -> color in [0, count); clique: count vertices,
+# pairwise adjacent, so omega = chi
+ColoringResult = namedtuple("ColoringResult", "count assignment clique")
+
+OddCycleCertificate = namedtuple("OddCycleCertificate", "where cycle")  # "graph" or "complement"
 
 
-class ColoringResult(NamedTuple):
-    count: int
-    assignment: tuple[int, ...]  # vertex index -> color in [0, count)
-    clique: tuple[int, ...]  # count vertices, pairwise adjacent: omega = chi
-
-
-class OddCycleCertificate(NamedTuple):
-    where: str  # "graph" or "complement"
-    cycle: tuple[int, ...]
-
-
-class ValidatedOrder(NamedTuple):
+class ValidatedOrder(namedtuple("ValidatedOrder", "graph keep core out")):
     """graph's false-twin core, with its validated principal-ideal order as
-    out-rows derived from the core's adjacency."""
-    graph: CozeroGraph
-    keep: tuple[int, ...]  # core vertex -> vertex of graph
-    core: CozeroGraph
-    out: tuple[int, ...]
+    out-rows derived from the core's adjacency; keep maps each core vertex to
+    its vertex of graph."""
+    __slots__ = ()
 
 
 def validate_clique(g: CozeroGraph, witness) -> bool:

@@ -25,18 +25,17 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from . import graphs, rings, solvers
 from .rings import CapExceededError, RingSpec
 from .graphs import CozeroGraph
 
 
-class Caps(NamedTuple):
-    max_cardinality: int = rings.DEFAULT_MAX_CARDINALITY
-    max_vertices: int = rings.DEFAULT_MAX_CARDINALITY  # no graph under that cap has more
+# max_vertices defaults to the cardinality cap: no graph under it has more
+Caps = namedtuple("Caps", "max_cardinality max_vertices",
+                  defaults=(rings.DEFAULT_MAX_CARDINALITY,) * 2)
 
 
 # perfection and quotient-reduction skip a product of more fields than this
@@ -46,7 +45,6 @@ class Caps(NamedTuple):
 _MAX_FIELDS = 6
 
 
-@dataclass(frozen=True)
 class Case:
     """One ring as analyze, verify and export take it: its spec and caps, and
     its graph or the message of the cap it exceeds (built), validated
@@ -54,9 +52,10 @@ class Case:
     computed on first use; graph is None over either cap.  tables, shared by
     a run's cases, holds the graphs of Z2^n that quotient-reduction uses, by
     spec, and _ideals'."""
-    spec: RingSpec
-    caps: Caps = Caps()
-    tables: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __init__(self, spec: RingSpec, caps: Caps = Caps(), tables: dict | None = None):
+        self.spec, self.caps = spec, caps
+        self.tables = {} if tables is None else tables
 
     @functools.cached_property
     def built(self) -> CozeroGraph | str:
@@ -96,16 +95,10 @@ def _ideals(tables: dict, n: int) -> list[frozenset[int]]:
     return tables[n]
 
 
-@dataclass
-class VerificationReport:
-    claim_id: str
-    spec: RingSpec
-    expected: str
-    observed: str
-    passed: bool
-    witness: dict | None = None
-    skipped: bool = False
-    reason: str | None = None
+class VerificationReport(namedtuple(
+        "VerificationReport", "claim_id spec expected observed passed witness skipped reason",
+        defaults=(None, False, None))):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -372,15 +365,24 @@ class UnknownClaimError(ValueError):
 def run_suite(names: list[str], specs: list[RingSpec],
               caps: Caps = Caps()) -> list[VerificationReport]:
     """Run each distinct named check against each distinct spec, one Case per
-    spec; inapplicable pairs become skip reports, never dropped.  Output
-    sorted by claim id then spec text."""
+    spec; inapplicable pairs become skip reports, never dropped, and a check
+    that raises becomes a failed report with reason "error" that names the
+    exception, so the other pairs still report.  Output sorted by claim id
+    then spec text."""
     for name in names:
         if name not in CLAIMS:
             raise UnknownClaimError(
                 f"unknown claim {name!r}; known: {', '.join(sorted(CLAIMS))}")
     tables: dict = {}
-    cases = (Case(spec, caps, tables) for spec in dict.fromkeys(specs))
-    reports = [CLAIMS[name](case) for case in cases for name in dict.fromkeys(names)]
+    reports = []
+    for case in (Case(spec, caps, tables) for spec in dict.fromkeys(specs)):
+        for name in dict.fromkeys(names):
+            try:
+                reports.append(CLAIMS[name](case))
+            except Exception as exc:  # an internal error fails its own report only
+                reports.append(VerificationReport(
+                    name, case.spec, expected="", passed=False, reason="error",
+                    observed=f"error: {type(exc).__name__}: {exc}"))
     reports.sort(key=lambda r: (r.claim_id, str(r.spec)))
     return reports
 

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from cozero import graphs
 from cozero.cli import main
+from cozero.graphs import CozeroGraph
 from cozero.rings import associate_classes, parse_spec
 from cozero.verify import default_ring_set
 from conftest import unit_by_search
@@ -202,6 +204,37 @@ class TestVerify:
         reports = json.loads(done.stdout)
         assert len(reports) == 5
         assert all(r["skipped"] and r["reason"] == "cap-exceeded" for r in reports)
+
+    def test_internal_error_fails_its_ring_only(self, capsys, monkeypatch):
+        # one edge of Z2xZ3xZ5 flipped by a patched build: its order does not
+        # validate, so each claim that reads the order reports the error; the
+        # other rings' reports are those of an unpatched run
+        argv = ["verify", "Z2xZ3", "Z2xZ3xZ5", "Z2xZ2xZ2"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        clean = [r for r in json.loads(out) if r["spec"] != "Z2xZ3xZ5"]
+        build = graphs.build_cozero_graph
+
+        def flipped(spec, **caps):
+            g = build(spec, **caps)
+            if str(spec) != "Z2xZ3xZ5":
+                return g
+            return CozeroGraph(g.spec, g.labels, (g.adj[0] ^ 1 << 1, g.adj[1] ^ 1) + g.adj[2:])
+
+        monkeypatch.setattr(graphs, "build_cozero_graph", flipped)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and err == ""
+        reports = json.loads(out)
+        assert [r for r in reports if r["spec"] != "Z2xZ3xZ5"] == clean
+        errors = [r for r in reports if r["reason"] == "error"]
+        assert [r["claim_id"] for r in errors] == [
+            "clique-formula", "perfection", "quotient-reduction"]
+        for r in errors:
+            assert r == {
+                "claim_id": r["claim_id"], "spec": "Z2xZ3xZ5", "expected": "",
+                "observed": "error: AssertionError: ideal orientation of Z2xZ3xZ5 "
+                            "does not orient the complement transitively",
+                "pass": False, "witness": None, "skipped": False, "reason": "error"}
 
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--suite", "graph-invariants",

@@ -72,6 +72,15 @@ def moduli_lists(draw, limit=200):
 
 
 class TestBuild:
+    def test_equal_only_to_itself_and_immutable(self):
+        g = build_cozero_graph(RingSpec((2, 3)))
+        h = CozeroGraph(spec=g.spec, labels=g.labels, adj=g.adj)
+        assert (h.spec, h.labels, h.adj) == (g.spec, g.labels, g.adj)
+        assert g == g and g != h and len({g, h}) == 2
+        with pytest.raises(AttributeError):
+            g.adj = ()
+        assert h.adj == g.adj
+
     def test_z2z2(self):
         g = build_cozero_graph(RingSpec((2, 2)))
         assert g.n == 2 and g.edge_count() == 1

@@ -1,8 +1,11 @@
 """Module boundaries inside the package: no module of src/cozero reads a
 private (underscore) name of another, whether by ``from .x import _name`` or
 by ``x._name`` on an imported module; no module imports a name it never
-reads; and the oracles of verify stay independent of the code they check."""
+reads; the oracles of verify stay independent of the code they check; and
+importing the CLI loads neither dataclasses nor typing."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +94,46 @@ def test_unused_import_checker():
               "    x: int = math.gcd(4, 6)\n"
               "y = vs(None)\n")
     assert unused_imports(source) == ["factorize", "field", "os.path"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules outside the package that the
+    module source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+# start-up is most of a short run: dataclasses pulls in inspect, and with it
+# ast, dis and tokenize, and typing is as costly, for a few small classes
+SLOW_IMPORTS = {"dataclasses", "inspect", "typing"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_slow_imports(module):
+    assert imported_modules((SRC / f"{module}.py").read_text()) & SLOW_IMPORTS == set()
+
+
+def test_import_checker():
+    source = ("from __future__ import annotations\n"
+              "import os.path, typing as t\n"
+              "from dataclasses import dataclass\n"
+              "from . import graphs\n"
+              "from .rings import RingSpec\n")
+    assert imported_modules(source) == {"__future__", "os", "typing", "dataclasses"}
+
+
+def test_cli_import_loads_no_slow_module():
+    # -S: the site module may load typing itself, through a .pth file
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import cozero.cli; "
+            f"print(sorted({sorted(SLOW_IMPORTS)!r} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def reads(tree: ast.AST) -> set[str]:

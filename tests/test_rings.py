@@ -65,6 +65,32 @@ class TestParseSpec:
         assert parse_spec(str(spec)) == spec
 
 
+class TestRingSpecValue:
+    """A spec is a value: equal and hashed by its moduli, never equal to a
+    bare tuple, and immutable."""
+
+    def test_equal_and_hashed_by_moduli(self):
+        a, b = RingSpec((2, 3)), RingSpec(moduli=(2, 3))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != RingSpec((3, 2))
+        assert a != (2, 3) and (2, 3) != a
+        assert list(dict.fromkeys([a, RingSpec((3, 3)), b])) == [a, RingSpec((3, 3))]
+        assert repr(a) == "RingSpec(moduli=(2, 3))"
+
+    def test_keys_a_dict_next_to_an_int_modulus(self):
+        # a run's tables hold the graphs of Z2^n by spec and the ideals of
+        # Z_n by the int n
+        tables = {RingSpec((2,)): "graph of Z2", 2: "ideals of Z2"}
+        assert len(tables) == 2 and tables[RingSpec((2,))] == "graph of Z2"
+
+    def test_immutable(self):
+        spec = RingSpec((2, 3))
+        assert spec.fields == ((0, 2), (1, 3))  # cached on the spec
+        with pytest.raises(AttributeError):
+            spec.moduli = (2,)
+        assert spec.moduli == (2, 3)
+
+
 class TestFactorize:
     @pytest.mark.parametrize("n,factors", [
         (1, []),

@@ -757,6 +757,11 @@ class TestRunTables:
         # one object per ideal of Z12, one ideal per divisor
         assert len({id(yz) for yz in table}) == len(set(table)) == 6
 
+    def test_cases_share_the_tables_given(self):
+        spec, tables = RingSpec((2, 3)), {}
+        assert Case(spec, Caps(), tables).tables is tables is Case(spec, tables=tables).tables
+        assert Case(spec).tables == {} and Case(spec).tables is not Case(spec).tables
+
     @pytest.mark.parametrize("module", [rings, verify], ids=lambda m: m.__name__)
     def test_no_module_level_cache(self, module):
         def mutable_state():
@@ -838,6 +843,13 @@ class TestReportJson:
         for reports in [[], suite, shapes, escapes]:
             expected = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
             assert reports_to_json(reports) == expected
+
+    def test_report_defaults_and_replace(self):
+        r = verify.VerificationReport("null-graph", RingSpec((2,)), "e", "o", True)
+        assert (r.witness, r.skipped, r.reason) == (None, False, None)
+        failed = r._replace(passed=False)
+        assert type(failed) is verify.VerificationReport and not failed.passed
+        assert failed.to_json_dict() == {**r.to_json_dict(), "pass": False}
 
     def test_byte_identical_runs(self):
         specs = [RingSpec((2, 2)), RingSpec((3, 3)), RingSpec((8,))]
