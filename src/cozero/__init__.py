@@ -14,7 +14,6 @@ from .graphs import (
     build_cozero_graph,
     complement,
     induced_subgraph,
-    nzc_partition,
     quotient_by_associates,
     to_dot,
     to_json,

@@ -202,9 +202,7 @@ def cmd_export(args, parser, caps: verify.Caps) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # the vertex guard defaults to the cardinality cap: a graph has fewer
-    # vertices than its ring
-    caps = verify.Caps(args.max_cardinality, args.max_vertices or args.max_cardinality)
+    caps = verify.Caps(args.max_cardinality, args.max_vertices)
     handlers = {"analyze": cmd_analyze, "verify": cmd_verify, "export": cmd_export}
     return handlers[args.command](args, parser, caps)
 

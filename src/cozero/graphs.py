@@ -172,28 +172,6 @@ def induced_subgraph(g: CozeroGraph, keep) -> CozeroGraph:
                        adj=tuple(rows))
 
 
-def nzc_partition(g: CozeroGraph) -> list[list[int]]:
-    """Vertex-index sets A_1..A_{n-1} grouped by zero-component count.
-
-    Only meaningful over a product of prime fields; same-part vertices with
-    distinct zero patterns are always adjacent, so over Z2 factors (where
-    equal count forces distinct patterns) each part induces a complete
-    subgraph.  A label with no zero or no non-zero component is no vertex,
-    and is left out of every part.
-    """
-    spec = g.spec
-    if spec is None or spec.fields is None:
-        raise ValueError("zero-count partition requires a product of fields")
-    if len(spec.fields) != len(spec.moduli):
-        raise ValueError("zero-count partition requires prime moduli (CRT-split spec)")
-    n = len(spec.moduli)
-    parts: list[list[int]] = [[] for _ in range(n - 1)]
-    for i, label in enumerate(g.labels):
-        if 0 < (k := label.count(0)) < n:
-            parts[k - 1].append(i)
-    return parts
-
-
 def quotient_by_associates(g: CozeroGraph) -> CozeroGraph:
     """Collapse each associate class (one gcd signature, as Ra = Rb) to its
     first vertex, in vertex order: what `cozero export --quotient` writes.
@@ -218,8 +196,8 @@ def _label_str(label: Element) -> str:
     return "(" + ",".join(str(r) for r in label) + ")"
 
 
-def to_dot(g: CozeroGraph, name: str = "cozero") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: CozeroGraph) -> str:
+    lines = ["graph cozero {"]
     for i, label in enumerate(g.labels):
         lines.append(f'  {i} [label="{_label_str(label)}"];')
     for i, j in g.edges():

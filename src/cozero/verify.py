@@ -33,9 +33,10 @@ from .rings import CapExceededError, RingSpec
 from .graphs import CozeroGraph
 
 
-# max_vertices defaults to the cardinality cap: no graph under it has more
+# max_vertices, a guard and no search limit, is the cardinality cap when
+# None: a graph has fewer vertices than its ring
 Caps = namedtuple("Caps", "max_cardinality max_vertices",
-                  defaults=(rings.DEFAULT_MAX_CARDINALITY,) * 2)
+                  defaults=(rings.DEFAULT_MAX_CARDINALITY, None))
 
 
 # perfection and quotient-reduction skip a product of more fields than this
@@ -59,10 +60,10 @@ class Case:
 
     @functools.cached_property
     def built(self) -> CozeroGraph | str:
+        cardinality, vertices = self.caps
         try:
-            g = graphs.build_cozero_graph(
-                self.spec, max_cardinality=self.caps.max_cardinality)
-            solvers.check_cap(g.n, self.caps.max_vertices)  # a guard: no search runs
+            g = graphs.build_cozero_graph(self.spec, max_cardinality=cardinality)
+            solvers.check_cap(g.n, cardinality if vertices is None else vertices)
         except CapExceededError as exc:
             return str(exc)
         return g
@@ -261,12 +262,13 @@ def check_invariants(case: Case) -> VerificationReport:
     """Structural invariants checked exhaustively over the whole ring, on
     whole rows, and pair by pair only where a row is wrong: every pair, and
     every vertex with itself, is adjacent iff a is not in Rb and b is not in
-    Ra, each mismatched pair i <= j named in order of i, then j; associates
-    are non-adjacent twins; the zero-count parts partition the vertices and
-    induce cliques.  A vertex is keyed once by its ideal in each factor
-    (from _ideals, no gcd), whose product is Ra: a key is an associate class,
-    and b is in Ra iff Rb <= Ra, a in Rb iff Ra <= Rb, factor by factor, so
-    each class has one expected row, folded from per-factor inclusion masks."""
+    Ra, each pair i <= j with a wrong bit in either row named once, in order
+    of i, then j; associates are non-adjacent twins; the zero-count parts
+    partition the vertices and induce cliques.  A vertex is keyed once by
+    its ideal in each factor (from _ideals, no gcd), whose product is Ra: a
+    key is an associate class, and b is in Ra iff Rb <= Ra, a in Rb iff
+    Ra <= Rb, factor by factor, so each class has one expected row, folded
+    from per-factor inclusion masks."""
     claim, spec = "graph-invariants", case.spec
     if reason := _skip_reason(case):
         return _skip(claim, spec, reason)
@@ -290,21 +292,27 @@ def check_invariants(case: Case) -> VerificationReport:
     rows = {key: full & ~(fold(map(dict.__getitem__, below, key))
                           | fold(map(dict.__getitem__, above, key))) for key in classes}
     same_row = graphs.positions(g.adj)
-    # the vertices whose row is not their class's, named pair by pair
+    # the vertices whose row is not their class's; each wrong bit names its
+    # pair under the lower index, whichever of the two rows holds it
     off_row = sum(m & ~same_row.get(rows[key], 0) for key, m in classes.items())
+    named: dict = {}
     for i in graphs.bits(off_row):
-        for j in graphs.bits((g.adj[i] ^ rows[keys[i]]) & full >> i << i):
+        wrong = g.adj[i] ^ rows[keys[i]]
+        named[i] = named.get(i, 0) | wrong & full >> i << i
+        for j in graphs.bits(wrong & ~(-1 << i)):
+            named[j] = named.get(j, 0) | 1 << i
+    for i in sorted(named):
+        for j in graphs.bits(named[i]):
             problems.append(f"adjacency mismatch at {g.labels[i]},{g.labels[j]}")
 
-    def one_row(mask: int, within: int, expected: int) -> bool:
-        """Whether mask's vertices have one row, meeting within in expected."""
-        row = g.adj[(mask & -mask).bit_length() - 1]
-        return not mask & ~same_row[row] and row & within == expected
-
     # in order of first member, each associate class whose rows are not one
-    # row missing it is tested pair by pair; a class with no vertex off its
-    # expected row, which misses the class, passes
-    for cls in [c for c in classes.values() if c & off_row and not one_row(c, c, 0)]:
+    # row missing it is tested pair by pair
+    for cls in classes.values():
+        if not cls & off_row:
+            continue  # its one expected row misses the class
+        row = g.adj[(cls & -cls).bit_length() - 1]
+        if not cls & ~same_row[row] and not row & cls:
+            continue
         for a in graphs.bits(cls):
             for b in graphs.bits(cls & full >> (a + 1) << (a + 1)):
                 if g.has_edge(a, b):
@@ -315,29 +323,30 @@ def check_invariants(case: Case) -> VerificationReport:
     nzc_note = "nzc=checked"
     # a split product of prime fields: one field per modulus
     if spec.fields is not None and len(spec.fields) == len(spec.moduli) >= 2:
-        parts = graphs.nzc_partition(g)
-        if sorted(v for part in parts for v in part) != list(range(g.n)):
+        # over prime fields residue 0 generates {0} and any other the field,
+        # so a key is a zero pattern, and the part of zero count k, A_k, the
+        # union of the classes whose first member has k zeros
+        n = len(spec.moduli)
+        parts = [0] * (n + 1)
+        for m in classes.values():
+            parts[g.labels[(m & -m).bit_length() - 1].count(0)] |= m
+        if parts[0] or parts[n]:
             problems.append("zero-count parts do not partition the vertex set")
         # within a part, distinct zero patterns are incomparable hence
         # adjacent; equal patterns are associates hence non-adjacent (for
         # Z2 factors the patterns always differ, so each part is complete).
-        # Over prime fields a zero pattern is an associate class: residue 0
-        # generates {0}, any other residue the whole field
-        for i, part in enumerate(parts, start=1):
-            in_part = sum(1 << v for v in part)  # parts are in index order
-            if all(one_row(c & in_part, in_part, in_part & ~c)
-                   for c in {classes[keys[v]] for v in part}):
-                continue
-            for a in part:
-                expected = in_part & ~classes[keys[a]]
-                wrong = (g.adj[a] ^ expected) & in_part & full >> (a + 1) << (a + 1)
+        # An expected row meets its own part in the part minus its class,
+        # so only a vertex off its expected row can be wrong in its part
+        for k, part in enumerate(parts[1:n], start=1):
+            for a in graphs.bits(part & off_row):
+                expected = part & ~classes[keys[a]]
+                wrong = (g.adj[a] ^ expected) & part & full >> (a + 1) << (a + 1)
                 for b in graphs.bits(wrong):
-                    problems.append(f"zero-count part {i} adjacency wrong at {a},{b}")
+                    problems.append(f"zero-count part {k} adjacency wrong at {a},{b}")
         if all(m == 2 for m in spec.moduli):
-            n = len(spec.moduli)
-            for i, part in enumerate(parts, start=1):
-                if len(part) != math.comb(n, i):
-                    problems.append(f"|A_{i}| = {len(part)} != C({n},{i})")
+            for k, part in enumerate(parts[1:n], start=1):
+                if part.bit_count() != math.comb(n, k):
+                    problems.append(f"|A_{k}| = {part.bit_count()} != C({n},{k})")
     else:
         nzc_note = "nzc=skipped (not a split product of prime fields)"
 

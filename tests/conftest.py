@@ -64,6 +64,23 @@ def associate_classes_by_gcd(spec: RingSpec) -> AssociateClasses:
     return AssociateClasses(spec=spec, classes=tuple(classes))
 
 
+def nzc_partition(g: CozeroGraph) -> list[list[int]]:
+    """Vertex-index sets A_1..A_{n-1} of a graph over a product of n prime
+    fields, grouped by zero-component count, one vertex at a time.
+
+    Same-part vertices with distinct zero patterns are always adjacent, so
+    over Z2 factors (where equal count forces distinct patterns) each part
+    induces a complete subgraph.  A label with no zero or no non-zero
+    component is no vertex, and is left out of every part.
+    """
+    n = len(g.spec.moduli)
+    parts: list[list[int]] = [[] for _ in range(n - 1)]
+    for i, label in enumerate(g.labels):
+        if 0 < (k := label.count(0)) < n:
+            parts[k - 1].append(i)
+    return parts
+
+
 def vnr_by_search(spec: RingSpec) -> bool:
     return all(any(mul(spec, mul(spec, r, r), s) == r for s in spec.elements())
                for r in spec.elements())

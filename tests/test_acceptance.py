@@ -12,7 +12,6 @@ import pytest
 from cozero.graphs import (
     CozeroGraph,
     build_cozero_graph,
-    nzc_partition,
     quotient_by_associates,
 )
 from cozero.rings import (
@@ -33,6 +32,7 @@ from conftest import (
     chromatic_by_search,
     cycle_graph,
     ideal_by_enumeration,
+    nzc_partition,
     random_graph,
     random_ring_subgraph,
     vnr_by_search,

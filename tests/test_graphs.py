@@ -12,7 +12,6 @@ from cozero.graphs import (
     complement,
     ideal_order,
     induced_subgraph,
-    nzc_partition,
     quotient_by_associates,
     to_dot,
     to_json,
@@ -21,7 +20,7 @@ from cozero.rings import (
     CapExceededError, RingSpec, associate_classes, parse_spec, vertices)
 from cozero.solvers import _false_twin_reduce, validated_order
 from cozero.verify import default_ring_set
-from conftest import adjacency_by_oracle, from_edges, ideal_by_enumeration
+from conftest import adjacency_by_oracle, from_edges, ideal_by_enumeration, nzc_partition
 
 
 def assert_quotient_is_by_associate_classes(spec):
@@ -273,14 +272,6 @@ class TestNzc:
                 for x in parts[i - 1]:
                     assert any(not g.has_edge(x, y) for y in parts[j - 1])
 
-    def test_rejects_non_vnr(self):
-        with pytest.raises(ValueError):
-            nzc_partition(build_cozero_graph(RingSpec((2, 4))))
-
-    def test_rejects_unsplit(self):
-        with pytest.raises(ValueError):
-            nzc_partition(build_cozero_graph(RingSpec((6,))))
-
 
 class TestQuotient:
     def test_z3z3(self):
@@ -372,6 +363,7 @@ class TestExport:
     def test_dot_z2_cubed(self):
         g = build_cozero_graph(RingSpec((2, 2, 2)))
         dot = to_dot(g)
+        assert dot.startswith("graph cozero {\n") and dot.endswith("\n}\n")
         assert dot.count(" -- ") == 9
         assert '0 [label="(0,0,1)"];' in dot
 

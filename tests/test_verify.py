@@ -22,7 +22,7 @@ from cozero.verify import (
     reports_to_json,
     run_suite,
 )
-from conftest import cycle_graph, ideal_by_enumeration, is_unit
+from conftest import cycle_graph, ideal_by_enumeration, is_unit, nzc_partition
 
 
 class TestCheckFormula:
@@ -345,12 +345,13 @@ class TestCheckInvariants:
 
 def pairwise_mismatches(g: CozeroGraph) -> list[str]:
     """The adjacency mismatches of g, pair by pair in order of i, then j,
-    against the definition: a-b is an edge iff a not in Rb and b not in Ra."""
+    against the definition: a-b is an edge iff a not in Rb and b not in Ra,
+    read from row i and from row j."""
     ideals = [ideal_by_enumeration(g.spec, v) for v in g.labels]
     return [f"adjacency mismatch at {g.labels[i]},{g.labels[j]}"
             for i, j in itertools.combinations(range(g.n), 2)
-            if g.has_edge(i, j) != (g.labels[i] not in ideals[j]
-                                    and g.labels[j] not in ideals[i])]
+            if not g.has_edge(i, j) == g.has_edge(j, i) == (
+                g.labels[i] not in ideals[j] and g.labels[j] not in ideals[i])]
 
 
 def pairwise_twin_problems(g: CozeroGraph) -> list[str]:
@@ -366,7 +367,7 @@ def pairwise_twin_problems(g: CozeroGraph) -> list[str]:
                 problems.append(f"associate neighborhoods differ: {a},{b}")
     if all(rings.factorize(m) == [(m, 1)] for m in g.spec.moduli):
         patterns = [tuple(r == 0 for r in v) for v in g.labels]
-        for i, part in enumerate(graphs.nzc_partition(g), start=1):
+        for i, part in enumerate(nzc_partition(g), start=1):
             for a, b in itertools.combinations(part, 2):
                 if g.has_edge(a, b) != (patterns[a] != patterns[b]):
                     problems.append(f"zero-count part {i} adjacency wrong at {a},{b}")
@@ -480,7 +481,7 @@ class TestInvariantsOnWrongGraphs:
         for v in range(g.n):
             labels = g.labels[:v] + (label,) + g.labels[v + 1:]
             wrong = CozeroGraph(spec=g.spec, labels=labels, adj=g.adj)
-            assert v not in itertools.chain(*graphs.nzc_partition(wrong))
+            assert v not in itertools.chain(*nzc_partition(wrong))
             r = self.report_on(monkeypatch, wrong)
             assert not r.passed and not r.skipped
             assert "zero-count parts do not partition the vertex set" in r.observed.split("; ")
@@ -494,6 +495,75 @@ class TestInvariantsOnWrongGraphs:
         assert len(expected) == g.n * (g.n - 1) // 2 > 5
         assert not r.passed
         assert r.observed == "; ".join(expected[:5])
+
+    # a bit wrong in one row only, below the diagonal, or a row zeroed but
+    # not its column (mask None): each pair is named once, from either row
+    @pytest.mark.parametrize("moduli,row,mask", [
+        ((2, 3, 5), 9, 1 << 4), ((2, 2, 2), -1, 1), ((2, 2, 3), -1, 1),
+        ((2, 2, 2), -1, None), ((4, 9), -1, None)], ids=str)
+    def test_one_row_fault_is_named(self, monkeypatch, moduli, row, mask):
+        g = graphs.build_cozero_graph(RingSpec(moduli))
+        rows = list(g.adj)
+        rows[row] ^= g.adj[row] if mask is None else mask
+        wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=tuple(rows))
+        r = self.report_on(monkeypatch, wrong)
+        expected = pairwise_mismatches(wrong)
+        assert expected and not r.passed
+        messages = r.observed.split("; ")
+        assert [m for m in messages if m.startswith("adjacency")] == expected[:5]
+
+    @pytest.mark.parametrize("spec", RINGS, ids=str)
+    def test_every_one_row_bit_is_named(self, monkeypatch, spec):
+        g = graphs.build_cozero_graph(spec)
+        for i, j in itertools.product(range(g.n), repeat=2):
+            rows = list(g.adj)
+            rows[i] ^= 1 << j
+            wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=tuple(rows))
+            r = self.report_on(monkeypatch, wrong)
+            a, b = sorted((i, j))
+            assert not r.passed
+            assert [m for m in r.observed.split("; ") if m.startswith("adjacency")] == [
+                f"adjacency mismatch at {g.labels[a]},{g.labels[b]}"]
+
+
+def planted(g: CozeroGraph, fault: str) -> CozeroGraph:
+    """g with one fault planted at its first and last vertices, which are
+    not twins, so of different associate classes."""
+    rows, labels, last = list(g.adj), list(g.labels), g.n - 1
+    assert rows[0] != rows[last]
+    if fault == "edge flipped":
+        rows[0] ^= 1 << last
+        rows[last] ^= 1
+    elif fault == "one-row bit flipped":
+        rows[last] ^= 1
+    elif fault == "row zeroed":
+        rows[last] = 0
+    elif fault == "labels swapped":
+        labels[0], labels[last] = labels[last], labels[0]
+    else:  # a unit label planted
+        labels[0] = (1,) * len(labels[0])
+    return CozeroGraph(spec=g.spec, labels=tuple(labels), adj=tuple(rows))
+
+
+@pytest.mark.parametrize("fault", ["edge flipped", "one-row bit flipped", "row zeroed",
+                                   "labels swapped", "unit planted"])
+@pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5), (4, 9)], ids=str)
+def test_planted_fault_sweep(monkeypatch, capsys, moduli, fault):
+    # every claim runs on the faulty graph, and the other graphs a run
+    # builds, such as quotient-reduction's Z2^n, stay sound: no exception
+    # leaves run_suite, graph-invariants fails, and verify exits 1
+    spec = RingSpec(moduli)
+    build = graphs.build_cozero_graph
+    wrong = planted(build(spec), fault)
+    monkeypatch.setattr(graphs, "build_cozero_graph",
+                        lambda s, **caps: wrong if s == spec else build(s, **caps))
+    reports = run_suite(sorted(CLAIMS), [spec])
+    assert len(reports) == len(CLAIMS)
+    [r] = [r for r in reports if r.claim_id == "graph-invariants"]
+    assert not r.passed and not r.skipped and r.reason is None
+    from cozero.cli import main
+    assert main(["verify", str(spec)]) == 1
+    capsys.readouterr()
 
 
 class TestRunSuite:
@@ -793,6 +863,13 @@ class TestCapFirst:
         assert CLAIMS[claim](Case(spec)).reason == later_reason
         r = CLAIMS[claim](Case(spec, Caps(max_cardinality=spec.cardinality - 1)))
         assert r.skipped and r.reason == "cap-exceeded"
+
+    def test_vertex_guard_defaults_to_the_cardinality_cap(self):
+        # as in the CLI: Z2^14 has 16,382 vertices, over the default cap of
+        # 10,000 but under its own cardinality, given as the cap
+        assert Caps() == (rings.DEFAULT_MAX_CARDINALITY, None)
+        g = Case(RingSpec((2,) * 14), Caps(max_cardinality=2 ** 14)).built
+        assert isinstance(g, CozeroGraph) and g.n == 16382
 
 
 class TestDefaultRingSet:
