@@ -6,7 +6,6 @@ construction.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -15,7 +14,6 @@ from .rings import (
     DEFAULT_MAX_CARDINALITY,
     Element,
     RingSpec,
-    factorize,
     vertices,
 )
 
@@ -106,51 +104,16 @@ def build_cozero_graph(spec: RingSpec,
     return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows[s] for s in sigs))
 
 
-def ideal_order(g: CozeroGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The certificate of the principal-ideal order on a ring-backed graph's
-    labels, u->v iff Ru is strictly inside Rv, or Ru = Rv and u < v, that
-    solvers.validate_orientation checks: (rank, covers), rank[u] = |Ru|.
-    Comparable ideals of one size are equal, so the arcs are the complement
-    edges taken up the (rank, index) order, and the validator derives them
-    from the adjacency.  The next vertex of u's signature covers u; the last
-    one is covered by the first vertex of each present signature one prime
-    step d -> d/p up, the steps passing through absent ones, so cores,
-    quotients and induced subgraphs are served too.
-    """
+def ideal_order(g: CozeroGraph) -> tuple[int, ...]:
+    """The rank of the principal-ideal order on a ring-backed graph's labels
+    (u->v iff Ru is strictly inside Rv, or Ru = Rv and u < v) that
+    solvers.validate_orientation checks: rank[u] = |Ru| = prod n_i /
+    gcd(a_i, n_i).  Comparable ideals of one size are equal, so the arcs
+    are the complement edges taken up the (rank, index) order."""
     if g.spec is None:
         raise ValueError("orientation needs a ring-backed graph")
-    moduli = g.spec.moduli
-    sigs = _gcd_signatures(g.spec, g.labels)
-    members = positions(sigs)
-    # every signature, present or not, by its index in the product of the
-    # divisor lists: a prime step d -> d/p lowers one entry's index, so it
-    # lowers the signature's by a drop, and the signature reached comes first
-    divs = [[d for d in range(1, m + 1) if m % d == 0] for m in moduli]
-    lens = list(map(len, divs))
-    drops = [[[(j - ds.index(d // p)) * math.prod(lens[i + 1:]) for p, _ in factorize(d)]
-              for j, d in enumerate(ds)] for i, ds in enumerate(divs)]
-    sizes = map(math.prod, itertools.product(*([m // d for d in ds]
-                                               for m, ds in zip(moduli, divs))))
-    # by index: the signature's first vertex or, if it has none, its covers
-    reach = []
-    at = {}  # present signature -> (covers of its last vertex, |Rs|)
-    for c, (t, digits, size) in enumerate(zip(
-            itertools.product(*divs), itertools.product(*map(range, lens)), sizes)):
-        f = 0
-        for drop, j in zip(drops, digits):
-            for d in drop[j]:
-                f |= reach[c - d]
-        here = members.get(t, 0)
-        reach.append(here & -here or f)
-        if here:
-            at[t] = f, size
-    rank, covers = [], []
-    for u, s in enumerate(sigs):
-        f, size = at[s]
-        later = members[s] & (-1 << (u + 1))
-        rank.append(size)
-        covers.append(later & -later or f)
-    return tuple(rank), tuple(covers)
+    sizes = [[m // math.gcd(x, m) for x in range(m)] for m in g.spec.moduli]
+    return tuple(math.prod(map(list.__getitem__, sizes, a)) for a in g.labels)
 
 
 def complement(g: CozeroGraph) -> CozeroGraph:

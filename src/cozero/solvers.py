@@ -4,9 +4,9 @@ and three exponential searches that no CLI path runs.
 
 Chromatic number and perfection are for ring-backed graphs only, and raise
 ValueError on a bare graph.  Both read one principal-ideal order: its
-out-rows are the complement's edges taken up a rank, derived from the
-adjacency, and its covers prove them a transitive orientation, which
-certifies perfection.  A minimum chain cover of it (Dilworth) colors the
+out-rows are the complement's edges taken up the rank |Ru|, derived from
+the adjacency, and validated as a transitive orientation, which certifies
+perfection.  A minimum chain cover of it (Dilworth) colors the
 graph, certified by an antichain, a clique of the same size (König), which
 is also the maximum clique the CLI reports.
 
@@ -82,37 +82,41 @@ def validate_certificate(g: CozeroGraph, cert: OddCycleCertificate) -> bool:
     return True
 
 
-def validate_orientation(g: CozeroGraph, rank, covers) -> tuple[int, ...] | None:
+def validate_orientation(g: CozeroGraph, rank) -> tuple[int, ...] | None:
     """The orientation of the complement of g up the order (rank[u], u), as
-    out-rows (bitsets) derived from g.adj, if the cover certificate proves
-    it transitive; else None.  Walking down the order, out[u] is u's
-    complement row restricted to the vertices after u, and covers[u] must
-    lie inside out[u], with out[u] the join of covers[u] and out[v] for each
-    v in covers[u].
+    out-rows (bitsets) derived from g.adj, if it is transitive; else None.
+    Walking down the order, out[u] is u's complement row restricted to the
+    vertices after u.  Its vertices not yet joined, one rank level at a time
+    and lowest first, are picks, each joined with its out-row; out[u] must
+    equal the join.
 
     Each complement edge is oriented once, up a total order, so the arcs
-    are acyclic.  Transitivity, by induction down the order: let each out[v]
-    after u be closed (w in out[v] puts out[w] inside it).  Each w in out[u]
-    is a cover, with out[w] inside out[u], or lies in out[v] of a cover v,
-    after u, so out[w] is inside out[v], inside out[u].  Nothing is assumed
-    of rank or covers.  The complement is then a comparability graph, so it
-    and g are perfect.
+    are acyclic.  The picks lie in out[u], so equality puts each pick's
+    out-row inside out[u].  Transitivity, by induction down the order: let
+    each out[v] after u be closed (w in out[v] puts out[w] inside it).
+    Each w in out[u] is a pick, with out[w] inside out[u], or lies in
+    out[v] of a pick v, after u, so out[w] is inside out[v], inside out[u].
+    Nothing is assumed of rank, and a transitive orientation passes; lowest
+    first, the picks are u's covers, bar ties.  The complement is then a
+    comparability graph, so it and g are perfect.
     """
     n = g.n
-    if not len(rank) == len(covers) == n:
+    if len(rank) != n:
         return None
+    levels = [mask for _, mask in sorted(positions(rank).items())]
     out = [0] * n
     after = 0  # the vertices after u in the order
     # a stable sort keeps equal ranks in index order
     for u in reversed(sorted(range(n), key=rank.__getitem__)):
-        row, low = after & ~g.adj[u], covers[u]
-        # the join below refuses a cover outside row too, but only after
-        # walking it, and a negative one never ends
-        if low & ~row:
-            return None
-        joined = low
-        for v in bits(low):
-            joined |= out[v]
+        row = left = after & ~g.adj[u]
+        joined = 0
+        for level in levels:
+            if picks := left & level:
+                joined |= picks
+                for v in bits(picks):
+                    joined |= out[v]
+                if not (left := left & ~joined):
+                    break
         if joined != row:
             return None
         out[u] = row
@@ -122,12 +126,11 @@ def validate_orientation(g: CozeroGraph, rank, covers) -> tuple[int, ...] | None
 
 def validated_order(g: CozeroGraph) -> ValidatedOrder:
     """The principal-ideal order on a ring-backed graph's false-twin core,
-    derived from the core's adjacency and validated by its rank-and-cover
-    certificate.  ValueError on a bare graph; AssertionError if the
-    certificate fails."""
+    derived from the core's adjacency and rank |Ru|, validated as transitive.
+    ValueError on a bare graph; AssertionError if it is not transitive."""
     keep = _false_twin_reduce(g)
     core = induced_subgraph(g, keep)
-    out = validate_orientation(core, *ideal_order(core))
+    out = validate_orientation(core, ideal_order(core))
     # a 0-vertex core (Z2, Z3, ...) has the valid, empty, out-rows ()
     if out is None:
         raise AssertionError(
@@ -435,9 +438,8 @@ def is_perfect_desk_scale(g: CozeroGraph, order: ValidatedOrder | None = None) -
     principal-ideal order of its false-twin core: order, if the caller holds
     g's.  Substituting an independent set for a vertex keeps a graph perfect
     (Lovász), so the core is perfect iff g is.  AssertionError if the order
-    fails, as on a ring-backed graph whose rows are not its ring's (the
-    complement of a ring's graph, say); ValueError on a graph with no ring
-    behind it.
+    is not transitive, as on the complement of Z2xZ3xZ5's graph; ValueError
+    on a graph with no ring behind it.
     """
     if order is None:
         validated_order(g)

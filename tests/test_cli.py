@@ -206,9 +206,10 @@ class TestVerify:
         assert all(r["skipped"] and r["reason"] == "cap-exceeded" for r in reports)
 
     def test_internal_error_fails_its_ring_only(self, capsys, monkeypatch):
-        # one edge of Z2xZ3xZ5 flipped by a patched build: its order does not
-        # validate, so each claim that reads the order reports the error; the
-        # other rings' reports are those of an unpatched run
+        # an edge of Z2xZ3xZ5 planted by a patched build: (0,0,2) lies
+        # between (0,0,1) and (0,1,1), so the orientation up the rank is no
+        # longer transitive; each claim that reads the order reports the
+        # error, and the other rings' reports are those of an unpatched run
         argv = ["verify", "Z2xZ3", "Z2xZ3xZ5", "Z2xZ2xZ2"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
@@ -219,7 +220,12 @@ class TestVerify:
             g = build(spec, **caps)
             if str(spec) != "Z2xZ3xZ5":
                 return g
-            return CozeroGraph(g.spec, g.labels, (g.adj[0] ^ 1 << 1, g.adj[1] ^ 1) + g.adj[2:])
+            u, v = g.labels.index((0, 0, 1)), g.labels.index((0, 1, 1))
+            assert not g.has_edge(u, v)
+            adj = list(g.adj)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            return CozeroGraph(g.spec, g.labels, tuple(adj))
 
         monkeypatch.setattr(graphs, "build_cozero_graph", flipped)
         code, out, err = run_cli(argv, capsys)

@@ -179,18 +179,18 @@ class TestComplement:
 
 class TestIdealOrder:
     def test_peak_allocation_on_boolean_core(self):
-        # the certificate is one rank and one cover mask per vertex, and one
-        # reach mask per signature; a per-signature mask of the vertices at
-        # or above it would take the peak to 3.7 MB
+        # the certificate is one rank per vertex, about 24 kB at the peak;
+        # a mask per signature of the vertices at or above it would take
+        # the peak to 3.7 MB
         g = build_cozero_graph(RingSpec((2,) * 11))
         core = induced_subgraph(g, _false_twin_reduce(g))
         tracemalloc.start()
         try:
-            rank, covers = ideal_order(core)
+            rank = ideal_order(core)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rank) == len(covers) == core.n == 2046
+        assert len(rank) == core.n == 2046
         assert peak < 2.5e6, peak
 
 

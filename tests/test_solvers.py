@@ -298,13 +298,13 @@ def _derived(g, rank):
 
 
 def _transitive(out):
-    """u->w->x puts u->x, tried on every triple."""
-    return all(out[u] >> x & 1 or not (out[u] >> w & 1 and out[w] >> x & 1)
-               for u, w, x in itertools.product(range(len(out)), repeat=3))
+    """u->w->x puts u->x, tried on every triple: for each arc u->w, all of
+    w's out-row at once."""
+    return all(not out[w] & ~out[u] for u in range(len(out)) for w in bits(out[u]))
 
 
 def _ideal_out(g):
-    return validate_orientation(g, *ideal_order(g))
+    return validate_orientation(g, ideal_order(g))
 
 
 class TestOrientation:
@@ -318,7 +318,7 @@ class TestOrientation:
     @pytest.mark.parametrize("moduli", NON_VNR_MODULI)
     def test_valid_on_non_vnr_rings(self, moduli):
         # and on their cores and quotients, which miss signatures of the
-        # ring: the covers step through them
+        # ring and keep several vertices of one rank
         g = build_cozero_graph(RingSpec(moduli))
         for h in (g, _core(g), quotient_by_associates(g)):
             assert _ideal_out(h) is not None
@@ -337,13 +337,41 @@ class TestOrientation:
             g = build_cozero_graph(RingSpec(moduli))
             for h in (g, induced_subgraph(g, range(1, g.n, 3))):
                 ideals = [principal_ideal(h.spec, a) for a in h.labels]
-                rank, covers = ideal_order(h)
-                out = validate_orientation(h, rank, covers)
+                rank = ideal_order(h)
+                out = validate_orientation(h, rank)
                 assert list(rank) == list(map(len, ideals))
                 for u, v in itertools.product(range(h.n), repeat=2):
                     arc = ideals[u] < ideals[v] or (ideals[u] == ideals[v] and u < v)
                     assert bool(out[u] >> v & 1) == arc, (moduli, u, v)
-                assert all(not c & ~row for c, row in zip(covers, out))
+
+    def test_complete_on_ring_graphs(self):
+        # every default and non-VNR ring, its core, quotient, an induced
+        # subgraph and their complements, up to 64 vertices: the order
+        # validates exactly when the orientation up the rank is transitive.
+        # The complements of Z8, Z16 and Z27 are complete graphs, and do
+        seen = set()
+        outcomes = {True: 0, False: 0}
+        for spec in list(default_ring_set()) + [RingSpec(m) for m in NON_VNR_MODULI]:
+            g = build_cozero_graph(spec)
+            family = [g, _core(g), quotient_by_associates(g),
+                      induced_subgraph(g, range(0, g.n, 2))]
+            for h in family + list(map(complement, family)):
+                if h.n > 64 or (h.spec, h.labels, h.adj) in seen:
+                    continue
+                seen.add((h.spec, h.labels, h.adj))
+                transitive = _transitive(_derived(h, ideal_order(h)))
+                outcomes[transitive] += 1
+                if transitive:
+                    order = validated_order(h)
+                    assert list(order.out) == _derived(order.core, ideal_order(order.core))
+                else:
+                    with pytest.raises(AssertionError, match="orientation"):
+                        validated_order(h)
+        assert min(outcomes.values()) >= 100, outcomes
+        for moduli in [(8,), (16,), (27,)]:
+            h = complement(build_cozero_graph(RingSpec(moduli)))
+            assert h.edge_count() == h.n * (h.n - 1) // 2 > 0
+            assert validated_order(h).out == (0,) * h.n
 
     def test_needs_ring(self):
         with pytest.raises(ValueError):
@@ -363,13 +391,11 @@ class TestOrientation:
     def test_rejects_broken_orientations(self):
         # moving v to just before u flips the arc u->v and no other when
         # every vertex between them is adjacent to v; Z2^4 has no twins,
-        # and each such flip breaks transitivity, even under the most
-        # permissive covers (the rows)
+        # and each such flip breaks transitivity
         g = build_cozero_graph(RingSpec((2,) * 4))
-        rank, covers = map(list, ideal_order(g))
-        out = validate_orientation(g, rank, covers)
+        rank = list(ideal_order(g))
+        out = validate_orientation(g, rank)
         assert list(out) == _derived(g, rank)
-        assert validate_orientation(g, rank, out) == out
         order = sorted(range(g.n), key=rank.__getitem__)
         flips = 0
         for u, v in _arcs(out):
@@ -380,94 +406,59 @@ class TestOrientation:
             moved[v] = moved[u] - 0.5
             flipped = _derived(g, moved)
             assert set(_arcs(flipped)) ^ set(_arcs(out)) == {(u, v), (v, u)}
-            assert validate_orientation(g, moved, flipped) is None, (u, v)
+            assert validate_orientation(g, moved) is None, (u, v)
             flips += 1
         assert flips
-        # certificates of the wrong length, or with a negative cover, which
-        # names every vertex and must not be walked
-        assert validate_orientation(g, rank[:-1], covers[:-1]) is None
-        assert validate_orientation(g, rank, covers[:-1]) is None
-        assert validate_orientation(g, rank[:-1], covers) is None
-        assert validate_orientation(g, rank, [-1] + covers[1:]) is None
-        assert validate_orientation(g, rank, covers[:-1] + [-1]) is None
-
-    @pytest.mark.parametrize("moduli", [(2,) * 4, (4, 9), (2, 2, 3, 5)])
-    def test_rejects_a_dropped_non_cover_arc(self, moduli):
-        # an arc u->v that is no cover is implied by a cover whose row holds
-        # v: without those covers, the join misses v
-        g = _core(build_cozero_graph(RingSpec(moduli)))
-        rank, covers = map(list, ideal_order(g))
-        out = validate_orientation(g, rank, covers)
-        dropped_any = False
-        for u, v in _arcs(out):
-            if covers[u] >> v & 1:
-                continue
-            bad = covers.copy()
-            bad[u] = sum(1 << w for w in bits(covers[u]) if not out[w] >> v & 1)
-            assert validate_orientation(g, rank, bad) is None, (u, v)
-            dropped_any = True
-        assert dropped_any
+        # a rank of the wrong length
+        assert validate_orientation(g, rank[:-1]) is None
+        assert validate_orientation(g, rank + [0]) is None
 
     def test_rejects_a_cycle_disguised_by_false_ranks(self):
         # the rank is not trusted: ranks unlike |Ru| that order the same
         # arcs pass, and a false rank that reverses the long arc of a chain
         # u->w->v derives an orientation that is not transitive
         g = build_cozero_graph(RingSpec((2,) * 4))
-        rank, covers = map(list, ideal_order(g))
-        out = validate_orientation(g, rank, covers)
-        assert validate_orientation(g, [0] * g.n, covers) == out
+        rank = list(ideal_order(g))
+        out = validate_orientation(g, rank)
+        assert validate_orientation(g, [0] * g.n) == out
         [(u, v)] = [(u, v) for u, v in _arcs(out)
                     if any(out[w] >> v & 1 for w in bits(out[u]))][:1]
         false = [rank[x] if x != v else rank[u] - 1 for x in range(g.n)]
         reversed_ = _derived(g, false)
         assert reversed_[v] >> u & 1 and not _transitive(reversed_)
-        for certificate in (covers, reversed_, out):
-            assert validate_orientation(g, false, certificate) is None
-
-    def test_rejects_a_cover_that_is_not_an_arc(self):
-        # a cover off u's derived row: u itself, a vertex before u, or one
-        # adjacent to u
-        g = build_cozero_graph(RingSpec((2, 2, 3)))
-        rank, covers = map(list, ideal_order(g))
-        out = validate_orientation(g, rank, covers)
-        for u in range(g.n):
-            for x in bits(((1 << g.n) - 1) & ~out[u]):
-                bad = covers.copy()
-                bad[u] |= 1 << x
-                assert validate_orientation(g, rank, bad) is None, (u, x)
+        assert validate_orientation(g, false) is None
 
     def test_rejects_an_arc_onto_a_neighbour(self):
-        # with the edge 0-1, 0's row up the order 0, 1, 2 is {2}: a cover
-        # naming 1 is refused, though {1, 2} would be transitive
+        # with the edge 0-1, the order 0, 2, 1 takes 0->2->1 onto 0's
+        # neighbour 1; the order 0, 1, 2 is transitive
         g = from_edges(3, [(0, 1)])
-        assert validate_orientation(g, [0, 1, 2], [0b100, 0b100, 0]) == (0b100, 0b100, 0)
-        assert validate_orientation(g, [0, 1, 2], [0b110, 0b100, 0]) is None
-        # on a ring graph, even when the neighbour is lifted above every rank
-        # and its row joins the cover's
+        assert validate_orientation(g, [0, 1, 2]) == (0b100, 0b100, 0)
+        assert validate_orientation(g, [0, 2, 1]) is None
+        # on a ring graph, a neighbour v of u lifted above every rank takes
+        # the arcs u->w->v of each w above u that misses v: refused exactly
+        # when the definition's rows are not transitive
         g = build_cozero_graph(RingSpec((2, 3, 5)))
-        rank, covers = map(list, ideal_order(g))
-        out = validate_orientation(g, rank, covers)
-        for a, b in g.edges():
-            for u, v in ((a, b), (b, a)):
-                bad = covers.copy()
-                bad[u] |= 1 << v
-                lifted = rank.copy()
-                lifted[v] = max(rank) + 1
-                assert validate_orientation(g, rank, bad) is None, (u, v)
-                assert validate_orientation(g, lifted, bad) is None, (u, v)
-                joined = list(out)
-                joined[u] |= 1 << v | out[v]
-                assert validate_orientation(g, rank, joined) is None, (u, v)
+        rank = list(ideal_order(g))
+        refused = 0
+        for v in sorted({v for e in g.edges() for v in e}):
+            lifted = rank.copy()
+            lifted[v] = max(rank) + 1
+            out = _derived(g, lifted)
+            if _transitive(out):
+                assert validate_orientation(g, lifted) == tuple(out), v
+            else:
+                assert validate_orientation(g, lifted) is None, v
+                refused += 1
+        assert refused
 
     def test_rejects_every_orientation_of_c5(self):
         # the complement of C5 is C5, an odd hole, so none of the 120
-        # rankings orients it transitively, whatever the covers
+        # rankings orients it transitively
         g = cycle_graph(5)
         for order in itertools.permutations(range(5)):
             rank = [order.index(u) for u in range(5)]
-            out = _derived(g, rank)
-            assert not _transitive(out)
-            assert validate_orientation(g, rank, out) is None, order
+            assert not _transitive(_derived(g, rank))
+            assert validate_orientation(g, rank) is None, order
 
     def test_ring_graphs_skip_hole_search(self, monkeypatch):
         def refuse(adj, min_len):
@@ -477,11 +468,11 @@ class TestOrientation:
         for moduli in [(2,) * 6, (2,) * 7, (2, 3, 5), (3, 3, 3)] + NON_VNR_MODULI:
             g = build_cozero_graph(RingSpec(moduli))
             assert is_perfect_desk_scale(g) is True
-            # the complement keeps the spec, but its rows are not the ring's
-            # (except Z4's single vertex), and nothing falls back to the
-            # complement's complement
+            # the complement keeps the spec, but its rows are not the
+            # ring's: it is certified exactly when the orientation up the
+            # rank is transitive, and nothing falls back to a search
             h = complement(g)
-            if h.adj == g.adj:
+            if _transitive(_derived(h, ideal_order(h))):
                 assert is_perfect_desk_scale(h) is True
             else:
                 with pytest.raises(AssertionError, match="orientation"):
@@ -503,8 +494,7 @@ class TestOrientation:
 def test_orientation_against_brute_force():
     # random graphs of up to 8 vertices and random ranks, ties included:
     # the validator returns the rows of the definition when they are
-    # transitive, under the rows themselves or their transitive reduction
-    # as covers, and None when they are not
+    # transitive, and None when they are not
     rng = random.Random(31)
     outcomes = {True: 0, False: 0}
     for _ in range(2000):
@@ -514,17 +504,8 @@ def test_orientation_against_brute_force():
         out = _derived(g, rank)
         transitive = _transitive(out)
         outcomes[transitive] += 1
-        if not transitive:
-            assert validate_orientation(g, rank, out) is None, (g.adj, rank)
-            continue
-        hasse = []  # each row less the rows of its members
-        for row in out:
-            implied = 0
-            for w in bits(row):
-                implied |= out[w]
-            hasse.append(row & ~implied)
-        for covers in (out, hasse):
-            assert validate_orientation(g, rank, covers) == tuple(out), (g.adj, rank)
+        expected = tuple(out) if transitive else None
+        assert validate_orientation(g, rank) == expected, (g.adj, rank)
     assert min(outcomes.values()) >= 500, outcomes
 
 
@@ -662,8 +643,8 @@ class TestChainCover:
     def test_shifted_orientation_raises(self, monkeypatch):
         # an orientation taken as valid whose rows belong to the next vertex:
         # its matching is no chain cover of the core, and no search stands in
-        def shifted(g, rank, covers):
-            out = validate_orientation(g, rank, covers)
+        def shifted(g, rank):
+            out = validate_orientation(g, rank)
             return out[1:] + out[:1]
 
         monkeypatch.setattr(solvers, "validate_orientation", shifted)
