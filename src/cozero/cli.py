@@ -122,6 +122,8 @@ def _analyze_one(case: verify.Case) -> dict:
 
 
 def _format_analysis(info: dict) -> str:
+    if "error" in info:
+        return f"{info['spec']}: error: {info['error']}\n"
     lines = [f"{info['spec']}:"]
     lines.append(f"  |R|={info['cardinality']} units={info['units']} "
                  f"vertices={info['vertices']} edges={info['edges']}")
@@ -143,23 +145,12 @@ def cmd_analyze(args, parser, caps: verify.Caps) -> int:
     specs = _gather_specs(args, parser)
     if not specs:
         parser.exit(2, "cozero: error: no ring specs given\n")
-    chunks = []
-    status = 0
-    for case in (verify.Case(spec, caps) for spec in specs):
-        if case.graph is None:
-            if args.format == "json":
-                chunks.append({"spec": str(case.spec), "error": case.built})
-            else:
-                chunks.append(f"{case.spec}: error: {case.built}\n")
-            status = 1
-            continue
-        info = _analyze_one(case)
-        chunks.append(info if args.format == "json" else _format_analysis(info))
-    if args.format == "json":
-        _emit(json.dumps(chunks, indent=2) + "\n", args.out, parser)
-    else:
-        _emit("".join(chunks), args.out, parser)
-    return status
+    # a ring over a cap is an error entry, in place
+    infos = [{"spec": str(c.spec), "error": c.built} if c.graph is None else _analyze_one(c)
+             for c in (verify.Case(spec, caps) for spec in specs)]
+    _emit(json.dumps(infos, indent=2) + "\n" if args.format == "json"
+          else "".join(map(_format_analysis, infos)), args.out, parser)
+    return 1 if any("error" in info for info in infos) else 0
 
 
 def cmd_verify(args, parser, caps: verify.Caps) -> int:

@@ -59,7 +59,7 @@ def validate_clique(g: CozeroGraph, witness) -> bool:
 def validate_coloring(g: CozeroGraph, assignment, count: int) -> bool:
     if len(assignment) != g.n:
         return False
-    if g.n and not all(0 <= c < count for c in assignment):
+    if not all(0 <= c < count for c in assignment):
         return False
     classes = positions(assignment)  # color -> bitset of the vertices it colors
     return all(not g.adj[v] & classes[c] for v, c in enumerate(assignment))
@@ -151,15 +151,8 @@ def validated_order(g: CozeroGraph) -> ValidatedOrder:
 # ---------------------------------------------------------------------------
 
 def _false_twin_reduce(g: CozeroGraph) -> list[int]:
-    """Keep one vertex per open-neighborhood class; equal open
-    neighborhoods already make two vertices non-adjacent."""
-    seen: set[int] = set()
-    keep = []
-    for v in range(g.n):
-        if g.adj[v] not in seen:
-            seen.add(g.adj[v])
-            keep.append(v)
-    return keep
+    """The lowest vertex of each class of false twins (equal rows), ascending."""
+    return [(m & -m).bit_length() - 1 for m in positions(g.adj).values()]
 
 
 def _all_twin_reduce(g: CozeroGraph) -> list[int]:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cozero import graphs
+from cozero import graphs, solvers
 from cozero.cli import main
 from cozero.graphs import CozeroGraph
 from cozero.rings import associate_classes, parse_spec
@@ -127,6 +128,33 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", "--max-vertices", "6", "Z2xZ2xZ2"], capsys)
         assert code == 0 and "omega=3 chi=3" in out
 
+    def test_ring_over_the_cap_is_an_error_entry_in_place(self, capsys):
+        # the middle ring is over the vertex cap: an error line or entry
+        # where its summary would be, full summaries around it, exit 1;
+        # both outputs are pinned by their bytes
+        argv = ["analyze", "Z2xZ3", "Z2xZ3xZ5", "Z2xZ2xZ2", "--max-vertices", "6"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ("Z2xZ3:\n"
+                       "  |R|=6 units=2 vertices=3 edges=2\n"
+                       "  vnr=true field-factors=2\n"
+                       "  omega=2 chi=2 perfect=true\n"
+                       "  formula C(2,1)=2: match\n"
+                       "Z2xZ3xZ5: error: graph has 21 vertices, cap is 6\n"
+                       "Z2xZ2xZ2:\n"
+                       "  |R|=8 units=1 vertices=6 edges=9\n"
+                       "  vnr=true field-factors=3\n"
+                       "  omega=3 chi=3 perfect=true\n"
+                       "  formula C(3,1)=3: match\n")
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 1
+        first, middle, last = json.loads(out)
+        assert middle == {"spec": "Z2xZ3xZ5", "error": "graph has 21 vertices, cap is 6"}
+        assert (first["spec"], first["chi"], last["spec"], last["chi"]) == (
+            "Z2xZ3", 2, "Z2xZ2xZ2", 3)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f3b4222e35210e97a58d64b8d9be960b62951c6733cd6ed4715a834ab37a3954")
+
 
 class TestVerify:
     def test_named_suite(self, capsys):
@@ -241,6 +269,42 @@ class TestVerify:
                 "observed": "error: AssertionError: ideal orientation of Z2xZ3xZ5 "
                             "does not orient the complement transitively",
                 "pass": False, "witness": None, "skipped": False, "reason": "error"}
+
+    def test_failed_certificate_runs_once(self, capsys, monkeypatch):
+        # the edge of test_internal_error_fails_its_ring_only, planted again:
+        # the order is validated once per ring, also where it fails, and
+        # its three claims report the kept exception, byte for byte as when
+        # each claim computed it anew
+        build, validate = graphs.build_cozero_graph, solvers.validated_order
+        calls = collections.Counter()
+
+        def flipped(spec, **caps):
+            g = build(spec, **caps)
+            if str(spec) != "Z2xZ3xZ5":
+                return g
+            u, v = g.labels.index((0, 0, 1)), g.labels.index((0, 1, 1))
+            adj = list(g.adj)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            return CozeroGraph(g.spec, g.labels, tuple(adj))
+
+        def counted(g):
+            calls[str(g.spec)] += 1
+            return validate(g)
+
+        monkeypatch.setattr(graphs, "build_cozero_graph", flipped)
+        monkeypatch.setattr(solvers, "validated_order", counted)
+        code, out, err = run_cli(["verify", "Z2xZ3", "Z2xZ3xZ5", "Z2xZ2xZ2"], capsys)
+        assert code == 1 and err == ""
+        assert calls == {"Z2xZ3": 1, "Z2xZ3xZ5": 1, "Z2xZ2xZ2": 1}
+        errors = [r for r in json.loads(out) if r["reason"] == "error"]
+        assert [r["claim_id"] for r in errors] == [
+            "clique-formula", "perfection", "quotient-reduction"]
+        assert {r["observed"] for r in errors} == {
+            "error: AssertionError: ideal orientation of Z2xZ3xZ5 "
+            "does not orient the complement transitively"}
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cd0ddf094df4a6274e332369e6a64e863cf5eab84357891676689c7d25ae91b2")
 
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--suite", "graph-invariants",

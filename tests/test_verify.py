@@ -640,6 +640,29 @@ class TestOneCasePerRing:
             expected = 1 if spec in [RingSpec((2, 3, 5)), RingSpec((3, 3))] else 0
             assert sum(h is full for n, h in solved if n == "chi") == expected
 
+    def test_a_failed_certificate_is_kept(self, monkeypatch):
+        # a colouring that raised is raised again on each read, not
+        # recomputed, while the order it read stays valid; a value planted
+        # in the case's __dict__ is still the one read
+        calls = []
+
+        def failing(g, **caps):
+            calls.append(g)
+            raise AssertionError("planted")
+
+        monkeypatch.setattr(solvers, "chromatic_number", failing)
+        case = Case(RingSpec((2, 3, 5)))
+        raised = set()
+        for _ in range(3):
+            with pytest.raises(AssertionError, match="planted") as info:
+                case.coloring
+            raised.add(info.value)
+        assert len(calls) == len(raised) == 1
+        assert case.order.graph is case.graph
+        planted = solvers.ColoringResult(0, (), ())
+        case.__dict__["coloring"] = planted
+        assert case.coloring is planted
+
     def test_each_modulus_factored_once(self, monkeypatch):
         # the skip rules and claims all read RingSpec.fields, cached per spec
         specs = default_ring_set()
