@@ -64,6 +64,20 @@ def positions(keys) -> dict:
     return masks
 
 
+def transpose(rows) -> list[int]:
+    """The transpose of a square bit matrix, bit j of row i its entry (i, j),
+    by Eklundh's block swaps on whole rows: in the pass of width w, row a
+    (a & w clear) trades the high half of each 2w-bit block for row a + w's low."""
+    size = 1 << (len(rows) - 1).bit_length()
+    t = [*rows] + [0] * (size - len(rows))
+    for w in (1 << k for k in range(size.bit_length() - 1)):
+        low = ((1 << size) - 1) // ((1 << 2 * w) - 1) * ((1 << w) - 1)
+        for a in (a for a in range(size) if not a & w):
+            swap = (t[a] >> w ^ t[a + w]) & low
+            t[a], t[a + w] = t[a] ^ swap << w, t[a + w] ^ swap
+    return t[:len(rows)]
+
+
 def _gcd_signatures(spec: RingSpec, labels) -> list[tuple[int, ...]]:
     """Each label's gcd signature (gcd(a_i, n_i) for each i): Ra = R*signature."""
     # the i-th gcds are read column by column from a table of Z_{n_i}

@@ -5,10 +5,10 @@ and three exponential searches that no CLI path runs.
 Chromatic number and perfection are for ring-backed graphs only, and raise
 ValueError on a bare graph.  Both read one principal-ideal order: its
 out-rows are the complement's edges taken up the rank |Ru|, derived from
-the adjacency, and validated as a transitive orientation, which certifies
-perfection.  A minimum chain cover of it (Dilworth) colors the
-graph, certified by an antichain, a clique of the same size (König), which
-is also the maximum clique the CLI reports.
+rows checked to be a graph, and validated as a transitive orientation,
+which certifies perfection.  A minimum chain cover of it (Dilworth) colors
+the graph, certified by an antichain, a clique of the same size (König),
+which is also the maximum clique the CLI reports.
 
 The searches, max_clique (branch and bound), find_odd_hole and
 are_isomorphic, serve any graph and stay here only as the tests' references;
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .graphs import (
-    CozeroGraph, bits, complement, ideal_order, induced_subgraph, positions)
+    CozeroGraph, bits, complement, ideal_order, induced_subgraph, positions, transpose)
 from .rings import CapExceededError
 
 DEFAULT_VERTEX_CAP = 512
@@ -41,9 +41,9 @@ OddCycleCertificate = namedtuple("OddCycleCertificate", "where cycle")  # "graph
 
 
 class ValidatedOrder(namedtuple("ValidatedOrder", "graph keep core out")):
-    """graph's false-twin core, with its validated principal-ideal order as
-    out-rows derived from the core's adjacency; keep maps each core vertex to
-    its vertex of graph."""
+    """graph, its rows checked to be a graph, and its false-twin core, with
+    its validated principal-ideal order as out-rows derived from the core's
+    adjacency; keep maps each core vertex to its vertex of graph."""
     __slots__ = ()
 
 
@@ -57,9 +57,7 @@ def validate_clique(g: CozeroGraph, witness) -> bool:
 
 
 def validate_coloring(g: CozeroGraph, assignment, count: int) -> bool:
-    if len(assignment) != g.n:
-        return False
-    if not all(0 <= c < count for c in assignment):
+    if len(assignment) != g.n or not all(0 <= c < count for c in assignment):
         return False
     classes = positions(assignment)  # color -> bitset of the vertices it colors
     return all(not g.adj[v] & classes[c] for v, c in enumerate(assignment))
@@ -124,30 +122,40 @@ def validate_orientation(g: CozeroGraph, rank) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def validated_order(g: CozeroGraph) -> ValidatedOrder:
-    """The principal-ideal order on a ring-backed graph's false-twin core,
-    derived from the core's adjacency and rank |Ru|, validated as transitive.
-    ValueError on a bare graph; AssertionError if it is not transitive."""
-    keep = _false_twin_reduce(g)
+def validate_rows(g: CozeroGraph, row_classes: dict, core: CozeroGraph) -> bool:
+    """Whether g's rows are a graph, symmetric and loopless, from row_classes
+    (each distinct row -> its vertices) and core (g on each class's first
+    vertex) alone: each row lies in g.n bits, misses its class and is a union
+    of classes, and the core is its own transpose.  For i in class A, j in B:
+    j in row i iff B's first in A's row iff A's first in B's row iff i in row j."""
+    n, shared = g.n, [m for m in row_classes.values() if m & m - 1]  # two or more
+    return (all(not row >> n and not row & m and all(row & c in (0, c) for c in shared)
+                for row, m in row_classes.items())
+            and transpose(core.adj) == list(core.adj))
+
+
+def validated_order(g: CozeroGraph, row_classes: dict | None = None) -> ValidatedOrder:
+    """The principal-ideal order on g's false-twin core, the first vertex of
+    each row class (row_classes, if the caller holds g's; else positions(g.adj)),
+    from the core's rows and rank |Ru|.  ValueError on a bare graph;
+    AssertionError unless the rows are a graph and the order is transitive."""
+    row_classes = row_classes or positions(g.adj)
+    keep = [(m & -m).bit_length() - 1 for m in row_classes.values()]
     core = induced_subgraph(g, keep)
+    if not validate_rows(g, row_classes, core):
+        raise AssertionError(f"the rows of {g.spec} are not a symmetric, loopless graph")
     out = validate_orientation(core, ideal_order(core))
     # a 0-vertex core (Z2, Z3, ...) has the valid, empty, out-rows ()
     if out is None:
-        raise AssertionError(
-            f"ideal orientation of {core.spec} does not orient the complement "
-            f"transitively")
+        raise AssertionError(f"ideal orientation of {core.spec} does not orient "
+                             f"the complement transitively")
     return ValidatedOrder(graph=g, keep=tuple(keep), core=core, out=out)
 
 
 # ---------------------------------------------------------------------------
-# twin reduction
-#
-# Vertices with identical neighborhoods (non-adjacent, "false twins") or
-# identical closed neighborhoods (adjacent, "true twins") are interchangeable
-# for the questions asked here: a clique or an induced cycle of length >= 5
-# can use at most one member of a twin pair, and any solution through a
-# removed twin maps onto its kept sibling.  Removing twins first makes the
-# dense ring graphs (which have large associate classes) tractable.
+# twin reduction, for the searches: a clique or an induced cycle of length
+# >= 5 uses at most one vertex of each class of equal open neighborhoods
+# (non-adjacent "false twins") or closed ones (adjacent "true twins")
 # ---------------------------------------------------------------------------
 
 def _false_twin_reduce(g: CozeroGraph) -> list[int]:

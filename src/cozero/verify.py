@@ -47,12 +47,11 @@ _MAX_FIELDS = 6
 
 
 class Case:
-    """One ring as analyze, verify and export take it: its spec and caps, and
-    its graph or the message of the cap it exceeds (built), validated
-    principal-ideal order, and colouring with its maximum clique, each
-    computed once, a failure raised again on each read; graph is None over
-    either cap.  tables, shared by a run's cases, holds the graphs of Z2^n
-    that quotient-reduction uses, by spec, and _ideals'."""
+    """One ring as analyze, verify and export take it: spec, caps, the graph
+    or the message of the cap it exceeds (built; graph is None over either
+    cap), row classes (each distinct row -> its vertices), validated order and
+    colouring with maximum clique, each computed once, a failure raised again
+    on each read.  tables, shared by a run's cases, holds Z2^n graphs and _ideals'."""
 
     def __init__(self, spec: RingSpec, caps: Caps = Caps(), tables: dict | None = None):
         self.spec, self.caps, self.failed = spec, caps, {}
@@ -82,8 +81,12 @@ class Case:
         return None if isinstance(self.built, str) else self.built
 
     @functools.cached_property
+    def row_classes(self) -> dict:
+        return graphs.positions(self.graph.adj)  # in order of first member
+
+    @functools.cached_property
     def order(self) -> solvers.ValidatedOrder:
-        return self._once(solvers.validated_order, self.graph)
+        return self._once(solvers.validated_order, self.graph, row_classes=self.row_classes)
 
     @functools.cached_property
     def coloring(self) -> solvers.ColoringResult:
@@ -225,7 +228,7 @@ def check_reduction(case: Case) -> VerificationReport:
     on a split product of prime fields each representative is a 0/1 label, so
     it is the identity, and the rows must be the boolean graph's.
     Over fields Ra = Rb iff a and b have one support: if the row classes are
-    the support classes and no row holds its vertex, associates are false
+    the support classes and no class's row meets it, associates are false
     twins and the order's core, the first of each row class, is the quotient.
     The core is an induced subgraph, so the case's antichain and colouring,
     restricted to it, prove from its rows alone that omega = chi = chi(graph)."""
@@ -237,8 +240,8 @@ def check_reduction(case: Case) -> VerificationReport:
     g, order, gc = case.graph, case.order, case.coloring
     supports = list(zip(*(map([int(x % p != 0) for x in range(spec.moduli[i])].__getitem__,
                               map(operator.itemgetter(i), g.labels)) for i, p in spec.fields)))
-    if not (len({*zip(g.adj, supports)}) == len({*g.adj}) == len({*supports})
-            and not any(row >> v & 1 for v, row in enumerate(g.adj))):
+    if not (list(graphs.positions(supports).values()) == list(case.row_classes.values())
+            and not any(row & m for row, m in case.row_classes.items())):
         return VerificationReport(claim, spec, expected, passed=False,
                                   observed="associates are not false twins")
     q, gw = order.core, len(gc.clique)
@@ -281,7 +284,7 @@ def check_invariants(case: Case) -> VerificationReport:
     claim, spec = "graph-invariants", case.spec
     if reason := _skip_reason(case):
         return _skip(claim, spec, reason)
-    g = case.graph
+    g, same_row = case.graph, case.row_classes
     problems: list[str] = []
 
     keys = list(zip(*(map(_ideals(case.tables, n).__getitem__, column)
@@ -300,7 +303,6 @@ def check_invariants(case: Case) -> VerificationReport:
     fold = functools.partial(functools.reduce, operator.and_)
     rows = {key: full & ~(fold(map(dict.__getitem__, below, key))
                           | fold(map(dict.__getitem__, above, key))) for key in classes}
-    same_row = graphs.positions(g.adj)
     # the vertices whose row is not their class's; each wrong bit names its
     # pair, lower index first, once, whichever of the two rows holds it
     off_row = sum(m & ~same_row.get(rows[key], 0) for key, m in classes.items())

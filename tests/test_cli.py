@@ -288,9 +288,9 @@ class TestVerify:
             adj[v] ^= 1 << u
             return CozeroGraph(g.spec, g.labels, tuple(adj))
 
-        def counted(g):
+        def counted(g, row_classes=None):
             calls[str(g.spec)] += 1
-            return validate(g)
+            return validate(g, row_classes)
 
         monkeypatch.setattr(graphs, "build_cozero_graph", flipped)
         monkeypatch.setattr(solvers, "validated_order", counted)

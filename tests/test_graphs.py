@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -15,6 +16,7 @@ from cozero.graphs import (
     quotient_by_associates,
     to_dot,
     to_json,
+    transpose,
 )
 from cozero.rings import (
     CapExceededError, RingSpec, associate_classes, parse_spec, vertices)
@@ -175,6 +177,23 @@ class TestComplement:
     def test_z2_cubed_complement_edges(self):
         g = build_cozero_graph(RingSpec((2, 2, 2)))
         assert complement(g).edge_count() == 15 - 9
+
+
+class TestTranspose:
+    def test_matches_bit_by_bit(self):
+        # every size to 70, and either side of a power of two
+        rng = random.Random(26)
+        for n in [*range(71), 127, 128, 129]:
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            assert transpose(rows) == [sum((rows[i] >> j & 1) << i for i in range(n))
+                                       for j in range(n)], n
+
+    def test_a_graph_is_its_own_transpose(self):
+        for spec in default_ring_set()[:80]:
+            g = build_cozero_graph(spec)
+            assert transpose(g.adj) == list(g.adj)
+            h = complement(g)
+            assert transpose(h.adj) == list(h.adj)
 
 
 class TestIdealOrder:

@@ -180,6 +180,8 @@ FAST_PATHS = {"in_principal_ideal", "_gcd_signatures", "ideal_order"}
     # checks them on its rows
     ("verify", "check_reduction", {"chromatic_number", "validated_order", "ideal_order",
                                    "quotient_by_associates", "induced_subgraph"}),
+    # that the rows are a graph is read off the rows and their classes alone
+    ("solvers", "validate_rows", FAST_PATHS | {"labels", "spec"}),
 ])
 def test_oracles_stay_independent(module, function, forbidden):
     assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()

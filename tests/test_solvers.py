@@ -15,6 +15,7 @@ from cozero.graphs import (
     complement,
     ideal_order,
     induced_subgraph,
+    positions,
     quotient_by_associates,
 )
 from cozero.rings import CapExceededError, RingSpec, parse_spec, principal_ideal
@@ -32,6 +33,7 @@ from cozero.solvers import (
     validate_clique,
     validate_coloring,
     validate_orientation,
+    validate_rows,
     validated_order,
 )
 from cozero.verify import Caps, Case, default_ring_set
@@ -507,6 +509,68 @@ def test_orientation_against_brute_force():
         expected = tuple(out) if transitive else None
         assert validate_orientation(g, rank) == expected, (g.adj, rank)
     assert min(outcomes.values()) >= 500, outcomes
+
+
+def _is_graph(g: CozeroGraph) -> bool:
+    """Bit by bit: every row lies in g.n bits, holds no loop and mirrors
+    every other row."""
+    return all(0 <= row < 1 << g.n and not row >> i & 1 for i, row in enumerate(g.adj)) and all(
+        g.has_edge(i, j) == g.has_edge(j, i) for i in range(g.n) for j in range(i))
+
+
+def _validate_rows(g: CozeroGraph) -> bool:
+    classes = positions(g.adj)
+    return validate_rows(g, classes, induced_subgraph(g, _false_twin_reduce(g)))
+
+
+class TestRowsAreAGraph:
+    @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5), (4, 9)], ids=str)
+    def test_every_single_bit_flip_raises(self, moduli):
+        # a loop on the diagonal; elsewhere one bit of a pair, in a core row
+        # or in a twin's, whose class then splits
+        g = build_cozero_graph(RingSpec(moduli))
+        validated_order(g)
+        for i, j in itertools.product(range(g.n), repeat=2):
+            rows = list(g.adj)
+            rows[i] ^= 1 << j
+            with pytest.raises(AssertionError, match="not a symmetric, loopless graph"):
+                validated_order(CozeroGraph(g.spec, g.labels, tuple(rows)))
+
+    @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5), (4, 9)], ids=str)
+    def test_a_bit_past_the_vertices_raises(self, moduli):
+        # in a first member's row and in a twin's, by one bit or a sign
+        g = build_cozero_graph(RingSpec(moduli))
+        twin = next(v for v in range(g.n) if v not in _false_twin_reduce(g))
+        for v, extra in itertools.product([0, twin], [1 << g.n, 1 << g.n + 9, -1 << g.n]):
+            rows = list(g.adj)
+            rows[v] |= extra
+            wrong = CozeroGraph(g.spec, g.labels, tuple(rows))
+            assert not _is_graph(wrong)
+            with pytest.raises(AssertionError, match="not a symmetric, loopless graph"):
+                validated_order(wrong)
+
+    def test_matches_bit_by_bit_with_twins(self):
+        # random cores blown up into false-twin classes, then perhaps one bit
+        # flipped, the diagonal and two bits past the vertices included
+        rng = random.Random(26)
+        outcomes = {True: 0, False: 0}
+        for _ in range(1500):
+            k = rng.randint(1, 7)
+            core = random_graph(k, rng.choice([0.3, 0.6]), rng)
+            of = [rng.randrange(k) for _ in range(rng.randint(k, 14))]
+            rows = [sum(1 << v for v, c in enumerate(of) if core.has_edge(of[u], c))
+                    for u in range(len(of))]
+            if rng.random() < 0.6:
+                rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(len(rows) + 2)
+            g = CozeroGraph(None, tuple((v,) for v in range(len(rows))), tuple(rows))
+            outcomes[_is_graph(g)] += 1
+            assert _validate_rows(g) == _is_graph(g), rows
+        assert min(outcomes.values()) >= 400, outcomes
+
+    def test_accepts_ring_graphs(self):
+        for spec in default_ring_set():
+            g = build_cozero_graph(spec)
+            assert _validate_rows(g) and _validate_rows(complement(g))
 
 
 def _core(g: CozeroGraph) -> CozeroGraph:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import tracemalloc
@@ -46,6 +47,15 @@ class TestCheckFormula:
     def test_cap_skip(self):
         r = check_formula(Case(RingSpec((2, 3)), Caps(max_cardinality=5)))
         assert r.skipped and r.reason == "cap-exceeded"
+
+    def test_count_off_its_clique_fails(self):
+        # a planted colouring with one colour more than its clique: the
+        # colouring and the clique are each valid, but omega != chi
+        case = Case(RingSpec((2, 3, 5)))
+        gc = case.coloring
+        case.__dict__["coloring"] = gc._replace(count=gc.count + 1)
+        r = check_formula(case)
+        assert not r.passed and r.observed == "omega=3 chi=4"
 
 
 class TestCheckPerfection:
@@ -241,12 +251,14 @@ class TestCheckReduction:
     @staticmethod
     def planted(moduli, corrupt):
         """A case whose order and colouring are computed, then whose graph is
-        replaced by corrupt(graph, a non-kept vertex, the mask of its class)."""
+        replaced by corrupt(graph, a non-kept vertex, the mask of its class),
+        and whose row classes are then the corrupt graph's."""
         case = Case(RingSpec(moduli))
         g, order, _ = case.graph, case.order, case.coloring
         v = next(v for v in range(g.n) if v not in order.keep)
         members = graphs.positions(g.adj)[g.adj[v]]
         case.__dict__["graph"] = CozeroGraph(g.spec, g.labels, corrupt(g, v, members))
+        del case.__dict__["row_classes"]
         return case
 
     @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=["identity", "permuted"])
@@ -291,6 +303,15 @@ class TestCheckReduction:
         assert not r.passed and not r.skipped
         assert r.observed.endswith("iso=no") and r.witness is None
 
+    def test_count_off_its_clique_fails(self):
+        # the colouring of TestCheckFormula's planted count: its restriction
+        # colours the quotient, but the clique no longer matches its count
+        case = Case(RingSpec((2, 3, 5)))
+        gc = case.coloring
+        case.__dict__["coloring"] = gc._replace(count=gc.count + 1)
+        r = check_reduction(case)
+        assert not r.passed and r.observed == "omega 3->no-clique chi 4->4 iso=yes"
+
     def test_six_field_rule_is_the_old_vertex_cap(self):
         # more than six fields is exactly a twin core, and a quotient, of more
         # than 64 vertices; such rings skip before their graph is built
@@ -326,6 +347,15 @@ class TestCheckInvariants:
 
     def test_mixed_fields(self):
         assert check_invariants(Case(RingSpec((3, 5)))).passed
+
+    def test_part_sizes_are_checked(self):
+        # Z2^4's graph without its first vertex, (0,0,0,1): every row is the
+        # one its labels define, so only the size of A_3 tells
+        case = Case(RingSpec((2,) * 4))
+        g = case.graph
+        case.__dict__["graph"] = graphs.induced_subgraph(g, range(1, g.n))
+        r = check_invariants(case)
+        assert not r.passed and r.observed == "|A_3| = 3 != C(4,3)"
 
     def test_peak_allocation_on_large_classes(self):
         # 5,264 vertices in 79 associate classes: one expected row per class,
@@ -566,6 +596,28 @@ def test_planted_fault_sweep(monkeypatch, capsys, moduli, fault):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=str)
+def test_one_row_fault_fails_the_order(monkeypatch, moduli):
+    # the sweep's one-row bit: the last row loses vertex 0, and row 0 keeps
+    # the last vertex; the order's certificate reads both rows, so the
+    # claims that read the order report its error, and graph-invariants
+    # names the pair
+    spec = RingSpec(moduli)
+    build = graphs.build_cozero_graph
+    wrong = planted(build(spec), "one-row bit flipped")
+    monkeypatch.setattr(graphs, "build_cozero_graph",
+                        lambda s, **caps: wrong if s == spec else build(s, **caps))
+    reports = {r.claim_id: r for r in run_suite(sorted(CLAIMS), [spec])}
+    for claim in ("clique-formula", "perfection"):
+        r = reports[claim]
+        assert not r.passed and r.reason == "error"
+        assert r.observed == (f"error: AssertionError: the rows of {spec} are not "
+                              f"a symmetric, loopless graph")
+    r = reports["graph-invariants"]
+    assert not r.passed and r.observed.startswith(
+        f"adjacency mismatch at {wrong.labels[0]},{wrong.labels[-1]}")
+
+
 class TestRunSuite:
     def test_cross_product(self):
         specs = [RingSpec((2, 2)), RingSpec((2, 2, 2))]
@@ -701,9 +753,9 @@ def count_validations(monkeypatch) -> tuple[list, list]:
     validated: list = []
     validated_order, validate = solvers.validated_order, solvers.validate_orientation
 
-    def counting_order(g):
+    def counting_order(g, row_classes=None):
         ordered.append(g)
-        return validated_order(g)
+        return validated_order(g, row_classes)
 
     def counting_validate(g, *certificate):
         validated.append(g)
@@ -742,6 +794,26 @@ class TestOneValidationPerGraph:
         full = [built[s][0] for s in rings_ if s not in (RingSpec((4,)), RingSpec((2, 4)))]
         assert len(ordered) == len(full)
         assert all(g is h for g, h in zip(ordered, full))
+
+    def test_rows_grouped_once_per_ring(self, monkeypatch):
+        # the order, graph-invariants and quotient-reduction read one row
+        # partition per ring, and no other graph's rows are grouped
+        built, grouped = [], []
+        build, positions = graphs.build_cozero_graph, graphs.positions
+        monkeypatch.setattr(graphs, "build_cozero_graph", lambda spec, **caps:
+                            built.append(build(spec, **caps)) or built[-1])
+
+        def counting(keys):
+            grouped.extend(str(g.spec) for g in built if g.adj is keys)
+            return positions(keys)
+
+        for module in (graphs, solvers):
+            monkeypatch.setattr(module, "positions", counting)
+        rings_ = [RingSpec(m) for m in [(2, 3, 5), (6, 5), (3, 3), (4, 9), (2,) * 4, (8,)]]
+        reports = run_suite(sorted(CLAIMS), rings_)
+        assert all(r.passed for r in reports)
+        assert len(built) == len(rings_) + 3  # and quotient-reduction's Z2^2, Z2^3, Z2^4
+        assert collections.Counter(grouped) == {str(spec): 1 for spec in rings_}
 
     def test_analyze_validates_each_ring_once(self, monkeypatch, capsys):
         from cozero.cli import main
