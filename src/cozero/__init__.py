@@ -22,6 +22,7 @@ from .solvers import (
     ColoringResult,
     chromatic_number,
     is_perfect_desk_scale,
+    validated_order,
 )
 
 __version__ = "0.1.0"

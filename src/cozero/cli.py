@@ -106,7 +106,7 @@ def _analyze_one(case: verify.Case) -> dict:
         "omega": len(coloring.clique),
         "clique_witness": list(coloring.clique),
         "chi": coloring.count,
-        "perfect": solvers.is_perfect_desk_scale(g, order=case.order),
+        "perfect": solvers.is_perfect_desk_scale(case.order),
     }
     if spec.fields is not None:
         n = len(spec.fields)

@@ -2,13 +2,14 @@
 perfection certificates by transitive orientations, for ring-backed graphs;
 and three exponential searches that no CLI path runs.
 
-Chromatic number and perfection are for ring-backed graphs only, and raise
-ValueError on a bare graph.  Both read one principal-ideal order: its
-out-rows are the complement's edges taken up the rank |Ru|, derived from
-rows checked to be a graph, and validated as a transitive orientation,
-which certifies perfection.  A minimum chain cover of it (Dilworth) colors
-the graph, certified by an antichain, a clique of the same size (König),
-which is also the maximum clique the CLI reports.
+Chromatic number and perfection take one principal-ideal order, which
+validated_order makes from a ring-backed graph and its row classes, and
+which raises ValueError on a bare graph: its out-rows are the complement's
+edges taken up the rank |Ru|, derived from rows checked to be a graph, and
+validated as a transitive orientation, which certifies perfection.  A
+minimum chain cover of it (Dilworth) colors the graph, certified by an
+antichain, a clique of the same size (König), which is also the maximum
+clique the CLI reports.
 
 The searches, max_clique (branch and bound), find_odd_hole and
 are_isomorphic, serve any graph and stay here only as the tests' references;
@@ -134,12 +135,11 @@ def validate_rows(g: CozeroGraph, row_classes: dict, core: CozeroGraph) -> bool:
             and transpose(core.adj) == list(core.adj))
 
 
-def validated_order(g: CozeroGraph, row_classes: dict | None = None) -> ValidatedOrder:
+def validated_order(g: CozeroGraph, row_classes: dict) -> ValidatedOrder:
     """The principal-ideal order on g's false-twin core, the first vertex of
-    each row class (row_classes, if the caller holds g's; else positions(g.adj)),
-    from the core's rows and rank |Ru|.  ValueError on a bare graph;
+    each of g's row classes (row_classes, as graphs.positions(g.adj) groups
+    them), from the core's rows and rank |Ru|.  ValueError on a bare graph;
     AssertionError unless the rows are a graph and the order is transitive."""
-    row_classes = row_classes or positions(g.adj)
     keep = [(m & -m).bit_length() - 1 for m in row_classes.values()]
     core = induced_subgraph(g, keep)
     if not validate_rows(g, row_classes, core):
@@ -270,28 +270,22 @@ def _max_clique_core(adj: list[int]) -> list[int]:
 # chromatic number: a minimum chain cover of the principal-ideal order
 # ---------------------------------------------------------------------------
 
-def chromatic_number(g: CozeroGraph, order: ValidatedOrder | None = None) -> ColoringResult:
-    """Exact chromatic number, a coloring and a maximum clique of a
-    ring-backed graph, on its false-twin core: the chains of a minimum chain
-    cover of the core's validated principal-ideal order (order, if the
-    caller holds g's), and an antichain of equal size, checked as a clique
-    on the core's adjacency alone, so omega = chi.  ValueError on a graph
-    with no ring behind it or an order of another; AssertionError if the
-    orientation or either certificate fails."""
-    order = order or validated_order(g)
-    if order.graph is not g:
-        raise ValueError("the order was validated for another graph")
-    core = order.core
+def chromatic_number(order: ValidatedOrder) -> ColoringResult:
+    """Exact chromatic number, a coloring and a maximum clique of the
+    ring-backed graph order.graph, on its false-twin core: the chains of a
+    minimum chain cover of the core's validated principal-ideal order, and
+    an antichain of equal size, checked as a clique on the core's adjacency
+    alone, so omega = chi.  AssertionError if either certificate fails."""
+    g, core = order.graph, order.core
     count, colors, antichain = _chain_cover(order.out)
     if not (len(antichain) == count and validate_clique(core, antichain)
             and validate_coloring(core, colors, count)):
         raise AssertionError(
             f"chain cover of {core.spec} with {count} chains is not "
             f"matched by a clique of the same size")
-    # removed false twins reuse their kept sibling's color
-    sibling = {g.adj[old]: new for new, old in enumerate(order.keep)}
-    return ColoringResult(count=count,
-                          assignment=tuple(colors[sibling[row]] for row in g.adj),
+    # removed false twins reuse the color of the kept vertex with their row
+    color = dict(zip(map(g.adj.__getitem__, order.keep), colors))
+    return ColoringResult(count=count, assignment=tuple(map(color.__getitem__, g.adj)),
                           clique=tuple(sorted(order.keep[v] for v in antichain)))
 
 
@@ -434,18 +428,13 @@ def _min_odd_hole_core(adj: list[int], min_len: int) -> list[int] | None:
     return best
 
 
-def is_perfect_desk_scale(g: CozeroGraph, order: ValidatedOrder | None = None) -> bool:
-    """Perfection of a ring-backed graph, certified by the validated
-    principal-ideal order of its false-twin core: order, if the caller holds
-    g's.  Substituting an independent set for a vertex keeps a graph perfect
-    (Lovász), so the core is perfect iff g is.  AssertionError if the order
-    is not transitive, as on the complement of Z2xZ3xZ5's graph; ValueError
-    on a graph with no ring behind it.
+def is_perfect_desk_scale(order: ValidatedOrder) -> bool:
+    """Perfection of the ring-backed graph order.graph, certified by order,
+    the validated principal-ideal order of its false-twin core: validation
+    returns it or raises, so this is True.  Substituting an independent set
+    for a vertex keeps a graph perfect (Lovász), so the core is perfect iff
+    order.graph is.
     """
-    if order is None:
-        validated_order(g)
-    elif order.graph is not g:
-        raise ValueError("the order was validated for another graph")
     return True
 
 

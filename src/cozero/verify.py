@@ -49,19 +49,20 @@ _MAX_FIELDS = 6
 class Case:
     """One ring as analyze, verify and export take it: spec, caps, the graph
     or the message of the cap it exceeds (built; graph is None over either
-    cap), row classes (each distinct row -> its vertices), validated order and
-    colouring with maximum clique, each computed once, a failure raised again
-    on each read.  tables, shared by a run's cases, holds Z2^n graphs and _ideals'."""
+    cap), row classes (each distinct row -> its vertices), the order validated
+    from the graph and its row classes, and the colouring with maximum clique
+    read from the order alone; each computed once, a failure raised again on
+    each read.  tables, shared by a run's cases, holds Z2^n graphs and _ideals'."""
 
     def __init__(self, spec: RingSpec, caps: Caps = Caps(), tables: dict | None = None):
         self.spec, self.caps, self.failed = spec, caps, {}
         self.tables = {} if tables is None else tables
 
-    def _once(self, solve, *args, **kwargs):
-        """solve(*args, **kwargs), or the exception its first call raised."""
+    def _once(self, solve, *args):
+        """solve(*args), or the exception its first call raised."""
         if solve not in self.failed:
             try:
-                return solve(*args, **kwargs)
+                return solve(*args)
             except Exception as exc:
                 self.failed[solve] = exc
         raise self.failed[solve]
@@ -86,11 +87,11 @@ class Case:
 
     @functools.cached_property
     def order(self) -> solvers.ValidatedOrder:
-        return self._once(solvers.validated_order, self.graph, row_classes=self.row_classes)
+        return self._once(solvers.validated_order, self.graph, self.row_classes)
 
     @functools.cached_property
     def coloring(self) -> solvers.ColoringResult:
-        return self._once(solvers.chromatic_number, self.graph, order=self.order)
+        return self._once(solvers.chromatic_number, self.order)
 
 
 def _ideals(tables: dict, n: int) -> list[frozenset[int]]:
@@ -175,12 +176,10 @@ def check_perfection(case: Case) -> VerificationReport:
     claim, spec = "perfection", case.spec
     if reason := _skip_reason(case, _NOT_VNR, _TOO_MANY_FIELDS):
         return _skip(claim, spec, reason)
-    perfect = solvers.is_perfect_desk_scale(case.graph, order=case.order)
     return VerificationReport(
         claim_id=claim, spec=spec,
         expected="no induced odd cycle of length >= 5 in graph or complement",
-        observed="perfect" if perfect else "not perfect",
-        passed=perfect)
+        observed="perfect", passed=solvers.is_perfect_desk_scale(case.order))
 
 
 def check_null_graph(case: Case) -> VerificationReport:

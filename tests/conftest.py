@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from cozero.graphs import CozeroGraph, bits, build_cozero_graph, induced_subgraph
+from cozero.graphs import CozeroGraph, bits, build_cozero_graph, induced_subgraph, positions
 from cozero.rings import AssociateClasses, CapExceededError, RingSpec
-from cozero.solvers import max_clique
+from cozero.solvers import ValidatedOrder, max_clique, validated_order
 
 
 # ring arithmetic and bare graphs that only the tests need
@@ -35,6 +35,13 @@ def from_edges(n: int, edges, labels=None, spec=None) -> CozeroGraph:
     if labels is None:
         labels = tuple((i,) for i in range(n))
     return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows))
+
+
+def ordered(g: CozeroGraph) -> ValidatedOrder:
+    """g's validated principal-ideal order, from g's own row classes as
+    verify.Case groups them: the one input of chromatic_number and
+    is_perfect_desk_scale."""
+    return validated_order(g, positions(g.adj))
 
 
 # independent oracles, kept deliberately naive

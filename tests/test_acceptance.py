@@ -33,6 +33,7 @@ from conftest import (
     cycle_graph,
     ideal_by_enumeration,
     nzc_partition,
+    ordered,
     random_graph,
     random_ring_subgraph,
     vnr_by_search,
@@ -61,7 +62,7 @@ def test_criterion_1_formula_boolean_powers():
         start = time.perf_counter()
         g = build_cozero_graph(spec)
         omega = max_clique(g).size
-        chi = chromatic_number(g).count
+        chi = chromatic_number(ordered(g)).count
         elapsed = time.perf_counter() - start
         assert omega == chi == expected[n], f"{spec}: omega={omega} chi={chi}"
         assert elapsed < 10, f"{spec} took {elapsed:.1f}s"
@@ -75,7 +76,7 @@ def test_criterion_2_formula_mixed_fields():
         if vertex_count is not None:
             assert g.n == vertex_count
         omega = max_clique(g).size
-        chi = chromatic_number(g).count
+        chi = chromatic_number(ordered(g)).count
         elapsed = time.perf_counter() - start
         assert omega == chi == expected, f"{spec}: omega={omega} chi={chi}"
         assert elapsed < 60, f"{spec} took {elapsed:.1f}s"
@@ -84,16 +85,16 @@ def test_criterion_2_formula_mixed_fields():
 
 def test_criterion_3_perfection():
     for spec in BOOLEAN_POWERS + [s for s, _, _ in MIXED_FIELDS]:
-        assert is_perfect_desk_scale(build_cozero_graph(spec)) is True, spec
+        assert is_perfect_desk_scale(ordered(build_cozero_graph(spec))) is True, spec
     # negative controls: C5 is no ring graph, and C5 rows under a ring's
     # labels admit no transitive orientation; neither may pass as perfect
     c5 = cycle_graph(5)
     with pytest.raises(ValueError):
-        is_perfect_desk_scale(c5)
+        is_perfect_desk_scale(ordered(c5))
     g = build_cozero_graph(RingSpec((2, 2, 2)))
     wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=c5.adj + (0,))
     with pytest.raises(AssertionError, match="orientation"):
-        is_perfect_desk_scale(wrong)
+        is_perfect_desk_scale(ordered(wrong))
     report("criterion 3 (perfection + C5 negative controls): PASS")
 
 
@@ -102,7 +103,7 @@ def test_criterion_4_reduction():
         g = build_cozero_graph(spec)
         q = quotient_by_associates(g)
         assert max_clique(q).size == max_clique(g).size
-        assert chromatic_number(q).count == chromatic_number(g).count
+        assert chromatic_number(ordered(q)).count == chromatic_number(ordered(g)).count
         n = len(spec.fields)
         boolean = build_cozero_graph(RingSpec((2,) * n))
         bij = are_isomorphic(q, boolean)
@@ -202,7 +203,7 @@ def test_criterion_7_solver_exactness():
     # the small rings' graphs
     for _ in range(100):
         g = random_ring_subgraph(rng)
-        assert chromatic_number(g).count == brute_force_chromatic(g)
+        assert chromatic_number(ordered(g)).count == brute_force_chromatic(g)
     report("criterion 7 (solvers vs brute force, 100+100+100 random graphs): PASS")
 
 
@@ -258,9 +259,9 @@ def test_criterion_9_only_clique_witnesses_moved(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", "--out", str(ours)]) == 0
     coloring = solvers.chromatic_number
 
-    def searched(g, **kw):
-        result = coloring(g, **kw)
-        witness = max_clique(g).witness
+    def searched(order):
+        result = coloring(order)
+        witness = max_clique(order.graph).witness
         assert len(witness) == len(result.clique)
         return result._replace(clique=witness)
 

@@ -288,7 +288,7 @@ class TestVerify:
             adj[v] ^= 1 << u
             return CozeroGraph(g.spec, g.labels, tuple(adj))
 
-        def counted(g, row_classes=None):
+        def counted(g, row_classes):
             calls[str(g.spec)] += 1
             return validate(g, row_classes)
 

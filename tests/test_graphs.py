@@ -20,9 +20,10 @@ from cozero.graphs import (
 )
 from cozero.rings import (
     CapExceededError, RingSpec, associate_classes, parse_spec, vertices)
-from cozero.solvers import _false_twin_reduce, validated_order
+from cozero.solvers import _false_twin_reduce
 from cozero.verify import default_ring_set
-from conftest import adjacency_by_oracle, from_edges, ideal_by_enumeration, nzc_partition
+from conftest import (
+    adjacency_by_oracle, from_edges, ideal_by_enumeration, nzc_partition, ordered)
 
 
 def assert_quotient_is_by_associate_classes(spec):
@@ -43,7 +44,7 @@ def assert_core_is_quotient(spec):
     """Over fields, the false-twin core that quotient-reduction reads and the
     associate quotient that `export --quotient` writes are one graph."""
     g = build_cozero_graph(spec)
-    q, core = quotient_by_associates(g), validated_order(g).core
+    q, core = quotient_by_associates(g), ordered(g).core
     assert (q.labels, q.adj) == (core.labels, core.adj), spec
 
 

@@ -182,6 +182,10 @@ FAST_PATHS = {"in_principal_ideal", "_gcd_signatures", "ideal_order"}
                                    "quotient_by_associates", "induced_subgraph"}),
     # that the rows are a graph is read off the rows and their classes alone
     ("solvers", "validate_rows", FAST_PATHS | {"labels", "spec"}),
+    # chromatic number and perfection take the validated order alone: no
+    # path makes it, or groups the rows it is made from, in their place
+    ("solvers", "chromatic_number", {"validated_order", "positions"}),
+    ("solvers", "is_perfect_desk_scale", {"validated_order", "positions"}),
 ])
 def test_oracles_stay_independent(module, function, forbidden):
     assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()

@@ -34,7 +34,6 @@ from cozero.solvers import (
     validate_coloring,
     validate_orientation,
     validate_rows,
-    validated_order,
 )
 from cozero.verify import Caps, Case, default_ring_set
 from conftest import (
@@ -45,6 +44,7 @@ from conftest import (
     cycle_graph,
     from_edges,
     has_induced_odd_cycle_by_subsets,
+    ordered,
     random_graph,
     random_ring_subgraph,
 )
@@ -118,32 +118,32 @@ class TestMaxClique:
 
 class TestChromaticNumber:
     def test_ring_examples(self):
-        assert chromatic_number(build_cozero_graph(RingSpec((2, 2)))).count == 2
-        assert chromatic_number(build_cozero_graph(RingSpec((2,) * 5))).count == 10
+        assert chromatic_number(ordered(build_cozero_graph(RingSpec((2, 2))))).count == 2
+        assert chromatic_number(ordered(build_cozero_graph(RingSpec((2,) * 5)))).count == 10
 
     def test_edgeless(self):
         # the graph of Z8 has three vertices and no edge
         g = build_cozero_graph(RingSpec((8,)))
         assert g.n == 3 and g.edge_count() == 0
-        res = chromatic_number(g)
+        res = chromatic_number(ordered(g))
         assert res.count == 1
         assert chromatic_by_search(from_edges(4, []))[0] == 1
-        assert chromatic_number(build_cozero_graph(RingSpec((5,)))).count == 0
+        assert chromatic_number(ordered(build_cozero_graph(RingSpec((5,))))).count == 0
 
     def test_assignment_proper(self, small_spec):
         g = build_cozero_graph(small_spec)
-        res = chromatic_number(g)
+        res = chromatic_number(ordered(g))
         assert validate_coloring(g, res.assignment, res.count)
 
     def test_at_least_clique(self, small_spec):
         g = build_cozero_graph(small_spec)
-        assert chromatic_number(g).count >= max_clique(g).size
+        assert chromatic_number(ordered(g)).count >= max_clique(g).size
 
     def test_matches_brute_force_random(self):
         rng = random.Random(11)
         for _ in range(40):
             g = random_ring_subgraph(rng)
-            res = chromatic_number(g)
+            res = chromatic_number(ordered(g))
             assert validate_coloring(g, res.assignment, res.count)
             assert res.count == brute_force_chromatic(g)
         for _ in range(40):
@@ -157,13 +157,13 @@ class TestChromaticNumber:
         ids=["c5", "dsatur-trap"])
     def test_bare_graph_raises(self, g):
         with pytest.raises(ValueError):
-            chromatic_number(g)
+            chromatic_number(ordered(g))
 
     def test_complement_raises(self):
         # complement() keeps the spec, but the ideal orientation orients the
         # complement's own edges, so it certifies nothing
         with pytest.raises(AssertionError, match="orientation"):
-            chromatic_number(complement(build_cozero_graph(RingSpec((2, 2, 2)))))
+            chromatic_number(ordered(complement(build_cozero_graph(RingSpec((2, 2, 2))))))
 
     def test_brute_force_examples(self):
         assert brute_force_chromatic(complete_graph(4)) == 4
@@ -246,12 +246,12 @@ class TestFindOddHole:
 class TestIsPerfect:
     def test_ring_graphs_perfect(self):
         for moduli in [(2, 2, 2), (2, 3, 5), (3, 5, 7)]:
-            assert is_perfect_desk_scale(build_cozero_graph(RingSpec(moduli))) is True
+            assert is_perfect_desk_scale(ordered(build_cozero_graph(RingSpec(moduli)))) is True
 
     def test_c5_imperfect(self):
         # no ring behind the graph: no certificate, and no search stands in
         with pytest.raises(ValueError):
-            is_perfect_desk_scale(cycle_graph(5))
+            is_perfect_desk_scale(ordered(cycle_graph(5)))
         cert = find_odd_hole(cycle_graph(5))
         assert len(cert.cycle) == 5
         assert validate_certificate(cycle_graph(5), cert)
@@ -259,7 +259,7 @@ class TestIsPerfect:
     def test_antihole(self):
         g = complement(cycle_graph(7))
         with pytest.raises(ValueError):
-            is_perfect_desk_scale(g)
+            is_perfect_desk_scale(ordered(g))
         assert find_odd_hole(g) is None
         hole = find_odd_hole(complement(g))
         assert validate_certificate(g, OddCycleCertificate("complement", hole.cycle))
@@ -275,7 +275,7 @@ class TestIsPerfect:
         g = from_edges(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)])
         assert find_odd_hole(g) is None and find_odd_hole(complement(g)) is None
         with pytest.raises(ValueError):
-            is_perfect_desk_scale(g)
+            is_perfect_desk_scale(ordered(g))
 
 
 # rings that are not products of fields: their associate classes have
@@ -364,31 +364,32 @@ class TestOrientation:
                 transitive = _transitive(_derived(h, ideal_order(h)))
                 outcomes[transitive] += 1
                 if transitive:
-                    order = validated_order(h)
+                    order = ordered(h)
                     assert list(order.out) == _derived(order.core, ideal_order(order.core))
                 else:
                     with pytest.raises(AssertionError, match="orientation"):
-                        validated_order(h)
+                        ordered(h)
         assert min(outcomes.values()) >= 100, outcomes
         for moduli in [(8,), (16,), (27,)]:
             h = complement(build_cozero_graph(RingSpec(moduli)))
             assert h.edge_count() == h.n * (h.n - 1) // 2 > 0
-            assert validated_order(h).out == (0,) * h.n
+            assert ordered(h).out == (0,) * h.n
 
     def test_needs_ring(self):
         with pytest.raises(ValueError):
             ideal_order(cycle_graph(5))
 
-    def test_order_of_another_graph_is_refused(self):
-        # an order certifies only the graph it was validated on, even one
-        # with equal rows
+    def test_results_describe_the_orders_graph(self):
+        # the solvers read the graph off the order, even among graphs with
+        # equal rows
         g, h = (build_cozero_graph(RingSpec((2, 3, 5))) for _ in range(2))
-        order = validated_order(g)
-        assert chromatic_number(g, order=order).count == 3
-        assert is_perfect_desk_scale(g, order=order) is True
-        for solve in (chromatic_number, is_perfect_desk_scale):
-            with pytest.raises(ValueError, match="another graph"):
-                solve(h, order=order)
+        order = ordered(g)
+        assert order.graph is g and ordered(h).graph is h
+        res = chromatic_number(order)
+        assert res.count == 3 and len(res.assignment) == g.n
+        assert validate_coloring(g, res.assignment, res.count)
+        assert validate_clique(g, res.clique) and len(res.clique) == 3
+        assert is_perfect_desk_scale(order) is True
 
     def test_rejects_broken_orientations(self):
         # moving v to just before u flips the arc u->v and no other when
@@ -469,19 +470,19 @@ class TestOrientation:
         monkeypatch.setattr(solvers, "_min_odd_hole_core", refuse)
         for moduli in [(2,) * 6, (2,) * 7, (2, 3, 5), (3, 3, 3)] + NON_VNR_MODULI:
             g = build_cozero_graph(RingSpec(moduli))
-            assert is_perfect_desk_scale(g) is True
+            assert is_perfect_desk_scale(ordered(g)) is True
             # the complement keeps the spec, but its rows are not the
             # ring's: it is certified exactly when the orientation up the
             # rank is transitive, and nothing falls back to a search
             h = complement(g)
             if _transitive(_derived(h, ideal_order(h))):
-                assert is_perfect_desk_scale(h) is True
+                assert is_perfect_desk_scale(ordered(h)) is True
             else:
                 with pytest.raises(AssertionError, match="orientation"):
-                    is_perfect_desk_scale(h)
+                    is_perfect_desk_scale(ordered(h))
         # a bare graph is refused before any search could run
         with pytest.raises(ValueError):
-            is_perfect_desk_scale(cycle_graph(5))
+            is_perfect_desk_scale(ordered(cycle_graph(5)))
 
     def test_invalid_ring_orientation_raises(self):
         # a ring-backed graph whose rows are not those of its ring: no
@@ -490,7 +491,7 @@ class TestOrientation:
         c5 = cycle_graph(5).adj + (0,)
         wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=c5)
         with pytest.raises(AssertionError, match="orientation"):
-            is_perfect_desk_scale(wrong)
+            is_perfect_desk_scale(ordered(wrong))
 
 
 def test_orientation_against_brute_force():
@@ -529,12 +530,12 @@ class TestRowsAreAGraph:
         # a loop on the diagonal; elsewhere one bit of a pair, in a core row
         # or in a twin's, whose class then splits
         g = build_cozero_graph(RingSpec(moduli))
-        validated_order(g)
+        ordered(g)
         for i, j in itertools.product(range(g.n), repeat=2):
             rows = list(g.adj)
             rows[i] ^= 1 << j
             with pytest.raises(AssertionError, match="not a symmetric, loopless graph"):
-                validated_order(CozeroGraph(g.spec, g.labels, tuple(rows)))
+                ordered(CozeroGraph(g.spec, g.labels, tuple(rows)))
 
     @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5), (4, 9)], ids=str)
     def test_a_bit_past_the_vertices_raises(self, moduli):
@@ -547,7 +548,7 @@ class TestRowsAreAGraph:
             wrong = CozeroGraph(g.spec, g.labels, tuple(rows))
             assert not _is_graph(wrong)
             with pytest.raises(AssertionError, match="not a symmetric, loopless graph"):
-                validated_order(wrong)
+                ordered(wrong)
 
     def test_matches_bit_by_bit_with_twins(self):
         # random cores blown up into false-twin classes, then perhaps one bit
@@ -617,12 +618,12 @@ class TestChainCover:
             expected = (brute_force_chromatic(core) if core.n <= 8
                         else chromatic_by_search(core)[0])
             assert self.certified(core) == expected, spec
-            assert chromatic_number(core).count == expected
+            assert chromatic_number(ordered(core)).count == expected
 
     def test_boolean_power_ten(self):
         g = build_cozero_graph(RingSpec((2,) * 10))
         assert self.certified(g) == 252 == max_clique(g, max_vertices=1022).size
-        res = chromatic_number(g)
+        res = chromatic_number(ordered(g))
         assert res.count == 252
         assert validate_coloring(g, res.assignment, res.count)
 
@@ -667,7 +668,7 @@ class TestChainCover:
         g = build_cozero_graph(RingSpec(moduli))
         for h in (g, quotient_by_associates(g),
                   induced_subgraph(g, range(0, g.n, 2))):
-            res = chromatic_number(h)
+            res = chromatic_number(ordered(h))
             assert validate_coloring(h, res.assignment, res.count)
             assert res.count == max_clique(h).size
         assert len(covers) == 3
@@ -681,12 +682,12 @@ class TestChainCover:
         for g in complements:
             assert chromatic_by_search(g)[0] == max_clique(g).size
             with pytest.raises(AssertionError, match="orientation"):
-                chromatic_number(g)
+                chromatic_number(ordered(g))
         bare = [cycle_graph(5), from_edges(10, DSATUR_TRAP_EDGES)]
         assert [chromatic_by_search(g)[0] for g in bare] == [3, 3]
         for g in bare:
             with pytest.raises(ValueError):
-                chromatic_number(g)
+                chromatic_number(ordered(g))
 
     @pytest.mark.parametrize("corrupt", [
         lambda count, colors, anti: (count, colors, anti[:-1]),
@@ -702,7 +703,7 @@ class TestChainCover:
         monkeypatch.setattr(solvers, "_chain_cover",
                             lambda out: corrupt(*real(out)))
         with pytest.raises(AssertionError, match="chain cover"):
-            chromatic_number(build_cozero_graph(RingSpec((2,) * 4)))
+            chromatic_number(ordered(build_cozero_graph(RingSpec((2,) * 4))))
 
     def test_shifted_orientation_raises(self, monkeypatch):
         # an orientation taken as valid whose rows belong to the next vertex:
@@ -714,7 +715,7 @@ class TestChainCover:
         monkeypatch.setattr(solvers, "validate_orientation", shifted)
         for moduli in [(2,) * 4, (2, 3, 5), (4, 9)]:
             with pytest.raises(AssertionError, match="chain cover"):
-                chromatic_number(build_cozero_graph(RingSpec(moduli)))
+                chromatic_number(ordered(build_cozero_graph(RingSpec(moduli))))
 
 
 class TestDeepSearch:
@@ -739,8 +740,8 @@ class TestDeepSearch:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         g = build_cozero_graph(RingSpec((2,) * 5))
         assert max_clique(g).size == 10
-        assert chromatic_number(g).count == 10
-        assert is_perfect_desk_scale(g) is True
+        assert chromatic_number(ordered(g)).count == 10
+        assert is_perfect_desk_scale(ordered(g)) is True
         assert _chain_cover(_fence(3000))[0] == 3000
 
     def test_concurrent_workers(self):
@@ -857,7 +858,7 @@ class TestCliqueFromAntichain:
     @settings(max_examples=60, deadline=None)
     def test_random_ring_subgraphs(self, seed):
         h = random_ring_subgraph(random.Random(seed))
-        res = chromatic_number(h)
+        res = chromatic_number(ordered(h))
         assert len(res.clique) == res.count
         self.check(h, res.clique)
 
@@ -867,7 +868,7 @@ class TestWeakPerfection:
         for moduli in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 5),
                        (3, 5), (2, 2, 3), (6,), (2, 2, 2, 2)]:
             g = build_cozero_graph(RingSpec(moduli))
-            assert max_clique(g).size == chromatic_number(g).count
+            assert max_clique(g).size == chromatic_number(ordered(g)).count
 
 
 @given(st.integers(min_value=1, max_value=11), st.integers(min_value=0, max_value=2**32 - 1))
@@ -879,4 +880,4 @@ def test_solver_agreement_property(n, seed):
     if n <= 10:
         assert chromatic_by_search(g)[0] == brute_force_chromatic(g)
     h = random_ring_subgraph(rng)
-    assert chromatic_number(h).count == brute_force_chromatic(h)
+    assert chromatic_number(ordered(h)).count == brute_force_chromatic(h)

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -668,16 +669,16 @@ class TestOneCasePerRing:
             built.setdefault(spec, []).append(g)
             return g
 
-        def counting(name, solve):
-            def wrapper(g, **caps):
-                solved.append((name, g))
-                return solve(g, **caps)
+        def counting(name, solve, graph_of=lambda g: g):
+            def wrapper(arg, **caps):
+                solved.append((name, graph_of(arg)))
+                return solve(arg, **caps)
             return wrapper
 
         monkeypatch.setattr(graphs, "build_cozero_graph", counting_build)
         monkeypatch.setattr(solvers, "max_clique", counting("clique", max_clique))
         monkeypatch.setattr(solvers, "chromatic_number",
-                            counting("chi", chromatic_number))
+                            counting("chi", chromatic_number, lambda order: order.graph))
         reports = run_suite(sorted(CLAIMS), self.RINGS)
         assert len(reports) == 5 * len(self.RINGS)
         assert all(r.passed for r in reports)
@@ -698,8 +699,8 @@ class TestOneCasePerRing:
         # in the case's __dict__ is still the one read
         calls = []
 
-        def failing(g, **caps):
-            calls.append(g)
+        def failing(order):
+            calls.append(order)
             raise AssertionError("planted")
 
         monkeypatch.setattr(solvers, "chromatic_number", failing)
@@ -753,7 +754,7 @@ def count_validations(monkeypatch) -> tuple[list, list]:
     validated: list = []
     validated_order, validate = solvers.validated_order, solvers.validate_orientation
 
-    def counting_order(g, row_classes=None):
+    def counting_order(g, row_classes):
         ordered.append(g)
         return validated_order(g, row_classes)
 
@@ -814,6 +815,25 @@ class TestOneValidationPerGraph:
         assert all(r.passed for r in reports)
         assert len(built) == len(rings_) + 3  # and quotient-reduction's Z2^2, Z2^3, Z2^4
         assert collections.Counter(grouped) == {str(spec): 1 for spec in rings_}
+
+    def test_order_groups_no_rows_itself(self, monkeypatch):
+        # the order takes the case's partition, a 0-vertex graph's empty one
+        # too; calls are told apart by their caller's code, since every
+        # 0-vertex graph's rows are the same () object
+        callers, positions = [], graphs.positions
+
+        def counting(keys):
+            callers.append(sys._getframe(1).f_code)
+            return positions(keys)
+
+        for module in (graphs, solvers):
+            monkeypatch.setattr(module, "positions", counting)
+        rings_ = [RingSpec(m) for m in [(5,), (2,), (6, 5), (2, 3, 5)]]
+        reports = run_suite(sorted(CLAIMS), rings_)
+        assert all(r.passed for r in reports)
+        assert [r.skipped for r in reports if r.claim_id == "perfection"] == [False] * 4
+        assert callers.count(Case.row_classes.func.__code__) == len(rings_)
+        assert callers.count(solvers.validated_order.__code__) == 0
 
     def test_analyze_validates_each_ring_once(self, monkeypatch, capsys):
         from cozero.cli import main
