@@ -6,15 +6,18 @@ construction.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 
 from .rings import (
     CapExceededError,
     DEFAULT_MAX_CARDINALITY,
     Element,
     RingSpec,
-    vertices,
+    divisors,
+    signature_codes,
 )
 
 
@@ -78,44 +81,38 @@ def transpose(rows) -> list[int]:
     return t[:len(rows)]
 
 
-def _gcd_signatures(spec: RingSpec, labels) -> list[tuple[int, ...]]:
-    """Each label's gcd signature (gcd(a_i, n_i) for each i): Ra = R*signature."""
-    # the i-th gcds are read column by column from a table of Z_{n_i}
-    gcds = [[math.gcd(x, m) for x in range(m)] for m in spec.moduli]
-    return list(zip(*(map(t.__getitem__, col) for t, col in zip(gcds, zip(*labels)))))
-
-
 def build_cozero_graph(spec: RingSpec,
                        max_cardinality: int = DEFAULT_MAX_CARDINALITY) -> CozeroGraph:
     """The graph on the non-zero non-units, a-b an edge iff a not in Rb and b not in Ra.
 
     Rb is inside Ra iff gcd(a_i, n_i) divides gcd(b_i, n_i) for every i, so a
-    row depends only on the gcd signature, and is read off per-factor masks.
+    row depends only on the gcd signature, and is read off per-factor masks
+    once per signature code (rings.signature_codes).
     """
     if spec.cardinality > max_cardinality:
         raise CapExceededError(
             f"|{spec}| = {spec.cardinality} exceeds cardinality cap {max_cardinality}")
-    labels = vertices(spec)
-    sigs = _gcd_signatures(spec, labels)
-    members = positions(sigs)
+    labels, codes = signature_codes(spec)
+    sigs = list(itertools.product(*map(divisors, spec.moduli)))  # indexed by code
+    members = positions(codes)
     below, above = [], []  # [i][d]: labels whose i-th gcd is a multiple / divisor of d
     for i in range(len(spec.moduli)):
         col: dict[int, int] = {}
-        for sig, mask in members.items():
-            col[sig[i]] = col.get(sig[i], 0) | mask
+        for code, mask in members.items():
+            col[sigs[code][i]] = col.get(sigs[code][i], 0) | mask
         # each label has one i-th gcd, so the masks are disjoint and sum is union
         below.append({d: sum(m for e, m in col.items() if e % d == 0) for d in col})
         above.append({d: sum(m for e, m in col.items() if d % e == 0) for d in col})
     full = (1 << len(labels)) - 1
     rows = {}
-    for sig in members:
-        # the labels whose ideal lies inside or contains Rs
+    for code in members:
+        # the labels whose ideal lies inside or contains Rs, s the code's signature
         down = up = full
-        for i, d in enumerate(sig):
+        for i, d in enumerate(sigs[code]):
             down &= below[i][d]
             up &= above[i][d]
-        rows[sig] = full & ~(down | up)
-    return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(rows[s] for s in sigs))
+        rows[code] = full & ~(down | up)
+    return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(map(rows.__getitem__, codes)))
 
 
 def ideal_order(g: CozeroGraph) -> tuple[int, ...]:
@@ -137,21 +134,23 @@ def complement(g: CozeroGraph) -> CozeroGraph:
 
 
 def induced_subgraph(g: CozeroGraph, keep) -> CozeroGraph:
+    """g on keep, ascending, each kept row gathered from row & full in n + 1 binary
+    digits: character n - j is bit j, and the leading '0' keeps a gather a tuple."""
     keep = sorted(keep)
     if keep == list(range(g.n)):
         return g
-    rows = []
-    for old in keep:
-        row = g.adj[old]
-        rows.append(sum(1 << new for new, col in enumerate(keep) if row >> col & 1))
+    get = operator.itemgetter(0, *(g.n - col for col in reversed(keep)))
+    full, width = (1 << g.n) - 1, f"0{g.n + 1}b"
     return CozeroGraph(spec=g.spec,
                        labels=tuple(g.labels[old] for old in keep),
-                       adj=tuple(rows))
+                       adj=tuple(int("".join(get(format(g.adj[old] & full, width))), 2)
+                                 for old in keep))
 
 
 def quotient_by_associates(g: CozeroGraph) -> CozeroGraph:
-    """Collapse each associate class (one gcd signature, as Ra = Rb) to its
-    first vertex, in vertex order: what `cozero export --quotient` writes.
+    """Collapse each associate class (one signature code of the ring's vertices,
+    as Ra = Rb) to its first vertex, in vertex order: what `cozero export
+    --quotient` writes of the ring's graph.
 
     Each class is checked, on whole rows, to share its first vertex's row
     and to miss it, so the reduction re-proves on every instance that the
@@ -159,7 +158,7 @@ def quotient_by_associates(g: CozeroGraph) -> CozeroGraph:
     """
     if g.spec is None:
         raise ValueError("quotient needs a ring-backed graph")
-    classes = positions(_gcd_signatures(g.spec, g.labels)).values()
+    classes = positions(signature_codes(g.spec)[1]).values()
     reps = tuple((m & -m).bit_length() - 1 for m in classes)
     same_row = positions(g.adj)
     for members, rep in zip(classes, reps):

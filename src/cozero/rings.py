@@ -141,20 +141,29 @@ def principal_ideal(spec: RingSpec, b: Element) -> frozenset[Element]:
     return frozenset(itertools.product(*map(multiples, b, spec.moduli)))
 
 
-def _gcd_buckets(n: int) -> dict[int, list[int]]:
-    """The residues of Z_n by gcd(x, n), ascending, in order of first member."""
-    buckets: dict[int, list[int]] = {}
-    for x in range(n):
-        buckets.setdefault(math.gcd(x, n), []).append(x)
-    return buckets
+def divisors(n: int) -> list[int]:
+    """The divisors of n, ascending: the values of gcd(x, n) over Z_n."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def signature_codes(spec: RingSpec) -> tuple[list[Element], list[int]]:
+    """The vertices and, in the same pass, each one's signature code: the
+    mixed-radix int, first factor most significant, of the indices of gcd(a_i,
+    n_i) in divisors(n_i), so an index into product(*map(divisors, moduli)).
+    The units alone have code 0, and zero, the first element, the last code."""
+    codes = [0]
+    for n in spec.moduli:  # each element's code so far, in lexicographic order
+        divs = divisors(n)
+        digit = [divs.index(math.gcd(x, n)) for x in range(n)]
+        codes = [c + d for c in map(len(divs).__mul__, codes) for d in digit]
+    del codes[0]  # zero; the units are the codes left at 0
+    return (list(itertools.compress(itertools.islice(spec.elements(), 1, None), codes)),
+            list(filter(None, codes)))
 
 
 def vertices(spec: RingSpec) -> list[Element]:
-    """Non-zero non-units in lexicographic residue order: all elements but
-    zero and the product of the factors' units (their gcd-1 groups)."""
-    skip = set(itertools.product(*(_gcd_buckets(n)[1] for n in spec.moduli)))
-    skip.add(spec.zero)
-    return list(itertools.filterfalse(skip.__contains__, spec.elements()))
+    """Non-zero non-units in lexicographic residue order."""
+    return signature_codes(spec)[0]
 
 
 class AssociateClasses(namedtuple("AssociateClasses", "spec classes")):
@@ -172,8 +181,10 @@ def associate_classes(spec: RingSpec) -> AssociateClasses:
     order of representative.  For a product of prime fields the smallest
     member of each class is exactly the {0,1}-pattern vertex.
     """
-    groups = [list(_gcd_buckets(n).values()) for n in spec.moduli]
-    # the group of 0 comes first in every factor, and that of the units second
+    # each factor's gcd groups in order of first member: 0's (gcd n), then
+    # the units' (gcd 1), then each other divisor's, which is its first member
+    groups = [[[x for x in range(n) if math.gcd(x, n) == d] for d in (n, *divisors(n)[:-1])]
+              for n in spec.moduli]
     zero, units = (tuple(g[k] for g in groups) for k in (0, 1))
     classes = []
     for choice in itertools.product(*groups):

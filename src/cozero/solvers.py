@@ -130,15 +130,16 @@ def validate_rows(g: CozeroGraph, row_classes: dict, core: CozeroGraph) -> bool:
     of classes, and the core is its own transpose.  For i in class A, j in B:
     j in row i iff B's first in A's row iff A's first in B's row iff i in row j."""
     n, shared = g.n, [m for m in row_classes.values() if m & m - 1]  # two or more
-    return (all(not row >> n and not row & m and all(row & c in (0, c) for c in shared)
+    return (all(not row >> n and not row & m
+                and all((x := row & c) == c or not x for c in shared)
                 for row, m in row_classes.items())
             and transpose(core.adj) == list(core.adj))
 
 
 def validated_order(g: CozeroGraph, row_classes: dict) -> ValidatedOrder:
-    """The principal-ideal order on g's false-twin core, the first vertex of
-    each of g's row classes (row_classes, as graphs.positions(g.adj) groups
-    them), from the core's rows and rank |Ru|.  ValueError on a bare graph;
+    """The principal-ideal order on g's false-twin core, the first vertex of each
+    row class, from the core's rows and rank |Ru|; row_classes must be g's own,
+    graphs.positions(g.adj), as Case passes it.  ValueError on a bare graph;
     AssertionError unless the rows are a graph and the order is transitive."""
     keep = [(m & -m).bit_length() - 1 for m in row_classes.values()]
     core = induced_subgraph(g, keep)
@@ -285,7 +286,11 @@ def chromatic_number(order: ValidatedOrder) -> ColoringResult:
             f"matched by a clique of the same size")
     # removed false twins reuse the color of the kept vertex with their row
     color = dict(zip(map(g.adj.__getitem__, order.keep), colors))
-    return ColoringResult(count=count, assignment=tuple(map(color.__getitem__, g.adj)),
+    try:
+        assignment = tuple(map(color.__getitem__, g.adj))
+    except KeyError:  # the order was validated from another partition of the rows
+        raise AssertionError(f"a row of {g.spec} is no row of its twin core") from None
+    return ColoringResult(count=count, assignment=assignment,
                           clique=tuple(sorted(order.keep[v] for v in antichain)))
 
 

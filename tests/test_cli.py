@@ -16,6 +16,12 @@ from cozero.verify import default_ring_set
 from conftest import unit_by_search
 
 
+# the rings of the analyze-classes benchmark, in its order: many vertices,
+# few associate classes
+CLASS_RINGS = ["Z2xZ3xZ5xZ7xZ11", "Z7xZ7xZ7xZ7", "Z4xZ9xZ25", "Z9xZ9xZ9",
+               "Z5xZ5xZ5xZ5", "Z3xZ3xZ3xZ3xZ3", "Z8xZ27"]
+
+
 def run_cli(argv, capsys):
     try:
         code = main(argv)
@@ -68,8 +74,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("specs", [
         [str(spec) for spec in default_ring_set()],
-        ["Z2xZ3xZ5xZ7xZ11", "Z7xZ7xZ7xZ7", "Z4xZ9xZ25", "Z9xZ9xZ9",
-         "Z5xZ5xZ5xZ5", "Z3xZ3xZ3xZ3xZ3", "Z8xZ27"],
+        CLASS_RINGS,
         ["Z8", "Z4xZ6", "Z12xZ18", "Z2xZ4xZ8", "Z100", "Z36xZ10"],
     ], ids=["default-rings", "analyze-classes", "non-squarefree"])
     def test_class_count_is_the_signature_count(self, capsys, specs):
@@ -80,6 +85,17 @@ class TestAnalyze:
         for text, info in zip(specs, json.loads(out), strict=True):
             assert info["associate_classes"] == len(
                 associate_classes(parse_spec(text)).classes), text
+
+    @pytest.mark.parametrize("fmt,sha256", [
+        ("text", "7fe66a6d78aa026afb9860af522be27875f5c1229bcf5522b806a6c2cd3a5245"),
+        ("json", "dd9d45ac6843100567304ceb4819ca68635527a5d5f802b622efce97ffe830c8"),
+    ])
+    def test_class_rings_bytes(self, capsys, fmt, sha256):
+        # the analyze-classes output, pinned by its bytes in both formats
+        code, out, _ = run_cli(["analyze", "--max-vertices", "2048", "--format", fmt,
+                                *CLASS_RINGS], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_rings_flag(self, capsys):
         code, out, _ = run_cli(["analyze", "--rings", "Z2xZ2,Z3xZ3"], capsys)

@@ -23,7 +23,8 @@ from cozero.rings import (
 from cozero.solvers import _false_twin_reduce
 from cozero.verify import default_ring_set
 from conftest import (
-    adjacency_by_oracle, from_edges, ideal_by_enumeration, nzc_partition, ordered)
+    adjacency_by_oracle, from_edges, ideal_by_enumeration, nzc_partition, ordered,
+    random_graph)
 
 
 def assert_quotient_is_by_associate_classes(spec):
@@ -244,6 +245,23 @@ class TestInducedSubgraph:
         assert sub.labels == tuple(g.labels[v] for v in keep)
         for a, b in itertools.combinations(range(sub.n), 2):
             assert sub.has_edge(a, b) == g.has_edge(keep[a], keep[b])
+
+    def test_gather_matches_the_bit_loop(self):
+        # random keep sets of every size class, on ring graphs and bare ones,
+        # and on rows with bits past the vertices, which neither reads
+        rng = random.Random(28)
+        gs = [build_cozero_graph(RingSpec(m)) for m in [(2,), (4,), (2, 2), (6, 5), (4, 9)]]
+        gs += [random_graph(n, 0.5, rng) for n in (1, 2, 7, 63, 64, 65)]
+        gs.append(CozeroGraph(None, gs[-1].labels, tuple(r | 5 << 65 for r in gs[-1].adj)))
+        for g in gs:
+            for size in sorted({0, 1, 2, g.n // 2, g.n - 1} - {-1}):
+                keep = rng.sample(range(g.n), min(size, g.n))
+                cols = sorted(keep)
+                sub = induced_subgraph(g, keep)
+                assert sub.labels == tuple(g.labels[v] for v in cols)
+                assert sub.adj == tuple(
+                    sum(1 << new for new, col in enumerate(cols) if g.adj[old] >> col & 1)
+                    for old in cols), (g.n, keep)
 
 
 class TestNzc:

@@ -153,8 +153,8 @@ def names_in(source: str, function: str) -> set[str]:
 
 # the enumeration of Rb must not use the gcd shortcut it is the oracle for,
 # and the claim checks must not derive adjacency or principality from the
-# gcd test or from the graph build's own signature masks
-FAST_PATHS = {"in_principal_ideal", "_gcd_signatures", "ideal_order"}
+# gcd test or from the graph build's own signature codes and masks
+FAST_PATHS = {"in_principal_ideal", "ideal_order", "signature_codes"}
 
 
 @pytest.mark.parametrize("module,function,forbidden", [
@@ -174,7 +174,7 @@ FAST_PATHS = {"in_principal_ideal", "_gcd_signatures", "ideal_order"}
     ("solvers", "validate_orientation", FAST_PATHS),
     # the ideal tables both claims read are listed by walking the multiples
     # of each residue: additions and memberships alone
-    ("verify", "_ideals", {"gcd", "in_principal_ideal", "_gcd_signatures"}),
+    ("verify", "_ideals", FAST_PATHS | {"gcd"}),
     # quotient-reduction solves, orders and reduces nothing: it restricts the
     # case's antichain and colouring to the order's core, the quotient, and
     # checks them on its rows

@@ -8,11 +8,13 @@ from cozero.rings import (
     RingSpec,
     RingSpecError,
     associate_classes,
+    divisors,
     factorize,
     in_principal_ideal,
     multiples,
     parse_spec,
     principal_ideal,
+    signature_codes,
     vertices,
 )
 from cozero.verify import default_ring_set
@@ -211,6 +213,68 @@ def test_per_factor_tables_property(moduli):
     spec = RingSpec(tuple(moduli))
     assume(spec.cardinality <= 2000)
     assert_matches_oracles(spec)
+
+
+def assert_codes_match_oracles(spec):
+    """signature_codes against per-element oracles.  Each element's code is
+    the index of its gcd tuple in the product of the moduli's divisors: 0
+    exactly on the units, the last exactly on zero, and on the vertices the
+    codes signature_codes gives, whose classes are the associate classes."""
+    labels, codes = signature_codes(spec)
+    index = {sig: c for c, sig in enumerate(itertools.product(*map(divisors, spec.moduli)))}
+    code = {a: index[tuple(map(math.gcd, a, spec.moduli))] for a in spec.elements()}
+    assert [a for a, c in code.items() if c == 0] == [
+        a for a in spec.elements() if is_unit(spec, a)]
+    assert [a for a, c in code.items() if c == len(index) - 1] == [spec.zero]
+    assert labels == vertices(spec) == vertices_by_search(spec)
+    assert codes == [code[a] for a in labels]
+    classes: dict[int, list] = {}
+    for a, c in zip(labels, codes):
+        classes.setdefault(c, []).append(a)
+    assert tuple((m[0], tuple(m)) for m in classes.values()) == (
+        associate_classes_by_gcd(spec).classes)
+
+
+class TestSignatureCodes:
+    def test_divisors(self):
+        for n in range(1, 200):
+            assert divisors(n) == sorted({math.gcd(x, n) for x in range(n)} | {n})
+
+    def test_units_by_search(self, small_spec):
+        # units told by their inverses, not by gcd
+        labels, codes = signature_codes(small_spec)
+        assert {a for a in small_spec.elements() if unit_by_search(small_spec, a)} == (
+            set(small_spec.elements()) - set(labels) - {small_spec.zero})
+        assert 0 not in codes
+
+    def test_z12xz3(self):
+        # divisors (1, 2, 3, 4, 6, 12) x (1, 3): (4, 0) has signature (4, 3)
+        labels, codes = signature_codes(RingSpec((12, 3)))
+        assert codes[labels.index((4, 0))] == 3 * 2 + 1
+        assert codes[labels.index((0, 1))] == 5 * 2
+        assert codes[labels.index((6, 2))] == 4 * 2
+
+    @pytest.mark.parametrize("texts", [
+        pytest.param([str(s) for s in default_ring_set()], id="default-rings"),
+        pytest.param(CLASS_RINGS, id="class-rings"),
+    ])
+    def test_match_oracles(self, texts):
+        for text in texts:
+            assert_codes_match_oracles(parse_spec(text))
+
+
+# prime powers and composites, drawn with repeats
+@given(st.lists(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 25, 27, 30]),
+                min_size=1, max_size=4))
+@example([4, 4])
+@example([8, 8, 2])
+@example([3, 9, 3])
+@example([2, 2, 2, 2])
+@settings(max_examples=60, deadline=None)
+def test_signature_codes_property(moduli):
+    spec = RingSpec(tuple(moduli))
+    assume(spec.cardinality <= 1500)
+    assert_codes_match_oracles(spec)
 
 
 class TestVonNeumannRegular:

@@ -550,6 +550,25 @@ class TestRowsAreAGraph:
             with pytest.raises(AssertionError, match="not a symmetric, loopless graph"):
                 ordered(wrong)
 
+    def test_a_partition_not_of_the_graph_fails_the_lift(self):
+        # the unfaulted graph's row classes certify a graph with one bit added
+        # to a twin's row, which is not its class's first: the core's rows are
+        # unfaulted, so the order validates, and the lift to the twins, which
+        # reads every row of the graph, meets a row that no core vertex has
+        g = build_cozero_graph(RingSpec((6, 5)))
+        classes = positions(g.adj)
+        twins = next(m for m in classes.values() if m & m - 1)
+        twin = (twins & twins - 1).bit_length() - 1
+        rows = list(g.adj)
+        free = ~rows[twin] & ~twins & (1 << g.n) - 1  # no neighbour, no twin
+        rows[twin] |= free & -free
+        wrong = CozeroGraph(g.spec, g.labels, tuple(rows))
+        order = solvers.validated_order(wrong, classes)
+        with pytest.raises(AssertionError, match=r"a row of Z6xZ5 is no row of its twin core"):
+            chromatic_number(order)
+        with pytest.raises(AssertionError, match="not a symmetric, loopless graph"):
+            ordered(wrong)
+
     def test_matches_bit_by_bit_with_twins(self):
         # random cores blown up into false-twin classes, then perhaps one bit
         # flipped, the diagonal and two bits past the vertices included
