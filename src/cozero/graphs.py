@@ -6,7 +6,6 @@ construction.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -86,32 +85,33 @@ def build_cozero_graph(spec: RingSpec,
     """The graph on the non-zero non-units, a-b an edge iff a not in Rb and b not in Ra.
 
     Rb is inside Ra iff gcd(a_i, n_i) divides gcd(b_i, n_i) for every i, so a
-    row depends only on the gcd signature, and is read off per-factor masks
-    once per signature code (rings.signature_codes).
+    row is an AND of per-factor masks, and the signatures (rings.signature_codes)
+    that share a prefix share its partial AND, grown one factor at a time.
     """
     if spec.cardinality > max_cardinality:
         raise CapExceededError(
             f"|{spec}| = {spec.cardinality} exceeds cardinality cap {max_cardinality}")
     labels, codes = signature_codes(spec)
-    sigs = list(itertools.product(*map(divisors, spec.moduli)))  # indexed by code
-    members = positions(codes)
-    below, above = [], []  # [i][d]: labels whose i-th gcd is a multiple / divisor of d
-    for i in range(len(spec.moduli)):
-        col: dict[int, int] = {}
-        for code, mask in members.items():
-            col[sigs[code][i]] = col.get(sigs[code][i], 0) | mask
-        # each label has one i-th gcd, so the masks are disjoint and sum is union
-        below.append({d: sum(m for e, m in col.items() if e % d == 0) for d in col})
-        above.append({d: sum(m for e, m in col.items() if d % e == 0) for d in col})
+    divs = [divisors(n) for n in spec.moduli] if codes else []  # no vertex, no factor read
+    level = [0] * math.prod(map(len, divs))  # code -> its labels
+    for i, code in enumerate(codes):
+        level[code] |= 1 << i
+    folds = []  # [i][d]: labels whose i-th gcd is a multiple, and a divisor, of divs[i][d]
+    for ds in reversed(divs):  # the last factor is the least significant digit
+        # each label has one gcd here, so the masks are disjoint and sum is union
+        col = [sum(level[e::len(ds)]) for e in range(len(ds))]
+        level = [sum(level[b:b + len(ds)]) for b in range(0, len(level), len(ds))]
+        folds.insert(0, [(sum(m for e, m in zip(ds, col) if e % d == 0),
+                          sum(m for e, m in zip(ds, col) if d % e == 0)) for d in ds])
     full = (1 << len(labels)) - 1
-    rows = {}
-    for code in members:
-        # the labels whose ideal lies inside or contains Rs, s the code's signature
-        down = up = full
-        for i, d in enumerate(sigs[code]):
-            down &= below[i][d]
-            up &= above[i][d]
-        rows[code] = full & ~(down | up)
+    # per code prefix, the labels whose ideal lies inside, and contains, Rs on it;
+    # the last two factors fold into the rows: no list of their length is held
+    down_up = [(full, full)]
+    *head, last2, last = [[(full, full)]] * (2 - len(folds)) + folds  # identity-padded to two
+    for fold in head:
+        down_up = [(p & q, u & w) for p, u in down_up for q, w in fold]
+    rows = [full & ~(pq & q2 | uw & w2) for p, u in down_up for q, w in last2
+            for pq, uw in ((p & q, u & w),) for q2, w2 in last]
     return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(map(rows.__getitem__, codes)))
 
 
@@ -133,18 +133,21 @@ def complement(g: CozeroGraph) -> CozeroGraph:
     return CozeroGraph(spec=g.spec, labels=g.labels, adj=rows)
 
 
-def induced_subgraph(g: CozeroGraph, keep) -> CozeroGraph:
-    """g on keep, ascending, each kept row gathered from row & full in n + 1 binary
+def gather(rows, cols, n: int) -> tuple[int, ...]:
+    """Each of rows, bit t its bit cols[t], read from row & full in n + 1 binary
     digits: character n - j is bit j, and the leading '0' keeps a gather a tuple."""
+    get = operator.itemgetter(0, *(n - col for col in reversed(cols)))
+    full, width = (1 << n) - 1, f"0{n + 1}b"
+    return tuple(int("".join(get(format(row & full, width))), 2) for row in rows)
+
+
+def induced_subgraph(g: CozeroGraph, keep) -> CozeroGraph:
+    """g on keep, ascending, each kept row gathered from the kept columns."""
     keep = sorted(keep)
     if keep == list(range(g.n)):
         return g
-    get = operator.itemgetter(0, *(g.n - col for col in reversed(keep)))
-    full, width = (1 << g.n) - 1, f"0{g.n + 1}b"
-    return CozeroGraph(spec=g.spec,
-                       labels=tuple(g.labels[old] for old in keep),
-                       adj=tuple(int("".join(get(format(g.adj[old] & full, width))), 2)
-                                 for old in keep))
+    return CozeroGraph(spec=g.spec, labels=tuple(g.labels[old] for old in keep),
+                       adj=gather(map(g.adj.__getitem__, keep), keep, g.n))
 
 
 def quotient_by_associates(g: CozeroGraph) -> CozeroGraph:

@@ -73,12 +73,9 @@ def validate_certificate(g: CozeroGraph, cert: OddCycleCertificate) -> bool:
     if (k < 5 or k % 2 == 0 or len(set(cyc)) != k
             or not all(0 <= v < h.n for v in cyc)):
         return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            if h.has_edge(cyc[i], cyc[j]) != consecutive:
-                return False
-    return True
+    # two members are adjacent iff consecutive on the cycle
+    return all(h.has_edge(cyc[i], cyc[j]) == (j - i == 1 or (i == 0 and j == k - 1))
+               for i in range(k) for j in range(i + 1, k))
 
 
 def validate_orientation(g: CozeroGraph, rank) -> tuple[int, ...] | None:
@@ -166,17 +163,12 @@ def _false_twin_reduce(g: CozeroGraph) -> list[int]:
 
 def _all_twin_reduce(g: CozeroGraph) -> list[int]:
     """Keep one vertex per open- or closed-neighborhood class."""
-    open_seen: set[int] = set()
-    closed_seen: set[int] = set()
-    keep = []
-    for v in range(g.n):
-        open_key = g.adj[v]
-        closed_key = g.adj[v] | (1 << v)
-        if open_key in open_seen or closed_key in closed_seen:
-            continue
-        open_seen.add(open_key)
-        closed_seen.add(closed_key)
-        keep.append(v)
+    open_seen, closed_seen, keep = set(), set(), []
+    for v, row in enumerate(g.adj):
+        if row not in open_seen and row | 1 << v not in closed_seen:
+            open_seen.add(row)
+            closed_seen.add(row | 1 << v)
+            keep.append(v)
     return keep
 
 
@@ -192,8 +184,6 @@ def check_cap(n: int, cap: int) -> None:
 
 def max_clique(g: CozeroGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> CliqueResult:
     check_cap(g.n, max_vertices)
-    if g.n == 0:
-        return CliqueResult(size=0, witness=())
     keep = _false_twin_reduce(g)
     best = _max_clique_core(induced_subgraph(g, keep).adj)
     return CliqueResult(size=len(best), witness=tuple(sorted(keep[v] for v in best)))
@@ -204,8 +194,7 @@ def _greedy_clique(adj: list[int], n: int) -> list[int]:
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     best: list[int] = []
     for start in order[:min(n, 16)]:
-        clique = [start]
-        cand = adj[start]
+        clique, cand = [start], adj[start]
         while cand:
             v = (cand & -cand).bit_length() - 1
             clique.append(v)
@@ -221,9 +210,7 @@ def _max_clique_core(adj: list[int]) -> list[int]:
     current: list[int] = []
 
     def color_sort(p: int) -> tuple[list[int], list[int]]:
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
+        order, bounds, color = [], [], 0
         while p:
             color += 1
             q = p
@@ -246,8 +233,7 @@ def _max_clique_core(adj: list[int]) -> list[int]:
         if i >= 0 and len(current) + bounds[i] > len(best):
             v = order[i]
             current.append(v)
-            sub = p & adj[v]
-            if sub:
+            if sub := p & adj[v]:
                 stack.append((p, order, bounds, i))
                 p = sub
                 order, bounds = color_sort(p)
@@ -374,10 +360,8 @@ def find_odd_hole(g: CozeroGraph, min_len: int = 5,
     keep = _all_twin_reduce(g)
     check_cap(len(keep), max_vertices)
     cycle = _min_odd_hole_core(induced_subgraph(g, keep).adj, min_len)
-    if cycle is None:
-        return None
-    return OddCycleCertificate(where="graph",
-                               cycle=tuple(keep[v] for v in cycle))
+    return None if cycle is None else OddCycleCertificate(
+        where="graph", cycle=tuple(keep[v] for v in cycle))
 
 
 def _min_odd_hole_core(adj: list[int], min_len: int) -> list[int] | None:
@@ -474,34 +458,25 @@ def are_isomorphic(g: CozeroGraph, h: CozeroGraph,
             return True
         u = order[pos]
         for v in range(n):
-            if used >> v & 1 or hcol[v] != gcol[u]:
+            if used >> v & 1 or hcol[v] != gcol[u] or any(
+                    g.has_edge(u, w) != h.has_edge(mapping[w], v) for w in order[:pos]):
                 continue
-            ok = True
-            for w in order[:pos]:
-                if g.has_edge(u, w) != h.has_edge(mapping[w], v):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = v
-                used |= 1 << v
-                if place(pos + 1):
-                    return True
-                used &= ~(1 << v)
-                mapping[u] = -1
+            mapping[u] = v
+            used |= 1 << v
+            if place(pos + 1):
+                return True
+            used &= ~(1 << v)
+            mapping[u] = -1
         return False
 
-    if place(0):
-        return mapping
-    return None
+    return mapping if place(0) else None
 
 
 def _refine_colors(adj: list[int], n: int) -> list[int]:
     """1-dimensional Weisfeiler-Leman color refinement to a fixed point."""
     colors = [adj[v].bit_count() for v in range(n)]
     for _ in range(n):
-        sigs = []
-        for v in range(n):
-            sigs.append((colors[v], tuple(sorted(colors[w] for w in bits(adj[v])))))
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in bits(adj[v])))) for v in range(n)]
         canon = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [canon[sig] for sig in sigs]
         if new == colors:

@@ -52,7 +52,7 @@ class Case:
     cap), row classes (each distinct row -> its vertices), the order validated
     from the graph and its row classes, and the colouring with maximum clique
     read from the order alone; each computed once, a failure raised again on
-    each read.  tables, shared by a run's cases, holds Z2^n graphs and _ideals'."""
+    each read.  tables, shared by a run's cases: Z2^n graphs, _ideals', _inclusions'."""
 
     def __init__(self, spec: RingSpec, caps: Caps = Caps(), tables: dict | None = None):
         self.spec, self.caps, self.failed = spec, caps, {}
@@ -107,6 +107,17 @@ def _ideals(tables: dict, n: int) -> list[frozenset[int]]:
                 z = (z + y) % n
             table.append(table[z] if z else frozenset(walk))
     return tables[n]
+
+
+def _inclusions(tables: dict, n: int) -> tuple[list, list]:
+    """Z_n's distinct ideals in order of first generator (_ideals), kept by
+    (n, "<="), each with the indices of those it holds and of those holding it."""
+    if (n, "<=") not in tables:
+        distinct = list(dict.fromkeys(_ideals(tables, n)))
+        tables[n, "<="] = distinct, [([d for d, xz in enumerate(distinct) if xz <= yz],
+                                      [d for d, xz in enumerate(distinct) if yz <= xz])
+                                     for yz in distinct]
+    return tables[n, "<="]
 
 
 class VerificationReport(namedtuple(
@@ -256,10 +267,11 @@ def check_reduction(case: Case) -> VerificationReport:
     boolean = case.tables[key]
     index = {label: v for v, label in enumerate(boolean.labels)}
     bijection = [index.get(supports[rep], -1) for rep in order.keep]
+    # a permutation moves bit j of each row to bit bijection[j], a gather by its inverse
     iso_ok = q.adj == boolean.adj if bijection == list(range(boolean.n)) else (
-        sorted(bijection) == list(range(boolean.n)) and all(
-            sum(1 << bijection[j] for j in graphs.bits(row)) == boolean.adj[image]
-            for row, image in zip(q.adj, bijection)))
+        sorted(bijection) == list(range(boolean.n))
+        and graphs.gather(q.adj, sorted(range(q.n), key=bijection.__getitem__), q.n)
+        == tuple(map(boolean.adj.__getitem__, bijection)))
     return VerificationReport(
         claim_id=claim, spec=spec, expected=expected,
         observed=(f"omega {gw}->{gw if clique_ok else 'no-clique'} "
@@ -279,7 +291,8 @@ def check_invariants(case: Case) -> VerificationReport:
     its ideal in each factor (from _ideals, no gcd), whose product is Ra: a
     key is an associate class, and b is in Ra iff Rb <= Ra, a in Rb iff
     Ra <= Rb, factor by factor, so each class has one expected row, folded
-    from per-factor inclusion masks."""
+    from per-factor inclusion masks, and the keys sharing a prefix share its
+    partial fold."""
     claim, spec = "graph-invariants", case.spec
     if reason := _skip_reason(case):
         return _skip(claim, spec, reason)
@@ -289,22 +302,31 @@ def check_invariants(case: Case) -> VerificationReport:
     keys = list(zip(*(map(_ideals(case.tables, n).__getitem__, column)
                       for n, column in zip(spec.moduli, zip(*g.labels)))))
     classes = graphs.positions(keys)  # in order of first member
-    full = (1 << g.n) - 1
-    # per factor, an ideal -> the vertices whose ideal there lies inside it
-    # (below) or holds it (above); a-b is an edge iff b is in neither fold
-    below, above = [], []
-    for column in zip(*classes):
-        gens: dict = {}  # an ideal -> the vertices generating it here
-        for yz, m in zip(column, classes.values()):
-            gens[yz] = gens.get(yz, 0) | m
-        below.append({yz: sum(m for xz, m in gens.items() if xz <= yz) for yz in gens})
-        above.append({yz: sum(m for xz, m in gens.items() if yz <= xz) for yz in gens})
-    fold = functools.partial(functools.reduce, operator.and_)
-    rows = {key: full & ~(fold(map(dict.__getitem__, below, key))
-                          | fold(map(dict.__getitem__, above, key))) for key in classes}
+    # each factor's ideals and inclusions, if the ring has a vertex to key
+    distinct, inclusions = (zip(*(_inclusions(case.tables, n) for n in spec.moduli))
+                            if keys else ((), ()))
+    masks = [classes.get(key, 0) for key in itertools.product(*distinct)]
+    full, level, folds = (1 << g.n) - 1, masks, []
+    # per factor and ideal, the vertices whose ideal there lies inside it and
+    # those whose ideal holds it; a-b is an edge iff b is in neither fold
+    for inclusion in reversed(inclusions):  # the last factor varies fastest
+        col = [sum(level[d::len(inclusion)]) for d in range(len(inclusion))]  # generators
+        level = [sum(level[c:c + len(inclusion)]) for c in range(0, len(level), len(inclusion))]
+        folds.insert(0, [(sum(map(col.__getitem__, inside)), sum(map(col.__getitem__, holding)))
+                         for inside, holding in inclusion])
+
+    def expected_rows():  # in product order, the last two factors folded into the rows
+        down_up = [(full, full)]  # per key prefix
+        *head, last2, last = [[(full, full)]] * (2 - len(folds)) + folds  # identity-padded to two
+        for fold in head:
+            down_up = [(p & q, u & w) for p, u in down_up for q, w in fold]
+        return (full & ~(pq & q2 | uw & w2) for p, u in down_up for q, w in last2
+                for pq, uw in ((p & q, u & w),) for q2, w2 in last)
+
     # the vertices whose row is not their class's; each wrong bit names its
     # pair, lower index first, once, whichever of the two rows holds it
-    off_row = sum(m & ~same_row.get(rows[key], 0) for key, m in classes.items())
+    off_row = sum(m & ~same_row.get(row, 0) for m, row in zip(masks, expected_rows()))
+    rows = dict(zip(itertools.product(*distinct), expected_rows())) if off_row else {}
     pairs = sorted({(min(i, j), max(i, j)) for i in graphs.bits(off_row)
                     for j in graphs.bits((g.adj[i] ^ rows[keys[i]]) & full)})
     problems += [f"adjacency mismatch at {g.labels[i]},{g.labels[j]}" for i, j in pairs]

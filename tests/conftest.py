@@ -5,7 +5,8 @@ import random
 import pytest
 
 from cozero.graphs import CozeroGraph, bits, build_cozero_graph, induced_subgraph, positions
-from cozero.rings import AssociateClasses, CapExceededError, RingSpec
+from cozero.rings import (
+    AssociateClasses, CapExceededError, RingSpec, divisors, signature_codes)
 from cozero.solvers import ValidatedOrder, max_clique, validated_order
 
 
@@ -86,6 +87,32 @@ def nzc_partition(g: CozeroGraph) -> list[list[int]]:
         if 0 < (k := label.count(0)) < n:
             parts[k - 1].append(i)
     return parts
+
+
+def rows_by_signature_fold(spec: RingSpec) -> tuple[int, ...]:
+    """The rows of spec's graph, one per signature code, each a k-way AND of
+    per-factor masks (Rb is inside Ra iff gcd(a_i, n_i) divides gcd(b_i,
+    n_i) for every i): every factor folded for every class, with no prefix
+    shared between classes."""
+    labels, codes = signature_codes(spec)
+    sigs = list(itertools.product(*map(divisors, spec.moduli)))  # indexed by code
+    members = positions(codes)
+    below, above = [], []  # [i][d]: labels whose i-th gcd is a multiple / divisor of d
+    for i in range(len(spec.moduli)):
+        col: dict[int, int] = {}
+        for code, mask in members.items():
+            col[sigs[code][i]] = col.get(sigs[code][i], 0) | mask
+        below.append({d: sum(m for e, m in col.items() if e % d == 0) for d in col})
+        above.append({d: sum(m for e, m in col.items() if d % e == 0) for d in col})
+    full = (1 << len(labels)) - 1
+    rows = {}
+    for code in members:
+        down = up = full
+        for i, d in enumerate(sigs[code]):
+            down &= below[i][d]
+            up &= above[i][d]
+        rows[code] = full & ~(down | up)
+    return tuple(map(rows.__getitem__, codes))
 
 
 def vnr_by_search(spec: RingSpec) -> bool:

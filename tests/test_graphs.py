@@ -9,8 +9,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cozero.graphs import (
     CozeroGraph,
+    bits,
     build_cozero_graph,
     complement,
+    gather,
     ideal_order,
     induced_subgraph,
     quotient_by_associates,
@@ -24,7 +26,7 @@ from cozero.solvers import _false_twin_reduce
 from cozero.verify import default_ring_set
 from conftest import (
     adjacency_by_oracle, from_edges, ideal_by_enumeration, nzc_partition, ordered,
-    random_graph)
+    random_graph, rows_by_signature_fold)
 
 
 def assert_quotient_is_by_associate_classes(spec):
@@ -72,6 +74,85 @@ def moduli_lists(draw, limit=200):
         limit //= moduli[-1]
         moduli.append(draw(st.integers(2, limit)))
     return tuple(moduli)
+
+
+# the rings of the analyze-classes benchmark: many vertices, few classes
+CLASS_RINGS = ["Z2xZ3xZ5xZ7xZ11", "Z7xZ7xZ7xZ7", "Z4xZ9xZ25", "Z9xZ9xZ9",
+               "Z5xZ5xZ5xZ5", "Z3xZ3xZ3xZ3xZ3", "Z8xZ27"]
+
+
+@st.composite
+def moduli_with_repeats(draw, size=9, budget=4096):
+    """Up to size moduli, repeats allowed, from primes, prime powers and
+    composites, each drawn from those that keep the ring within budget."""
+    pool = [2, 3, 5, 7, 11, 4, 8, 9, 16, 25, 27, 6, 10, 12, 15, 18, 30]
+    moduli = [draw(st.sampled_from(pool))]
+    for _ in range(draw(st.integers(0, size - 1))):
+        fits = [m for m in pool if math.prod(moduli) * m <= budget]
+        if not fits:
+            break
+        moduli.append(draw(st.sampled_from(fits)))
+    return tuple(moduli)
+
+
+class TestBuildMatchesSignatureFold:
+    """The build grows each row's AND one factor per code prefix; the
+    oracle folds every factor for every signature class."""
+
+    def test_default_ring_set(self):
+        specs = default_ring_set()
+        assert len(specs) == 261
+        for spec in specs:
+            assert build_cozero_graph(spec).adj == rows_by_signature_fold(spec), spec
+
+    @pytest.mark.parametrize("text", CLASS_RINGS + [
+        "x".join(["Z2"] * k) for k in range(7, 12)] + [
+        "Z4xZ4xZ4xZ4", "Z6xZ6xZ6", "Z12xZ18", "Z36", "Z16xZ4", "Z8xZ9"])
+    def test_named_rings(self, text):
+        spec = parse_spec(text)
+        assert build_cozero_graph(spec).adj == rows_by_signature_fold(spec)
+
+    @settings(max_examples=80, deadline=None)
+    @given(moduli_with_repeats())
+    @example((2,) * 9)
+    @example((4, 4, 2, 2))
+    @example((30, 6))
+    def test_random_rings(self, moduli):
+        spec = RingSpec(moduli)
+        assert build_cozero_graph(spec).adj == rows_by_signature_fold(spec)
+
+    def test_peak_allocation_on_boolean_ring(self):
+        # 2048 signatures, each its own class: the rows, one per code, and
+        # the partial ANDs of the first nine factors, 512 pairs; a list of
+        # every code's full AND beside the rows would take the peak past the
+        # 1.53 MB of the one-fold-per-class build
+        spec = RingSpec((2,) * 11)
+        build_cozero_graph(spec)  # its tuples freed, as a run's earlier rings leave them
+        tracemalloc.start()
+        try:
+            g = build_cozero_graph(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 2046
+        assert peak < 1.53e6 * 1.05, peak
+
+
+class TestGather:
+    def test_random_permutations_of_random_rows(self):
+        # bit t of each gathered row is bit cols[t] of the row: for a
+        # permutation's inverse, each bit j moves to perm[j]
+        rng = random.Random(29)
+        for n in [1, 2, 5, 31, 64, 65, 200]:
+            perm = rng.sample(range(n), n)
+            inverse = sorted(range(n), key=perm.__getitem__)
+            rows = [rng.getrandbits(n) for _ in range(20)]
+            assert gather(rows, inverse, n) == tuple(
+                sum(1 << perm[j] for j in bits(row)) for row in rows)
+
+    def test_bits_beyond_n_are_masked(self):
+        assert gather([0b1101, 1 << 9 | 0b10], [2, 0, 1], 3) == (0b011, 0b100)
+        assert gather([0b111], [], 3) == (0,)
 
 
 class TestBuild:

@@ -161,9 +161,12 @@ FAST_PATHS = {"in_principal_ideal", "ideal_order", "signature_codes"}
     ("rings", "principal_ideal", {"gcd", "in_principal_ideal"}),
     # nor read the case's solved clique, colouring or order, nor take its
     # associate classes from the ring layer or the quotient: they are keyed
-    # by the run's own ideal tables
+    # by the run's own ideal tables; its rows fold per factor as the build's
+    # do, but from those tables and their inclusions, not the build's
+    # divisors or its graph
     ("verify", "check_invariants", FAST_PATHS | {
-        "clique", "coloring", "gcd", "order", "associate_classes", "quotient_by_associates"}),
+        "clique", "coloring", "gcd", "order", "associate_classes", "quotient_by_associates",
+        "divisors", "build_cozero_graph"}),
     # nor tell units by gcd, through is_unit
     ("verify", "check_null_graph", FAST_PATHS | {"clique", "coloring", "gcd", "is_unit"}),
     # the checkers of the chain-cover and rank-and-cover certificates must
@@ -186,6 +189,8 @@ FAST_PATHS = {"in_principal_ideal", "ideal_order", "signature_codes"}
     # path makes it, or groups the rows it is made from, in their place
     ("solvers", "chromatic_number", {"validated_order", "positions"}),
     ("solvers", "is_perfect_desk_scale", {"validated_order", "positions"}),
+    # the inclusions graph-invariants folds come from the ideal tables alone
+    ("verify", "_inclusions", FAST_PATHS | {"gcd", "divisors", "build_cozero_graph"}),
 ])
 def test_oracles_stay_independent(module, function, forbidden):
     assert names_in((SRC / f"{module}.py").read_text(), function) & forbidden == set()

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cozero import graphs, rings, solvers, verify
 from cozero.graphs import CozeroGraph
-from cozero.rings import RingSpec
+from cozero.rings import RingSpec, parse_spec
 from cozero.verify import (
     CLAIMS,
     Caps,
@@ -156,6 +156,21 @@ class TestCheckReduction:
 
     def test_non_vnr_skipped(self):
         assert check_reduction(Case(RingSpec((8,)))).skipped
+
+    @pytest.mark.parametrize("moduli", [(6, 5), (30,), (6, 10), (2, 15), (10, 21)], ids=str)
+    def test_permuted_rows_gathered_as_moved_bit_by_bit(self, moduli):
+        # the rings whose bijection is no identity: the core's rows gathered
+        # by its inverse are the rows with each bit j moved to bijection[j],
+        # which are the boolean graph's
+        case = Case(RingSpec(moduli))
+        r = check_reduction(case)
+        bijection, q = r.witness["bijection"], case.order.core
+        assert r.passed and bijection != sorted(bijection)
+        moved = tuple(sum(1 << bijection[j] for j in graphs.bits(row)) for row in q.adj)
+        inverse = sorted(range(q.n), key=bijection.__getitem__)
+        assert graphs.gather(q.adj, inverse, q.n) == moved
+        boolean = graphs.build_cozero_graph(RingSpec((2,) * len(RingSpec(moduli).fields)))
+        assert moved == tuple(map(boolean.adj.__getitem__, bijection))
 
     def test_bijection_is_the_search_reference(self):
         # the bijection built from supports is the one the backtracking
@@ -358,6 +373,24 @@ class TestCheckInvariants:
         r = check_invariants(case)
         assert not r.passed and r.observed == "|A_3| = 3 != C(4,3)"
 
+    def test_peak_allocation_on_boolean_ring(self):
+        # 2046 keys, each its own class, with the graph and its row classes
+        # built: the expected rows are compared as they are made, none held,
+        # and the partial folds of the first nine factors are 512 pairs
+        spec = RingSpec((2,) * 11)
+        check_invariants(Case(spec))  # its key tuples freed, as a run's earlier rings leave them
+        case = Case(spec)
+        assert len(case.row_classes) == case.graph.n == 2046
+        tracemalloc.start()
+        try:
+            r = check_invariants(case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.passed
+        # the one-fold-per-class check peaked at 1.157 MB
+        assert peak < 1.157e6 * 1.05, peak
+
     def test_peak_allocation_on_large_classes(self):
         # 5,264 vertices in 79 associate classes: one expected row per class,
         # and the class map; a mask per vertex, such as a list of rows or of
@@ -372,6 +405,75 @@ class TestCheckInvariants:
             tracemalloc.stop()
         assert r.passed
         assert peak < 2e6, peak
+
+
+def plant_invariant_fault(g: CozeroGraph, fault: str) -> CozeroGraph:
+    """g with one row fault: a bit of the middle row, below or above the
+    diagonal, in that row only; rows 1 and n - 2 swapped; or one bit, of
+    vertex 0, in the row of the last member of the largest associate class."""
+    rows, i = list(g.adj), g.n // 2
+    if fault == "bit below":
+        rows[i] ^= 1 << g.n // 4
+    elif fault == "bit above":
+        rows[i] ^= 1 << 3 * g.n // 4
+    elif fault == "rows swapped":
+        rows[1], rows[-2] = rows[-2], rows[1]
+    else:  # one twin's row
+        members = max((m for _, m in rings.associate_classes(g.spec).classes), key=len)
+        rows[g.labels.index(members[-1])] ^= 1
+    return CozeroGraph(spec=g.spec, labels=g.labels, adj=tuple(rows))
+
+
+# the reports of the one-fold-per-class check on each planted fault; Z2^7
+# has no twins, and its 128 keys fold over seven levels
+PLANTED_REPORTS = {
+    ("Z2xZ2xZ2xZ2xZ2xZ2xZ2", "bit below"):
+        "adjacency mismatch at (0, 1, 0, 0, 0, 0, 0),(1, 0, 0, 0, 0, 0, 0)",
+    ("Z2xZ2xZ2xZ2xZ2xZ2xZ2", "bit above"):
+        "adjacency mismatch at (1, 0, 0, 0, 0, 0, 0),(1, 0, 1, 1, 1, 1, 1)",
+    ("Z2xZ2xZ2xZ2xZ2xZ2xZ2", "rows swapped"):
+        "adjacency mismatch at (0, 0, 0, 0, 0, 0, 1),(0, 0, 0, 0, 0, 1, 0); "
+        "adjacency mismatch at (0, 0, 0, 0, 0, 0, 1),(1, 1, 1, 1, 1, 0, 1); "
+        "adjacency mismatch at (0, 0, 0, 0, 0, 1, 0),(0, 0, 0, 0, 0, 1, 0); "
+        "adjacency mismatch at (0, 0, 0, 0, 0, 1, 0),(0, 0, 0, 0, 0, 1, 1); "
+        "adjacency mismatch at (0, 0, 0, 0, 0, 1, 0),(0, 0, 0, 0, 1, 0, 0)",
+    ("Z2xZ2xZ3xZ5", "bit below"):
+        "adjacency mismatch at (0, 0, 2, 3),(0, 1, 2, 1); "
+        "associate neighborhoods differ: 20,25; associate neighborhoods differ: 21,25; "
+        "associate neighborhoods differ: 22,25; associate neighborhoods differ: 23,25",
+    ("Z2xZ2xZ3xZ5", "bit above"):
+        "adjacency mismatch at (0, 1, 2, 1),(1, 0, 1, 4); "
+        "associate neighborhoods differ: 20,25; associate neighborhoods differ: 21,25; "
+        "associate neighborhoods differ: 22,25; associate neighborhoods differ: 23,25",
+    ("Z2xZ2xZ3xZ5", "rows swapped"):
+        "adjacency mismatch at (0, 0, 0, 1),(0, 0, 0, 2); "
+        "adjacency mismatch at (0, 0, 0, 1),(1, 1, 1, 0); "
+        "adjacency mismatch at (0, 0, 0, 2),(0, 0, 0, 2); "
+        "adjacency mismatch at (0, 0, 0, 2),(0, 0, 0, 3); "
+        "adjacency mismatch at (0, 0, 0, 2),(0, 0, 0, 4)",
+    ("Z2xZ2xZ3xZ5", "twin row"):
+        "adjacency mismatch at (0, 0, 0, 1),(0, 0, 2, 4); "
+        "associate neighborhoods differ: 5,13; associate neighborhoods differ: 6,13; "
+        "associate neighborhoods differ: 7,13; associate neighborhoods differ: 8,13",
+    ("Z4xZ9", "bit below"): "adjacency mismatch at (0, 6),(2, 0)",
+    ("Z4xZ9", "bit above"): "adjacency mismatch at (2, 0),(2, 6)",
+    ("Z4xZ9", "rows swapped"):
+        "adjacency mismatch at (0, 1),(0, 2); adjacency mismatch at (0, 1),(3, 3); "
+        "adjacency mismatch at (0, 2),(0, 2); adjacency mismatch at (0, 2),(0, 4); "
+        "adjacency mismatch at (0, 2),(0, 5)",
+    ("Z4xZ9", "twin row"):
+        "adjacency mismatch at (0, 1),(0, 8); "
+        "associate neighborhoods differ: 1,7; associate neighborhoods differ: 3,7; "
+        "associate neighborhoods differ: 4,7; associate neighborhoods differ: 6,7",
+}
+
+
+@pytest.mark.parametrize("text,fault", PLANTED_REPORTS, ids=" ".join)
+def test_planted_invariant_fault_report(text, fault):
+    case = Case(parse_spec(text))
+    case.__dict__["graph"] = plant_invariant_fault(case.graph, fault)
+    r = check_invariants(case)
+    assert not r.passed and r.observed == PLANTED_REPORTS[text, fault]
 
 
 def pairwise_mismatches(g: CozeroGraph) -> list[str]:
