@@ -319,6 +319,12 @@ SMALL_SPECS = [
 ]
 
 
+# the rings of the analyze-classes benchmark, in its order: many vertices,
+# few associate classes
+CLASS_RINGS = ["Z2xZ3xZ5xZ7xZ11", "Z7xZ7xZ7xZ7", "Z4xZ9xZ25", "Z9xZ9xZ9",
+               "Z5xZ5xZ5xZ5", "Z3xZ3xZ3xZ3xZ3", "Z8xZ27"]
+
+
 def random_ring_subgraph(rng: random.Random) -> CozeroGraph:
     """A random induced subgraph, on at most 10 vertices, of the graph of
     one of SMALL_SPECS: ring-backed, so chromatic_number applies."""

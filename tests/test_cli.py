@@ -13,13 +13,7 @@ from cozero.cli import main
 from cozero.graphs import CozeroGraph
 from cozero.rings import associate_classes, parse_spec
 from cozero.verify import default_ring_set
-from conftest import unit_by_search
-
-
-# the rings of the analyze-classes benchmark, in its order: many vertices,
-# few associate classes
-CLASS_RINGS = ["Z2xZ3xZ5xZ7xZ11", "Z7xZ7xZ7xZ7", "Z4xZ9xZ25", "Z9xZ9xZ9",
-               "Z5xZ5xZ5xZ5", "Z3xZ3xZ3xZ3xZ3", "Z8xZ27"]
+from conftest import CLASS_RINGS, unit_by_search
 
 
 def run_cli(argv, capsys):

@@ -25,8 +25,8 @@ from cozero.rings import (
 from cozero.solvers import _false_twin_reduce
 from cozero.verify import default_ring_set
 from conftest import (
-    adjacency_by_oracle, from_edges, ideal_by_enumeration, nzc_partition, ordered,
-    random_graph, rows_by_signature_fold)
+    CLASS_RINGS, adjacency_by_oracle, from_edges, ideal_by_enumeration, nzc_partition,
+    ordered, random_graph, rows_by_signature_fold)
 
 
 def assert_quotient_is_by_associate_classes(spec):
@@ -74,11 +74,6 @@ def moduli_lists(draw, limit=200):
         limit //= moduli[-1]
         moduli.append(draw(st.integers(2, limit)))
     return tuple(moduli)
-
-
-# the rings of the analyze-classes benchmark: many vertices, few classes
-CLASS_RINGS = ["Z2xZ3xZ5xZ7xZ11", "Z7xZ7xZ7xZ7", "Z4xZ9xZ25", "Z9xZ9xZ9",
-               "Z5xZ5xZ5xZ5", "Z3xZ3xZ3xZ3xZ3", "Z8xZ27"]
 
 
 @st.composite

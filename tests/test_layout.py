@@ -178,11 +178,13 @@ FAST_PATHS = {"in_principal_ideal", "ideal_order", "signature_codes"}
     # the ideal tables both claims read are listed by walking the multiples
     # of each residue: additions and memberships alone
     ("verify", "_ideals", FAST_PATHS | {"gcd"}),
-    # quotient-reduction solves, orders and reduces nothing: it restricts the
-    # case's antichain and colouring to the order's core, the quotient, and
-    # checks them on its rows
+    # quotient-reduction solves, orders, reduces and re-validates nothing: it
+    # reads omega and chi from the case's cover, validated on the order's
+    # core, and checks only that the twin partition is the support partition
+    # and that the support bijection carries the core onto the Z2^n graph
     ("verify", "check_reduction", {"chromatic_number", "validated_order", "ideal_order",
-                                   "quotient_by_associates", "induced_subgraph"}),
+                                   "quotient_by_associates", "induced_subgraph",
+                                   "validate_clique", "validate_coloring"}),
     # that the rows are a graph is read off the rows and their classes alone
     ("solvers", "validate_rows", FAST_PATHS | {"labels", "spec"}),
     # chromatic number and perfection take the validated order alone: no

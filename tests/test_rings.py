@@ -19,6 +19,7 @@ from cozero.rings import (
 )
 from cozero.verify import default_ring_set
 from conftest import (
+    CLASS_RINGS,
     associate_classes_by_gcd,
     ideal_by_enumeration,
     is_unit,
@@ -27,10 +28,6 @@ from conftest import (
     vertices_by_search,
     vnr_by_search,
 )
-
-# the rings of the analyze-classes benchmark: many vertices, few classes
-CLASS_RINGS = ["Z2xZ3xZ5xZ7xZ11", "Z7xZ7xZ7xZ7", "Z4xZ9xZ25", "Z9xZ9xZ9",
-               "Z5xZ5xZ5xZ5", "Z3xZ3xZ3xZ3xZ3", "Z8xZ27"]
 
 
 def assert_matches_oracles(spec):

@@ -24,7 +24,7 @@ from cozero.verify import (
     reports_to_json,
     run_suite,
 )
-from conftest import cycle_graph, ideal_by_enumeration, is_unit, nzc_partition
+from conftest import CLASS_RINGS, cycle_graph, ideal_by_enumeration, is_unit, nzc_partition
 
 
 class TestCheckFormula:
@@ -57,6 +57,26 @@ class TestCheckFormula:
         case.__dict__["coloring"] = gc._replace(count=gc.count + 1)
         r = check_formula(case)
         assert not r.passed and r.observed == "omega=3 chi=4"
+
+    @pytest.mark.parametrize("plant", ["clique", "colouring"])
+    def test_cover_off_the_graph_fails(self, plant):
+        # the lift from the core: a clique with a vertex swapped for another
+        # member's false twin, or a colouring with one edge of one colour,
+        # keeps its size and count but is wrong on the whole graph
+        case = Case(RingSpec((2, 3, 5)))
+        g, gc = case.graph, case.coloring
+        if plant == "clique":
+            b = next(b for b in gc.clique if g.adj.count(g.adj[b]) > 1)
+            twin = next(u for u in range(g.n) if u != b and g.adj[u] == g.adj[b])
+            a = next(a for a in gc.clique if a != b)
+            gc = gc._replace(clique=tuple(sorted({*gc.clique} - {a} | {twin})))
+        else:
+            u, w = g.edges()[-1]
+            gc = gc._replace(assignment=tuple(gc.assignment[u] if v == w else c
+                                              for v, c in enumerate(gc.assignment)))
+        case.__dict__["coloring"] = gc
+        r = check_formula(case)
+        assert not r.passed and r.observed == "omega=3 chi=3"
 
 
 class TestCheckPerfection:
@@ -188,36 +208,46 @@ class TestCheckReduction:
             checked += 1
         assert checked >= 190
 
-    def test_restricted_colouring_must_colour_the_quotient(self):
-        # negative control: two adjacent representatives share a colour.
-        # quotient-reduction checks the case's colouring restricted to the
-        # quotient, the case's false-twin core, where it fails without an
-        # exception
-        case = Case(RingSpec((2, 3, 5)))
-        order, gc = case.order, case.coloring
-        a, b = (order.keep[v] for v in order.core.edges()[0])
-        assignment = list(gc.assignment)
-        assignment[b] = assignment[a]
-        case.__dict__["coloring"] = gc._replace(assignment=tuple(assignment))
-        r = check_reduction(case)
-        assert not r.passed and not r.skipped
-        assert r.observed == "omega 3->3 chi 3->no-coloring iso=yes"
+    @staticmethod
+    def planted_cover(monkeypatch, plant):
+        """The clique-formula and quotient-reduction reports of Z2xZ3xZ5 when
+        each chain cover is plant(count, colors, antichain, the core's edges)."""
+        spec, cover = RingSpec((2, 3, 5)), solvers._chain_cover
+        edges = Case(spec).order.core.edges()
+        monkeypatch.setattr(solvers, "_chain_cover", lambda out: plant(*cover(out), edges))
+        reports = run_suite(["clique-formula", "quotient-reduction"], [spec])
+        assert [r.claim_id for r in reports] == ["clique-formula", "quotient-reduction"]
+        return reports
 
-    def test_restricted_antichain_must_lie_on_representatives(self):
-        # negative control: one antichain vertex swapped for a false twin
-        # that is not its class's representative; it is still a clique of
-        # the whole graph, but names no vertex of the quotient
-        case = Case(RingSpec((2, 3, 5)))
-        g, gc = case.graph, case.coloring
-        rep, members = next((r, m) for r, m in rings.associate_classes(g.spec).classes
-                            if len(m) > 1 and g.labels.index(r) in gc.clique)
-        v, twin = g.labels.index(rep), g.labels.index(members[1])
-        clique = tuple(sorted({*gc.clique} - {v} | {twin}))
-        assert solvers.validate_clique(g, clique)
-        case.__dict__["coloring"] = gc._replace(clique=clique)
-        r = check_reduction(case)
-        assert not r.passed and not r.skipped
-        assert r.observed == "omega 3->no-clique chi 3->3 iso=yes"
+    def test_restricted_colouring_must_colour_the_quotient(self, monkeypatch):
+        # negative control: the chain cover gives two adjacent core vertices
+        # one colour; chromatic_number rejects it where it is made, and both
+        # claims that read the colouring report its error
+        def shared(count, colors, antichain, edges):
+            a, b = edges[0]
+            colors[b] = colors[a]
+            return count, colors, antichain
+
+        for r in self.planted_cover(monkeypatch, shared):
+            assert not r.passed and r.reason == "error"
+            assert r.observed == ("error: AssertionError: chain cover of Z2xZ3xZ5 with 3 "
+                                  "chains is not matched by a clique of the same size")
+
+    def test_cover_lies_on_and_colours_the_core(self):
+        # the case's cover, which quotient-reduction reads as the quotient's
+        # omega and chi, on every default ring and the analyze-classes rings:
+        # its clique is count pairwise adjacent kept vertices, and its
+        # colours on the kept vertices colour the core with count colours
+        specs = default_ring_set() + [parse_spec(text) for text in CLASS_RINGS]
+        for case in (Case(spec, Caps(max_vertices=2048)) for spec in specs):
+            order, gc = case.order, case.coloring
+            at = {rep: v for v, rep in enumerate(order.keep)}
+            assert set(gc.clique) <= set(order.keep) and len(gc.clique) == gc.count
+            assert all(order.core.has_edge(at[a], at[b])
+                       for a, b in itertools.combinations(gc.clique, 2))
+            colors = [gc.assignment[k] for k in order.keep]
+            assert all(0 <= c < gc.count for c in colors)
+            assert all(colors[a] != colors[b] for a, b in order.core.edges())
 
     def test_flipped_boolean_edge_fails(self, monkeypatch):
         # negative control: Z2^3's graph with the edge (0,0,1)-(0,1,0) removed
@@ -293,18 +323,23 @@ class TestCheckReduction:
         assert r.observed == "associates are not false twins"
 
     @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=["identity", "permuted"])
-    def test_loop_inside_an_associate_class_fails(self, moduli):
-        # negative control: each member of a class gets the whole class in
-        # its row; the members still share one row, but it holds them
-        def loop_class(g, v, members):
-            adj = tuple(row | members if members >> u & 1 else row
-                        for u, row in enumerate(g.adj))
-            assert len({*adj}) == len({*g.adj})  # the row classes are kept
-            return adj
-
-        r = check_reduction(self.planted(moduli, loop_class))
-        assert not r.passed and not r.skipped and r.witness is None
-        assert r.observed == "associates are not false twins"
+    def test_loop_inside_an_associate_class_fails(self, monkeypatch, moduli):
+        # negative control: each member of a class of two or more gets the
+        # whole class in its row; the members still share one row, but it
+        # holds them, and the order's certificate, which the claim reads,
+        # rejects the rows
+        spec, build = RingSpec(moduli), graphs.build_cozero_graph
+        g = build(spec)
+        members = next(m for m in graphs.positions(g.adj).values() if m & m - 1)
+        adj = tuple(row | members if members >> u & 1 else row for u, row in enumerate(g.adj))
+        assert len({*adj}) == len({*g.adj})  # the row classes are kept
+        wrong = CozeroGraph(g.spec, g.labels, adj)
+        monkeypatch.setattr(graphs, "build_cozero_graph",
+                            lambda s, **caps: wrong if s == spec else build(s, **caps))
+        [r] = run_suite(["quotient-reduction"], [spec])
+        assert not r.passed and r.reason == "error" and r.witness is None
+        assert r.observed == (f"error: AssertionError: the rows of {spec} are not "
+                              f"a symmetric, loopless graph")
 
     def test_unit_label_fails_without_raising(self):
         # negative control: the one-member class (1,0,0) of Z2xZ3xZ5 relabelled
@@ -319,14 +354,35 @@ class TestCheckReduction:
         assert not r.passed and not r.skipped
         assert r.observed.endswith("iso=no") and r.witness is None
 
-    def test_count_off_its_clique_fails(self):
-        # the colouring of TestCheckFormula's planted count: its restriction
-        # colours the quotient, but the clique no longer matches its count
-        case = Case(RingSpec((2, 3, 5)))
-        gc = case.coloring
-        case.__dict__["coloring"] = gc._replace(count=gc.count + 1)
-        r = check_reduction(case)
-        assert not r.passed and r.observed == "omega 3->no-clique chi 4->4 iso=yes"
+    @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=["identity", "permuted"])
+    def test_boolean_graph_with_the_unit_fails_where_its_rows_agree(self, monkeypatch, moduli):
+        # negative control: a build of Z2^3 that keeps the unit (1,1,1), which
+        # is in no other vertex's row, as a last, isolated vertex; every
+        # support has its image and every core row agrees with its image's,
+        # but the map misses the unit, so it is no permutation
+        build = graphs.build_cozero_graph
+
+        def with_unit(spec, **caps):
+            g = build(spec, **caps)
+            if spec != RingSpec((2, 2, 2)):
+                return g
+            return CozeroGraph(g.spec, g.labels + ((1, 1, 1),), g.adj + (0,))
+
+        monkeypatch.setattr(graphs, "build_cozero_graph", with_unit)
+        r = check_reduction(Case(RingSpec(moduli)))
+        assert not r.passed and not r.skipped
+        assert r.observed.endswith("iso=no") and r.witness is None
+
+    def test_count_off_its_clique_fails(self, monkeypatch):
+        # TestCheckFormula's planted count, planted where the cover is made:
+        # one chain more than its antichain, which chromatic_number rejects
+        def one_more(count, colors, antichain, edges):
+            return count + 1, colors, antichain
+
+        for r in self.planted_cover(monkeypatch, one_more):
+            assert not r.passed and r.reason == "error"
+            assert r.observed == ("error: AssertionError: chain cover of Z2xZ3xZ5 with 4 "
+                                  "chains is not matched by a clique of the same size")
 
     def test_six_field_rule_is_the_old_vertex_cap(self):
         # more than six fields is exactly a twin core, and a quotient, of more
