@@ -7,7 +7,6 @@ from .rings import (
     RingSpecError,
     factorize,
     parse_spec,
-    vertices,
 )
 from .graphs import (
     CozeroGraph,
@@ -21,7 +20,6 @@ from .graphs import (
 from .solvers import (
     ColoringResult,
     chromatic_number,
-    is_perfect_desk_scale,
     validated_order,
 )
 

@@ -2,21 +2,21 @@
 perfection certificates by transitive orientations, for ring-backed graphs;
 and three exponential searches that no CLI path runs.
 
-Chromatic number and perfection take one principal-ideal order, which
-validated_order makes from a ring-backed graph and its row classes, and
-which raises ValueError on a bare graph: its out-rows are the complement's
-edges taken up the rank |Ru|, derived from rows checked to be a graph, and
-validated as a transitive orientation, which certifies perfection.  A
+Chromatic number takes one principal-ideal order, which validated_order
+makes from a ring-backed graph and its row classes, and which raises
+ValueError on a bare graph: its out-rows are the complement's edges taken
+up the rank |Ru|, derived from rows checked to be a graph, and validated as
+a transitive orientation, so its return certifies perfection.  A
 minimum chain cover of it (Dilworth) colors the graph, certified by an
 antichain, a clique of the same size (König), which is also the maximum
 clique the CLI reports.
 
 The searches, max_clique (branch and bound), find_odd_hole and
-are_isomorphic, serve any graph and stay here only as the tests' references;
-the package namespace does not re-export them.  The benchmark's tracer wraps
-them and validate_certificate by name in this module, and counts
+are_isomorphic, and is_perfect_desk_scale, True for a validated order, stay
+here unexported, as the tests' references; the benchmark's tracer wraps all
+four, validate_certificate and rings.vertices by name, and counts
 rings.in_principal_ideal: deleting or moving any of these breaks perfbench's
---trace 1.  Their caps raise instead of degrading to heuristics.
+--trace 1.  The searches' caps raise instead of degrading to heuristics.
 Tie-breaking is by lowest vertex index throughout so witnesses are
 reproducible.
 """

@@ -165,6 +165,36 @@ class TestAnalyze:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f3b4222e35210e97a58d64b8d9be960b62951c6733cd6ed4715a834ab37a3954")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failed_certificate_is_an_error_entry_in_place(self, capsys, monkeypatch, fmt):
+        # bit n - 1 of row 0 of Z2xZ3xZ5 flipped by a patched build, in one
+        # row only: the order rejects the rows, the middle ring's summary is
+        # its error, the rings around it keep theirs, and analyze exits 1
+        argv = ["analyze", "--format", fmt, "Z2xZ2", "Z2xZ3xZ5", "Z2xZ3"]
+        code, clean, _ = run_cli(argv, capsys)
+        assert code == 0
+        build = graphs.build_cozero_graph
+
+        def flipped(spec, **caps):
+            g = build(spec, **caps)
+            if str(spec) != "Z2xZ3xZ5":
+                return g
+            return CozeroGraph(g.spec, g.labels, (g.adj[0] ^ 1 << g.n - 1,) + g.adj[1:])
+
+        monkeypatch.setattr(graphs, "build_cozero_graph", flipped)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and err == ""
+        error = ("AssertionError: the rows of Z2xZ3xZ5 are not a symmetric, "
+                 "loopless graph")
+        if fmt == "json":
+            first, middle, last = json.loads(out)
+            assert middle == {"spec": "Z2xZ3xZ5", "error": error}
+            assert [first, last] == [info for info in json.loads(clean)
+                                     if info["spec"] != "Z2xZ3xZ5"]
+        else:
+            first, last = clean.split("Z2xZ3xZ5:")[0], "Z2xZ3:" + clean.split("Z2xZ3:")[-1]
+            assert out == first + f"Z2xZ3xZ5: error: {error}\n" + last
+
 
 class TestVerify:
     def test_named_suite(self, capsys):

@@ -4,6 +4,7 @@ by ``x._name`` on an imported module; no module imports a name it never
 reads; the oracles of verify stay independent of the code they check; and
 importing the CLI loads neither dataclasses nor typing."""
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cozero"
+PERFBENCH = SRC.parent.parent / "perfbench"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -18,9 +20,10 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def private_uses(source: str) -> list[str]:
-    """Every cross-module private name the given module source reads."""
-    tree = ast.parse(source)
+def package_reads(tree: ast.AST) -> list[tuple[str, str, str]]:
+    """Every name that tree reads from a package module, as (module, name,
+    form): ``from .m import name`` (module "" for the package itself), or
+    ``alias.name`` on a name bound to package module m."""
     found = []
     aliases = {}  # local name -> package module it is bound to
     for node in ast.walk(tree):
@@ -28,12 +31,11 @@ def private_uses(source: str) -> list[str]:
             if node.level == 0 and (node.module or "").split(".")[0] != "cozero":
                 continue
             # "from . import graphs" or "from cozero import graphs" binds a module
-            binds_modules = node.module in (None, "cozero")
+            module = (node.module or "").removeprefix("cozero").lstrip(".")
             for alias in node.names:
-                if _private(alias.name):
-                    found.append(f"from {'.' * node.level}{node.module or ''} "
-                                 f"import {alias.name}")
-                if binds_modules and alias.name in MODULES:
+                found.append((module, alias.name, f"from {'.' * node.level}"
+                                                  f"{node.module or ''} import {alias.name}"))
+                if not module and alias.name in MODULES:
                     aliases[alias.asname or alias.name] = alias.name
         elif isinstance(node, ast.Import):
             for alias in node.names:
@@ -41,11 +43,16 @@ def private_uses(source: str) -> list[str]:
                 if head == "cozero" and tail in MODULES and alias.asname:
                     aliases[alias.asname] = tail
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and _private(node.attr)
-                and isinstance(node.value, ast.Name)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
-            found.append(f"{aliases[node.value.id]}.{node.attr}")
+            module = aliases[node.value.id]
+            found.append((module, node.attr, f"{module}.{node.attr}"))
     return found
+
+
+def private_uses(source: str) -> list[str]:
+    """Every cross-module private name the given module source reads."""
+    return [form for _, name, form in package_reads(ast.parse(source)) if _private(name)]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -261,23 +268,33 @@ def test_oracle_checker_catches_planted_calls():
 # public names that no package module reads, each with a reader elsewhere:
 # the references that perfbench/tracer.py resolves by name in their modules;
 # associate_classes, the tests' class oracle since analyze counts the gcd
-# signatures, stays in rings for the tracer until it moves to the tests
+# signatures, stays in rings for the tracer until it moves to the tests, as
+# vertices, whose labels the build reads from signature_codes, and
+# is_perfect_desk_scale, since perfection is the validated order returning
 UNREAD_REFERENCES = {"max_clique", "find_odd_hole", "are_isomorphic",
                      "validate_certificate", "principal_ideal",
-                     "in_principal_ideal", "associate_classes"}
+                     "in_principal_ideal", "associate_classes", "vertices",
+                     "is_perfect_desk_scale"}
 
 
 def unread_public_names(sources: dict[str, str]) -> list[str]:
     """The public top-level functions and classes of rings, graphs and
-    solvers that no module but __init__ reads outside their own definition."""
+    solvers that no module but __init__ reads outside their own definition:
+    their own module by a bare name, another by importing the name from it
+    or by reading it off a bound alias of it, so a local of the same name
+    is no read."""
     trees = {m: ast.parse(src) for m, src in sources.items() if m != "__init__"}
+    imported = {(module, name) for tree in trees.values()
+                for module, name, _ in package_reads(tree)}
     unread = []
     for module in ("rings", "graphs", "solvers"):
         for node in trees[module].body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
-                    and not any(node.name in reads(stmt) for tree in trees.values()
-                                for stmt in tree.body if stmt is not node)):
+                    and (module, node.name) not in imported
+                    and not any(isinstance(n, ast.Name) and n.id == node.name
+                                for stmt in trees[module].body if stmt is not node
+                                for n in ast.walk(stmt))):
                 unread.append(node.name)
     return unread
 
@@ -287,12 +304,20 @@ def package_sources() -> dict[str, str]:
 
 
 def test_every_public_name_is_read_by_the_package():
+    # exactly: a reference that the package reads again leaves the list
+    assert set(unread_public_names(package_sources())) == UNREAD_REFERENCES
+
+
+def test_unread_references_are_tracer_pins(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    pinned = {(module.removeprefix("cozero."), name)
+              for module, name in tracer.SPANNED + tracer.COUNTED}
     sources = package_sources()
-    assert set(unread_public_names(sources)) - UNREAD_REFERENCES == set()
-    defined = {node.name for m in ("rings", "graphs", "solvers")
+    defined = {node.name: m for m in ("rings", "graphs", "solvers")
                for node in ast.parse(sources[m]).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert UNREAD_REFERENCES <= defined
+    assert {(defined[name], name) for name in UNREAD_REFERENCES} <= pinned
 
 
 def test_namespace_exports_only_names_the_package_reads():
@@ -307,8 +332,13 @@ def test_unread_checker():
         "rings": ("class Spec:\n    pass\n"
                   "def unit(spec: Spec):\n    return unit(spec)\n"
                   "def vertices(spec):\n    return spec\n"),
-        "graphs": "from .rings import vertices\nx = vertices\n",
-        "solvers": "import math\ndef solve(g):\n    return math.gcd(g, 1)\n",
+        "graphs": ("from .rings import vertices\nx = vertices\n"
+                   "def edges(g):\n    return g.edges\n"),
+        # a local, and an attribute of no module, named like a public name
+        "solvers": ("import math\nfrom . import graphs as gr\n"
+                    "def solve(g):\n    edges, unit = g\n    return math.gcd(edges, unit)\n"
+                    "def count(g):\n    return gr.edges(g)\n"),
+        "verify": "def check(case):\n    return case.count\n",
         "__init__": "from .rings import unit\nfrom .solvers import solve\n",
     }
-    assert unread_public_names(sources) == ["unit", "solve"]
+    assert unread_public_names(sources) == ["unit", "solve", "count"]

@@ -27,6 +27,22 @@ from cozero.verify import (
 from conftest import CLASS_RINGS, cycle_graph, ideal_by_enumeration, is_unit, nzc_partition
 
 
+def planted_core(monkeypatch, spec: RingSpec, flips) -> Case:
+    """A case of spec whose order's core, gathered by graphs.gather from the
+    graph's rows, has each pair (a, b) of core vertices in flips flipped."""
+    keep, gather = list(Case(spec).order.keep), graphs.gather
+
+    def flipped(rows, cols, n):
+        out = list(gather(rows, cols, n))
+        if list(cols) == keep:
+            for a, b in flips:
+                out[a], out[b] = out[a] ^ 1 << b, out[b] ^ 1 << a
+        return tuple(out)
+
+    monkeypatch.setattr(graphs, "gather", flipped)
+    return Case(spec)
+
+
 class TestCheckFormula:
     def test_z2_fourth(self):
         r = check_formula(Case(RingSpec((2,) * 4)))
@@ -49,32 +65,35 @@ class TestCheckFormula:
         r = check_formula(Case(RingSpec((2, 3)), Caps(max_cardinality=5)))
         assert r.skipped and r.reason == "cap-exceeded"
 
-    def test_count_off_its_clique_fails(self):
-        # a planted colouring with one colour more than its clique: the
-        # colouring and the clique are each valid, but omega != chi
-        case = Case(RingSpec((2, 3, 5)))
-        gc = case.coloring
-        case.__dict__["coloring"] = gc._replace(count=gc.count + 1)
-        r = check_formula(case)
-        assert not r.passed and r.observed == "omega=3 chi=4"
+    def test_count_off_its_clique_fails(self, monkeypatch):
+        # a chain cover with one chain more than its antichain: the colouring
+        # and the clique are each valid, but omega != chi, and chromatic_number
+        # rejects the cover where it is made, so the claim reports its error
+        cover = solvers._chain_cover
 
-    @pytest.mark.parametrize("plant", ["clique", "colouring"])
-    def test_cover_off_the_graph_fails(self, plant):
-        # the lift from the core: a clique with a vertex swapped for another
-        # member's false twin, or a colouring with one edge of one colour,
-        # keeps its size and count but is wrong on the whole graph
-        case = Case(RingSpec((2, 3, 5)))
+        def one_more(out):
+            count, colors, antichain = cover(out)
+            return count + 1, colors, antichain
+
+        monkeypatch.setattr(solvers, "_chain_cover", one_more)
+        [r] = run_suite(["clique-formula"], [RingSpec((2, 3, 5))])
+        assert not r.passed and r.reason == "error"
+        assert r.observed == ("error: AssertionError: chain cover of Z2xZ3xZ5 with 4 "
+                              "chains is not matched by a clique of the same size")
+
+    @pytest.mark.parametrize("plant,flips", [("clique", [(1, 5), (4, 5)]),
+                                             ("colouring", [(1, 4)])], ids=["clique", "colouring"])
+    def test_cover_off_the_graph_fails(self, monkeypatch, plant, flips):
+        # the lift from a core gathered wrong, whose order stays transitive
+        # and of width 3: (1,1,0), its core row given (0,1,0) for (1,0,1),
+        # is in an antichain with (0,1,0), a clique of the core but not of
+        # the graph; the edge (0,1,0)-(1,0,1) dropped puts both on one
+        # chain, a colouring of the core with an edge of the graph in one
+        # colour.  Each keeps its size and count, and fails on the graph only
+        case = planted_core(monkeypatch, RingSpec((2, 3, 5)), flips)
         g, gc = case.graph, case.coloring
-        if plant == "clique":
-            b = next(b for b in gc.clique if g.adj.count(g.adj[b]) > 1)
-            twin = next(u for u in range(g.n) if u != b and g.adj[u] == g.adj[b])
-            a = next(a for a in gc.clique if a != b)
-            gc = gc._replace(clique=tuple(sorted({*gc.clique} - {a} | {twin})))
-        else:
-            u, w = g.edges()[-1]
-            gc = gc._replace(assignment=tuple(gc.assignment[u] if v == w else c
-                                              for v, c in enumerate(gc.assignment)))
-        case.__dict__["coloring"] = gc
+        assert solvers.validate_clique(g, gc.clique) == (plant != "clique")
+        assert solvers.validate_coloring(g, gc.assignment, gc.count) == (plant != "colouring")
         r = check_formula(case)
         assert not r.passed and r.observed == "omega=3 chi=3"
 
@@ -277,20 +296,15 @@ class TestCheckReduction:
         bijection = r.witness["bijection"]
         assert (bijection == list(range(len(bijection)))) == identity
 
-    @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=["identity", "permuted"])
-    def test_corrupted_quotient_row_fails(self, moduli):
-        # negative control: one edge dropped from the core that the claim
-        # reads as the quotient, after the colouring is computed, under the
-        # whole-row comparison and under the permutation alike
-        case = Case(RingSpec(moduli))
-        order, _ = case.order, case.coloring
-        q = order.core
-        a, b = q.edges()[-1]
-        adj = list(q.adj)
-        adj[a], adj[b] = adj[a] ^ 1 << b, adj[b] ^ 1 << a
-        case.__dict__["order"] = order._replace(
-            core=CozeroGraph(q.spec, q.labels, tuple(adj)))
-        r = check_reduction(case)
+    @pytest.mark.parametrize("moduli,pair", [((2, 3, 5), (1, 4)), ((6, 5), (0, 1))],
+                             ids=["identity", "permuted"])
+    def test_corrupted_quotient_row_fails(self, monkeypatch, moduli, pair):
+        # negative control: the core that the claim reads as the quotient is
+        # gathered without the edge between a vertex and the one of the
+        # complementary support; its order stays transitive and its cover
+        # valid, and the rows fail under the whole-row comparison and under
+        # the permutation alike
+        r = check_reduction(planted_core(monkeypatch, RingSpec(moduli), [pair]))
         assert not r.passed and not r.skipped
         assert r.observed.endswith("iso=no") and r.witness is None
 
@@ -341,18 +355,23 @@ class TestCheckReduction:
         assert r.observed == (f"error: AssertionError: the rows of {spec} are not "
                               f"a symmetric, loopless graph")
 
-    def test_unit_label_fails_without_raising(self):
-        # negative control: the one-member class (1,0,0) of Z2xZ3xZ5 relabelled
-        # as the unit (1,1,1) keeps one support per row, but that support has
-        # no image in the graph of Z2^3, so the bijection is no permutation
-        case = Case(RingSpec((2, 3, 5)))
-        g, _ = case.graph, case.coloring
-        labels = list(g.labels)
-        labels[labels.index((1, 0, 0))] = (1, 1, 1)
-        case.__dict__["graph"] = CozeroGraph(g.spec, tuple(labels), g.adj)
-        r = check_reduction(case)
-        assert not r.passed and not r.skipped
-        assert r.observed.endswith("iso=no") and r.witness is None
+    def test_unit_label_fails_without_raising(self, monkeypatch):
+        # negative control: the one-member class (1,0,0) of Z2xZ3xZ5 built
+        # with the unit label (1,1,1), whose rank is the ring's: the order
+        # orients the complement up that rank, no longer transitively, and
+        # the claim, which reads the order, reports its error
+        spec, build = RingSpec((2, 3, 5)), graphs.build_cozero_graph
+
+        def relabelled(s, **caps):
+            g = build(s, **caps)
+            labels = [(1, 1, 1) if s == spec and v == (1, 0, 0) else v for v in g.labels]
+            return CozeroGraph(g.spec, tuple(labels), g.adj)
+
+        monkeypatch.setattr(graphs, "build_cozero_graph", relabelled)
+        [r] = run_suite(["quotient-reduction"], [spec])
+        assert not r.passed and r.reason == "error" and r.witness is None
+        assert r.observed == ("error: AssertionError: ideal orientation of Z2xZ3xZ5 does "
+                              "not orient the complement transitively")
 
     @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=["identity", "permuted"])
     def test_boolean_graph_with_the_unit_fails_where_its_rows_agree(self, monkeypatch, moduli):
@@ -449,9 +468,12 @@ class TestCheckInvariants:
 
     def test_peak_allocation_on_large_classes(self):
         # 5,264 vertices in 79 associate classes: one expected row per class,
-        # and the class map; a mask per vertex, such as a list of rows or of
-        # ideal masks, would take the peak past 10 MB
-        case = Case(RingSpec((9, 9, 9, 9)))
+        # the class map and the row classes, 0.635 MB at the warm peak; a
+        # mask per vertex, such as a list of rows or of ideal masks, would
+        # take the peak past 10 MB
+        spec = RingSpec((9, 9, 9, 9))
+        check_invariants(Case(spec))  # a warm interpreter, as a run's earlier rings leave it
+        case = Case(spec)
         assert case.graph.n == 5264
         tracemalloc.start()
         try:
@@ -460,7 +482,7 @@ class TestCheckInvariants:
         finally:
             tracemalloc.stop()
         assert r.passed
-        assert peak < 2e6, peak
+        assert peak < 6.35e5 * 1.05, peak
 
 
 def plant_invariant_fault(g: CozeroGraph, fault: str) -> CozeroGraph:
@@ -717,10 +739,15 @@ class TestInvariantsOnWrongGraphs:
 
 def planted(g: CozeroGraph, fault: str) -> CozeroGraph:
     """g with one fault planted at its first and last vertices, which are
-    not twins, so of different associate classes."""
+    not twins, so of different associate classes, or in every row, each
+    keeping its bits inside the vertex range: bit n set, or made negative."""
     rows, labels, last = list(g.adj), list(g.labels), g.n - 1
     assert rows[0] != rows[last]
-    if fault == "edge flipped":
+    if fault == "bit past the last vertex":
+        rows = [row | 1 << g.n for row in rows]
+    elif fault == "negative rows":
+        rows = [row - (2 << g.n) for row in rows]
+    elif fault == "edge flipped":
         rows[0] ^= 1 << last
         rows[last] ^= 1
     elif fault == "one-row bit flipped":
@@ -735,7 +762,8 @@ def planted(g: CozeroGraph, fault: str) -> CozeroGraph:
 
 
 @pytest.mark.parametrize("fault", ["edge flipped", "one-row bit flipped", "row zeroed",
-                                   "labels swapped", "unit planted"])
+                                   "labels swapped", "unit planted",
+                                   "bit past the last vertex", "negative rows"])
 @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5), (4, 9)], ids=str)
 def test_planted_fault_sweep(monkeypatch, capsys, moduli, fault):
     # every claim runs on the faulty graph, and the other graphs a run
@@ -753,6 +781,21 @@ def test_planted_fault_sweep(monkeypatch, capsys, moduli, fault):
     from cozero.cli import main
     assert main(["verify", str(spec)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fault", ["bit past the last vertex", "negative rows"])
+def test_rows_outside_the_vertex_range_are_named(monkeypatch, fault):
+    # the pairs are read from each row inside the vertex range, and the
+    # twins' rows agree, so graph-invariants names the off-row vertices
+    # whose rows reach outside it, first five in index order
+    spec = RingSpec((2, 3, 5))
+    build = graphs.build_cozero_graph
+    wrong = planted(build(spec), fault)
+    monkeypatch.setattr(graphs, "build_cozero_graph",
+                        lambda s, **caps: wrong if s == spec else build(s, **caps))
+    [r] = run_suite(["graph-invariants"], [spec])
+    assert not r.passed and r.observed == "; ".join(
+        f"row of {label} has bits outside the vertex range" for label in wrong.labels[:5])
 
 
 @pytest.mark.parametrize("moduli", [(2, 3, 5), (6, 5)], ids=str)
