@@ -82,7 +82,8 @@ class TestCheckFormula:
                               "chains is not matched by a clique of the same size")
 
     @pytest.mark.parametrize("plant,flips", [("clique", [(1, 5), (4, 5)]),
-                                             ("colouring", [(1, 4)])], ids=["clique", "colouring"])
+                                             ("colouring", [(1, 4)])],
+                             ids=["clique", "colouring"])
     def test_cover_off_the_graph_fails(self, monkeypatch, plant, flips):
         # the lift from a core gathered wrong, whose order stays transitive
         # and of width 3: (1,1,0), its core row given (0,1,0) for (1,0,1),
@@ -739,8 +740,8 @@ class TestInvariantsOnWrongGraphs:
 
 def planted(g: CozeroGraph, fault: str) -> CozeroGraph:
     """g with one fault planted at its first and last vertices, which are
-    not twins, so of different associate classes, or in every row, each
-    keeping its bits inside the vertex range: bit n set, or made negative."""
+    not twins, so of different associate classes, or in every row, whose
+    bits below n stay: bit n set, or the row made negative."""
     rows, labels, last = list(g.adj), list(g.labels), g.n - 1
     assert rows[0] != rows[last]
     if fault == "bit past the last vertex":
