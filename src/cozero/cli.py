@@ -118,7 +118,7 @@ def _analyze_one(case: verify.Case) -> dict:
         if n >= 2:
             formula = math.comb(n, n // 2)
             info["formula"] = formula
-            info["formula_match"] = (len(coloring.clique) == formula == coloring.count)
+            info["formula_match"] = len(coloring.clique) == formula  # chi is the clique's size
     # a class is a gcd signature, one divisor per modulus, but the zero's and the units'
     info["associate_classes"] = math.prod(
         e + 1 for n in spec.moduli for _, e in rings.factorize(n)) - 2

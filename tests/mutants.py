@@ -37,10 +37,8 @@ TIMEOUT = 600.0
 # of validate_orientation (after it, left is empty, so the later levels add
 # nothing to joined); check_null_graph's "local and principal" as "local"
 # (a local product of Z_n is one Z_{p^k}, whose maximal ideal pZ is
-# principal); check_formula's "== coloring.count" dropped (chromatic_number
-# raises unless its antichain, which the clique lists, has count members);
-# and the build's or _inclusions' two folds swapped with each other (a row
-# misses the union of both, so the swap keeps every row).
+# principal); and the build's or _inclusions' two folds swapped with each
+# other (a row misses the union of both, so the swap keeps every row).
 MUTANTS = [
     ("build-divides", "graphs", "build_cozero_graph", "e % d == 0", "d % e == 0"),
     ("build-full", "graphs", "build_cozero_graph", "full & ~(pq & q2 | uw & w2)",
@@ -51,6 +49,10 @@ MUTANTS = [
     ("gather-full", "graphs", "gather", "row & full", "row"),
     ("transpose-mask", "graphs", "transpose", "(t[a] >> w ^ t[a + w]) & low",
      "t[a] >> w ^ t[a + w]"),
+    ("codes-radix", "rings", "signature_codes", "map(len(divs).__mul__, codes)", "codes"),
+    ("codes-digit", "rings", "signature_codes", "divs.index(math.gcd(x, n))",
+     "len(divs) - 1 - divs.index(math.gcd(x, n))"),
+    ("codes-zero", "rings", "signature_codes", "del codes[0]", "pass"),
     ("ideal-order-size", "graphs", "ideal_order", "m // math.gcd(x, m)", "math.gcd(x, m)"),
     ("clique-duplicates", "solvers", "validate_clique", "len(set(ws)) != len(ws)", "False"),
     ("clique-range", "solvers", "validate_clique", "0 <= v < g.n", "True"),
@@ -81,10 +83,16 @@ MUTANTS = [
     ("formula-coloring", "verify", "check_formula",
      "solvers.validate_coloring(g, coloring.assignment, coloring.count)", "True"),
     ("perfection-order", "verify", "check_perfection", "bool(case.order)", "True"),
+    ("skip-cardinality-first", "verify", "_skip_reason",
+     "if case.spec.cardinality > case.caps.max_cardinality:\n    return 'cap-exceeded'", "pass"),
+    ("skip-rules-first", "verify", "_skip_reason",
+     "next((reason for reason, holds in rules if holds(case.spec.fields)), None) or "
+     "('cap-exceeded' if case.graph is None else None)",
+     "('cap-exceeded' if case.graph is None else None) or "
+     "next((reason for reason, holds in rules if holds(case.spec.fields)), None)"),
     ("null-local", "verify", "check_null_graph", "spec.add(a, b) not in units", "True"),
     ("invariants-part-sizes", "verify", "check_invariants",
      "part.bit_count() != math.comb(n, k)", "False"),
-    ("invariants-twins", "verify", "check_invariants", "g.has_edge(a, b)", "False"),
     ("invariants-off-row", "verify", "check_invariants",
      "sum((m & ~same_row.get(row, 0) for m, row in zip(masks, expected_rows())))", "0"),
     ("invariants-range", "verify", "check_invariants", "g.adj[i] >> g.n", "0"),

@@ -517,13 +517,9 @@ PLANTED_REPORTS = {
         "adjacency mismatch at (0, 0, 0, 0, 0, 1, 0),(0, 0, 0, 0, 0, 1, 1); "
         "adjacency mismatch at (0, 0, 0, 0, 0, 1, 0),(0, 0, 0, 0, 1, 0, 0)",
     ("Z2xZ2xZ3xZ5", "bit below"):
-        "adjacency mismatch at (0, 0, 2, 3),(0, 1, 2, 1); "
-        "associate neighborhoods differ: 20,25; associate neighborhoods differ: 21,25; "
-        "associate neighborhoods differ: 22,25; associate neighborhoods differ: 23,25",
+        "adjacency mismatch at (0, 0, 2, 3),(0, 1, 2, 1)",
     ("Z2xZ2xZ3xZ5", "bit above"):
-        "adjacency mismatch at (0, 1, 2, 1),(1, 0, 1, 4); "
-        "associate neighborhoods differ: 20,25; associate neighborhoods differ: 21,25; "
-        "associate neighborhoods differ: 22,25; associate neighborhoods differ: 23,25",
+        "adjacency mismatch at (0, 1, 2, 1),(1, 0, 1, 4)",
     ("Z2xZ2xZ3xZ5", "rows swapped"):
         "adjacency mismatch at (0, 0, 0, 1),(0, 0, 0, 2); "
         "adjacency mismatch at (0, 0, 0, 1),(1, 1, 1, 0); "
@@ -531,9 +527,7 @@ PLANTED_REPORTS = {
         "adjacency mismatch at (0, 0, 0, 2),(0, 0, 0, 3); "
         "adjacency mismatch at (0, 0, 0, 2),(0, 0, 0, 4)",
     ("Z2xZ2xZ3xZ5", "twin row"):
-        "adjacency mismatch at (0, 0, 0, 1),(0, 0, 2, 4); "
-        "associate neighborhoods differ: 5,13; associate neighborhoods differ: 6,13; "
-        "associate neighborhoods differ: 7,13; associate neighborhoods differ: 8,13",
+        "adjacency mismatch at (0, 0, 0, 1),(0, 0, 2, 4)",
     ("Z4xZ9", "bit below"): "adjacency mismatch at (0, 6),(2, 0)",
     ("Z4xZ9", "bit above"): "adjacency mismatch at (2, 0),(2, 6)",
     ("Z4xZ9", "rows swapped"):
@@ -541,9 +535,7 @@ PLANTED_REPORTS = {
         "adjacency mismatch at (0, 2),(0, 2); adjacency mismatch at (0, 2),(0, 4); "
         "adjacency mismatch at (0, 2),(0, 5)",
     ("Z4xZ9", "twin row"):
-        "adjacency mismatch at (0, 1),(0, 8); "
-        "associate neighborhoods differ: 1,7; associate neighborhoods differ: 3,7; "
-        "associate neighborhoods differ: 4,7; associate neighborhoods differ: 6,7",
+        "adjacency mismatch at (0, 1),(0, 8)",
 }
 
 
@@ -556,34 +548,14 @@ def test_planted_invariant_fault_report(text, fault):
 
 
 def pairwise_mismatches(g: CozeroGraph) -> list[str]:
-    """The adjacency mismatches of g, pair by pair in order of i, then j,
+    """The adjacency mismatches of g, pair by pair in order of i, then j >= i,
     against the definition: a-b is an edge iff a not in Rb and b not in Ra,
-    read from row i and from row j."""
+    read from row i and from row j; a is in Ra, so a loop is named a,a."""
     ideals = [ideal_by_enumeration(g.spec, v) for v in g.labels]
     return [f"adjacency mismatch at {g.labels[i]},{g.labels[j]}"
-            for i, j in itertools.combinations(range(g.n), 2)
+            for i, j in itertools.combinations_with_replacement(range(g.n), 2)
             if not g.has_edge(i, j) == g.has_edge(j, i) == (
                 g.labels[i] not in ideals[j] and g.labels[j] not in ideals[i])]
-
-
-def pairwise_twin_problems(g: CozeroGraph) -> list[str]:
-    """The associate and zero-count messages of g, pair by pair in order of
-    i, then j, with the tests applied to every pair."""
-    problems = []
-    index = {label: i for i, label in enumerate(g.labels)}
-    for _, members in rings.associate_classes(g.spec).classes:
-        for a, b in itertools.combinations(sorted(index[m] for m in members), 2):
-            if g.has_edge(a, b):
-                problems.append(f"associates adjacent: {a},{b}")
-            if g.adj[a] & ~(1 << b) != g.adj[b] & ~(1 << a):
-                problems.append(f"associate neighborhoods differ: {a},{b}")
-    if all(rings.factorize(m) == [(m, 1)] for m in g.spec.moduli):
-        patterns = [tuple(r == 0 for r in v) for v in g.labels]
-        for i, part in enumerate(nzc_partition(g), start=1):
-            for a, b in itertools.combinations(part, 2):
-                if g.has_edge(a, b) != (patterns[a] != patterns[b]):
-                    problems.append(f"zero-count part {i} adjacency wrong at {a},{b}")
-    return problems
 
 
 class TestInvariantsOnWrongGraphs:
@@ -614,11 +586,7 @@ class TestInvariantsOnWrongGraphs:
         expected = pairwise_mismatches(wrong)
         assert expected == [f"adjacency mismatch at {g.labels[i]},{g.labels[j]}"]
         assert not r.passed and not r.skipped
-        # the adjacency messages come first; a flipped edge may also break
-        # the associate or zero-count invariants, which are reported after
-        messages = r.observed.split("; ")
-        assert messages[0] == expected[0]
-        assert [m for m in messages if m.startswith("adjacency")] == expected
+        assert r.observed == expected[0]
 
     # zero-count parts exist only over split products of prime fields
     @pytest.mark.parametrize("kind,spec", [
@@ -629,8 +597,8 @@ class TestInvariantsOnWrongGraphs:
         if kind != "same-part" or m in [(3, 5), (2, 2, 3), (2, 3, 5)]], ids=str)
     def test_twin_messages_match_pairwise(self, monkeypatch, spec, kind):
         # bits flipped inside an associate class or a zero-count part, in
-        # both rows or only one, loops included: the messages after the
-        # adjacency ones are those of the pair-by-pair tests, in order
+        # both rows or only one, loops included: the whole-row comparison
+        # names exactly the pairs the definition finds wrong, in order
         g = graphs.build_cozero_graph(spec)
         cls = max((c for _, c in rings.associate_classes(spec).classes), key=len)
         a, b = g.labels.index(cls[0]), g.labels.index(cls[-1])
@@ -648,18 +616,15 @@ class TestInvariantsOnWrongGraphs:
             rows[u] ^= 1 << v
         wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=tuple(rows))
         r = self.report_on(monkeypatch, wrong)
-        twin = pairwise_twin_problems(wrong)
-        messages = r.observed.split("; ")
-        adjacency = [m for m in messages if m.startswith("adjacency")]
-        assert twin, "the flips break no associate or zero-count test"
-        assert not r.passed
-        assert messages[len(adjacency):] == twin[:5 - len(adjacency)]
+        expected = pairwise_mismatches(wrong)
+        assert expected and not r.passed
+        assert r.observed == "; ".join(expected[:5])
 
     @pytest.mark.parametrize("moduli", [(3, 4), (4, 9), (2, 3, 5)], ids=str)
     def test_failing_classes_named_in_order(self, monkeypatch, moduli):
         # an edge inside each of the two classes that come last in index
-        # order: the messages follow the classes' first members, whatever
-        # order the per-factor ideals are met in
+        # order: the pairs are named in index order, whatever order the
+        # per-factor ideals are met in
         spec = RingSpec(moduli)
         g = graphs.build_cozero_graph(spec)
         classes = [[g.labels.index(m) for m in members]
@@ -671,12 +636,12 @@ class TestInvariantsOnWrongGraphs:
             rows[b] ^= 1 << a
         wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=tuple(rows))
         r = self.report_on(monkeypatch, wrong)
-        messages = r.observed.split("; ")
-        twin = pairwise_twin_problems(wrong)
-        assert len(twin) >= 2 and messages[2:] == twin[:3]
+        expected = pairwise_mismatches(wrong)
+        assert len(expected) == 2 and not r.passed
+        assert r.observed == "; ".join(expected)
 
     def test_loop_is_a_mismatch(self, monkeypatch):
-        # no pair test sees a loop in a ring with singleton associate classes
+        # a vertex lies in its own ideal, so a loop is the pair a,a
         g = graphs.build_cozero_graph(RingSpec((2, 2, 2)))
         wrong = CozeroGraph(spec=g.spec, labels=g.labels,
                             adj=(g.adj[0] | 1,) + g.adj[1:])
@@ -736,6 +701,26 @@ class TestInvariantsOnWrongGraphs:
             assert not r.passed
             assert [m for m in r.observed.split("; ") if m.startswith("adjacency")] == [
                 f"adjacency mismatch at {g.labels[a]},{g.labels[b]}"]
+
+
+    @pytest.mark.parametrize("text", ["Z6xZ10", "Z2xZ3xZ5", "Z6xZ5", "Z4xZ9", "Z12",
+                                      "Z2xZ2xZ3"])
+    def test_every_one_bit_fault_fails_the_order(self, monkeypatch, text):
+        # each bit j < n + 2 of each row flipped alone: the rows are no
+        # graph, so the order raises, and graph-invariants names the pair,
+        # or, for a bit at or above n, the row, and nothing else
+        g = graphs.build_cozero_graph(parse_spec(text))
+        for i, j in itertools.product(range(g.n), range(g.n + 2)):
+            rows = list(g.adj)
+            rows[i] ^= 1 << j
+            wrong = CozeroGraph(spec=g.spec, labels=g.labels, adj=tuple(rows))
+            with pytest.raises(AssertionError, match="^the rows of .* are not a symmetric"):
+                solvers.validated_order(wrong, graphs.positions(wrong.adj))
+            r = self.report_on(monkeypatch, wrong)
+            a, b = sorted((i, j))
+            assert not r.passed and r.observed == (
+                f"adjacency mismatch at {g.labels[a]},{g.labels[b]}" if j < g.n
+                else f"row of {g.labels[i]} has bits outside the vertex range")
 
 
 def planted(g: CozeroGraph, fault: str) -> CozeroGraph:
