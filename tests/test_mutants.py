@@ -14,11 +14,6 @@ mutants = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(mutants)
 
 
-def test_mutant_ids_are_distinct():
-    ids = [ident for ident, *_ in mutants.MUTANTS]
-    assert len(set(ids)) == len(ids)
-
-
 @pytest.mark.parametrize("ident,module,function,target,replacement", mutants.MUTANTS,
                          ids=[m[0] for m in mutants.MUTANTS])
 def test_mutant_target_is_in_its_function(ident, module, function, target, replacement):
