@@ -105,7 +105,7 @@ def _analyze_one(case: verify.Case) -> dict:
         # zero is the one non-unit that is not a vertex
         "units": spec.cardinality - 1 - g.n,
         "vertices": g.n,
-        "edges": g.edge_count(),
+        "edges": sum(row.bit_count() * m.bit_count() for row, m in case.row_classes.items()) // 2,
         "vnr": spec.fields is not None,
         "omega": len(coloring.clique),
         "clique_witness": list(coloring.clique),
@@ -149,9 +149,10 @@ def cmd_analyze(args, parser, caps: verify.Caps) -> int:
     specs = _gather_specs(args, parser)
     if not specs:
         parser.exit(2, "cozero: error: no ring specs given\n")
-    # a ring over a cap is an error entry, in place
+    # a ring over a cap is an error entry, in place; the rings share one run's tables
+    tables: dict = {}
     infos = [{"spec": str(c.spec), "error": c.built} if c.graph is None else _analyze_one(c)
-             for c in (verify.Case(spec, caps) for spec in specs)]
+             for c in (verify.Case(spec, caps, tables) for spec in specs)]
     _emit(json.dumps(infos, indent=2) + "\n" if args.format == "json"
           else "".join(map(_format_analysis, infos)), args.out, parser)
     return 1 if any("error" in info for info in infos) else 0

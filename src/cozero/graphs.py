@@ -17,6 +17,7 @@ from .rings import (
     RingSpec,
     divisors,
     signature_codes,
+    tabled,
 )
 
 
@@ -80,8 +81,8 @@ def transpose(rows) -> list[int]:
     return t[:len(rows)]
 
 
-def build_cozero_graph(spec: RingSpec,
-                       max_cardinality: int = DEFAULT_MAX_CARDINALITY) -> CozeroGraph:
+def build_cozero_graph(spec: RingSpec, max_cardinality: int = DEFAULT_MAX_CARDINALITY,
+                       tables: dict | None = None) -> CozeroGraph:
     """The graph on the non-zero non-units, a-b an edge iff a not in Rb and b not in Ra.
 
     Rb is inside Ra iff gcd(a_i, n_i) divides gcd(b_i, n_i) for every i, so a
@@ -91,8 +92,10 @@ def build_cozero_graph(spec: RingSpec,
     if spec.cardinality > max_cardinality:
         raise CapExceededError(
             f"|{spec}| = {spec.cardinality} exceeds cardinality cap {max_cardinality}")
-    labels, codes = signature_codes(spec)
-    divs = [divisors(n) for n in spec.moduli] if codes else []  # no vertex, no factor read
+    tables = {} if tables is None else tables
+    labels, codes = signature_codes(spec, tables)
+    divs = [tabled(tables, (n, "divisors"), divisors, n)  # no vertex, no factor read
+            for n in spec.moduli] if codes else []
     level = [0] * math.prod(map(len, divs))  # code -> its labels
     for i, code in enumerate(codes):
         level[code] |= 1 << i
@@ -115,7 +118,7 @@ def build_cozero_graph(spec: RingSpec,
     return CozeroGraph(spec=spec, labels=tuple(labels), adj=tuple(map(rows.__getitem__, codes)))
 
 
-def ideal_order(g: CozeroGraph) -> tuple[int, ...]:
+def ideal_order(g: CozeroGraph, tables: dict | None = None) -> tuple[int, ...]:
     """The rank of the principal-ideal order on a ring-backed graph's labels
     (u->v iff Ru is strictly inside Rv, or Ru = Rv and u < v) that
     solvers.validate_orientation checks: rank[u] = |Ru| = prod n_i /
@@ -123,7 +126,9 @@ def ideal_order(g: CozeroGraph) -> tuple[int, ...]:
     are the complement edges taken up the (rank, index) order."""
     if g.spec is None:
         raise ValueError("orientation needs a ring-backed graph")
-    sizes = [[m // math.gcd(x, m) for x in range(m)] for m in g.spec.moduli]
+    tables = {} if tables is None else tables
+    sizes = [tabled(tables, (m, "ranks"), lambda: [m // math.gcd(x, m) for x in range(m)])
+             for m in g.spec.moduli]
     return tuple(math.prod(map(list.__getitem__, sizes, a)) for a in g.labels)
 
 

@@ -1,7 +1,7 @@
 """Finite commutative rings given as direct products Z_{n_1} x ... x Z_{n_k}.
 
 Elements are plain tuples of residues, one per factor.  Everything here is
-a pure function on immutable data.
+a pure function on immutable data; tabled fills in the tables a run passes.
 """
 from __future__ import annotations
 
@@ -146,15 +146,22 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def signature_codes(spec: RingSpec) -> tuple[list[Element], list[int]]:
+def tabled(tables: dict, key, make, *args):
+    """tables[key], made as make(*args) on its first use in a run's tables."""
+    return tables[key] if key in tables else tables.setdefault(key, make(*args))
+
+
+def signature_codes(spec: RingSpec,
+                    tables: dict | None = None) -> tuple[list[Element], list[int]]:
     """The vertices and, in the same pass, each one's signature code: the
     mixed-radix int, first factor most significant, of the indices of gcd(a_i,
     n_i) in divisors(n_i), so an index into product(*map(divisors, moduli)).
     The units alone have code 0, and zero, the first element, the last code."""
+    tables = {} if tables is None else tables
     codes = [0]
     for n in spec.moduli:  # each element's code so far, in lexicographic order
-        divs = divisors(n)
-        digit = [divs.index(math.gcd(x, n)) for x in range(n)]
+        divs = tabled(tables, (n, "divisors"), divisors, n)
+        digit = tabled(tables, (n, "digits"), lambda: [divs.index(math.gcd(x, n)) for x in range(n)])
         codes = [c + d for c in map(len(divs).__mul__, codes) for d in digit]
     del codes[0]  # zero; the units are the codes left at 0
     return (list(itertools.compress(itertools.islice(spec.elements(), 1, None), codes)),

@@ -41,10 +41,11 @@ ColoringResult = namedtuple("ColoringResult", "count assignment clique")
 OddCycleCertificate = namedtuple("OddCycleCertificate", "where cycle")  # "graph" or "complement"
 
 
-class ValidatedOrder(namedtuple("ValidatedOrder", "graph keep core out")):
+class ValidatedOrder(namedtuple("ValidatedOrder", "graph keep core out verdicts")):
     """graph, its rows checked to be a graph, and its false-twin core, with
     its validated principal-ideal order as out-rows derived from the core's
-    adjacency; keep maps each core vertex to its vertex of graph."""
+    adjacency; keep maps each core vertex to its vertex of graph; verdicts,
+    what the core's rows and out-rows alone prove (validated_order)."""
     __slots__ = ()
 
 
@@ -78,13 +79,22 @@ def validate_certificate(g: CozeroGraph, cert: OddCycleCertificate) -> bool:
                for i in range(k) for j in range(i + 1, k))
 
 
-def validate_orientation(g: CozeroGraph, rank) -> tuple[int, ...] | None:
-    """The orientation of the complement of g up the order (rank[u], u), as
-    out-rows (bitsets) derived from g.adj, if it is transitive; else None.
-    Walking down the order, out[u] is u's complement row restricted to the
-    vertices after u.  Its vertices not yet joined, one rank level at a time
-    and lowest first, are picks, each joined with its out-row; out[u] must
-    equal the join.
+def orient(g: CozeroGraph, rank) -> tuple[int, ...]:
+    """The complement of g oriented up the order (rank[u], u), as out-rows
+    (bitsets): out[u] is u's complement row restricted to the vertices after u."""
+    out, after = [0] * g.n, 0  # the vertices after u in the order
+    # a stable sort keeps equal ranks in index order
+    for u in reversed(sorted(range(g.n), key=rank.__getitem__)):
+        out[u] = after & ~g.adj[u]
+        after |= 1 << u
+    return tuple(out)
+
+
+def validate_orientation(g: CozeroGraph, rank, out=None) -> tuple[int, ...] | None:
+    """out, orient(g, rank) unless given, if transitive; else None.  For each
+    u, the vertices of out[u] not yet joined, one rank level at a time and
+    lowest first, are picks, each joined with its out-row; out[u] must equal
+    the join.
 
     Each complement edge is oriented once, up a total order, so the arcs
     are acyclic.  The picks lie in out[u], so equality puts each pick's
@@ -94,18 +104,15 @@ def validate_orientation(g: CozeroGraph, rank) -> tuple[int, ...] | None:
     out[v] of a pick v, after u, so out[w] is inside out[v], inside out[u].
     Nothing is assumed of rank, and a transitive orientation passes; lowest
     first, the picks are u's covers, bar ties.  The complement is then a
-    comparability graph, so it and g are perfect.
+    comparability graph, so it and g are perfect.  The verdict is
+    transitivity, a function of the out-rows alone.
     """
-    n = g.n
-    if len(rank) != n:
+    if len(rank) != g.n:
         return None
     levels = [mask for _, mask in sorted(positions(rank).items())]
-    out = [0] * n
-    after = 0  # the vertices after u in the order
-    # a stable sort keeps equal ranks in index order
-    for u in reversed(sorted(range(n), key=rank.__getitem__)):
-        row = left = after & ~g.adj[u]
-        joined = 0
+    out = orient(g, rank) if out is None else out
+    for row in out:
+        left, joined = row, 0
         for level in levels:
             if picks := left & level:
                 joined |= picks
@@ -115,39 +122,43 @@ def validate_orientation(g: CozeroGraph, rank) -> tuple[int, ...] | None:
                     break
         if joined != row:
             return None
-        out[u] = row
-        after |= 1 << u
-    return tuple(out)
+    return out
 
 
-def validate_rows(g: CozeroGraph, row_classes: dict, core: CozeroGraph) -> bool:
-    """Whether g's rows are a graph, symmetric and loopless, from row_classes
-    (each distinct row -> its vertices) and core (g on each class's first
-    vertex) alone: each row lies in g.n bits, misses its class and is a union
-    of classes, and the core is its own transpose.  For i in class A, j in B:
+def validate_rows(g: CozeroGraph, row_classes: dict) -> bool:
+    """Whether g's rows, given the core (g on each class's first vertex) is
+    its own transpose, are a graph, symmetric and loopless, from row_classes
+    (each distinct row -> its vertices) alone: each row lies in g.n bits,
+    misses its class and is a union of classes.  For i in class A, j in B:
     j in row i iff B's first in A's row iff A's first in B's row iff i in row j."""
     n, shared = g.n, [m for m in row_classes.values() if m & m - 1]  # two or more
-    return (all(not row >> n and not row & m
-                and all((x := row & c) == c or not x for c in shared)
-                for row, m in row_classes.items())
-            and transpose(core.adj) == list(core.adj))
+    return all(not row >> n and not row & m
+               and all((x := row & c) == c or not x for c in shared)
+               for row, m in row_classes.items())
 
 
-def validated_order(g: CozeroGraph, row_classes: dict) -> ValidatedOrder:
+def validated_order(g: CozeroGraph, row_classes: dict,
+                    tables: dict | None = None) -> ValidatedOrder:
     """The principal-ideal order on g's false-twin core, the first vertex of each
     row class, from the core's rows and rank |Ru|; row_classes must be g's own,
     graphs.positions(g.adj), as Case passes it.  ValueError on a bare graph;
-    AssertionError unless the rows are a graph and the order is transitive."""
+    AssertionError unless the rows are a graph and the order is transitive.
+    The core's verdicts are pure functions of its rows and out-rows: tables,
+    a run's, keeps them by both, compared in full, for rings with equal ones."""
     keep = [(m & -m).bit_length() - 1 for m in row_classes.values()]
     core = induced_subgraph(g, keep)
-    if not validate_rows(g, row_classes, core):
+    out = orient(core, rank := ideal_order(core, tables))
+    verdicts = ({} if tables is None else tables).setdefault((core.adj, out), {})
+    if not verdicts:
+        verdicts.update(symmetric=transpose(core.adj) == list(core.adj),
+                        out=validate_orientation(core, rank, out))
+    if not (validate_rows(g, row_classes) and verdicts["symmetric"]):
         raise AssertionError(f"the rows of {g.spec} are not a symmetric, loopless graph")
-    out = validate_orientation(core, ideal_order(core))
     # a 0-vertex core (Z2, Z3, ...) has the valid, empty, out-rows ()
-    if out is None:
+    if verdicts["out"] is None:
         raise AssertionError(f"ideal orientation of {core.spec} does not orient "
                              f"the complement transitively")
-    return ValidatedOrder(graph=g, keep=tuple(keep), core=core, out=out)
+    return ValidatedOrder(g, tuple(keep), core, verdicts["out"], verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +273,15 @@ def chromatic_number(order: ValidatedOrder) -> ColoringResult:
     ring-backed graph order.graph, on its false-twin core: the chains of a
     minimum chain cover of the core's validated principal-ideal order, and
     an antichain of equal size, checked as a clique on the core's adjacency
-    alone, so omega = chi.  AssertionError if either certificate fails."""
-    g, core = order.graph, order.core
-    count, colors, antichain = _chain_cover(order.out)
-    if not (len(antichain) == count and validate_clique(core, antichain)
-            and validate_coloring(core, colors, count)):
+    alone, so omega = chi.  AssertionError if either certificate fails.  Both
+    are kept in the order's verdicts, with the rows and out-rows they read."""
+    g, core, verdicts = order.graph, order.core, order.verdicts
+    if "cover" not in verdicts:
+        count, colors, antichain = cover = _chain_cover(order.out)
+        verdicts["cover"] = cover, (len(antichain) == count and validate_clique(core, antichain)
+                                    and validate_coloring(core, colors, count))
+    (count, colors, antichain), valid = verdicts["cover"]
+    if not valid:
         raise AssertionError(
             f"chain cover of {core.spec} with {count} chains is not "
             f"matched by a clique of the same size")

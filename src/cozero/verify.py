@@ -53,7 +53,9 @@ class Case:
     cap), row classes (each distinct row -> its vertices), the order validated
     from the graph and its row classes, and the colouring with maximum clique
     read from the order alone; each computed once, a failure raised again on
-    each read.  tables, shared by a run's cases: Z2^n graphs, _ideals', _inclusions'."""
+    each read.  tables, one per run, shared by its cases: per-residue tables
+    keyed by modulus and kind, each kind from its own definition; Z2^n graphs;
+    and each twin core's verdicts, keyed by its rows and out-rows."""
 
     def __init__(self, spec: RingSpec, caps: Caps = Caps(), tables: dict | None = None):
         self.spec, self.caps, self.failed = spec, caps, {}
@@ -72,7 +74,8 @@ class Case:
     def built(self) -> CozeroGraph | str:
         cardinality, vertices = self.caps
         try:
-            g = graphs.build_cozero_graph(self.spec, max_cardinality=cardinality)
+            g = graphs.build_cozero_graph(self.spec, max_cardinality=cardinality,
+                                          tables=self.tables)
             solvers.check_cap(g.n, cardinality if vertices is None else vertices)
         except CapExceededError as exc:
             return str(exc)
@@ -88,7 +91,7 @@ class Case:
 
     @functools.cached_property
     def order(self) -> solvers.ValidatedOrder:
-        return self._once(solvers.validated_order, self.graph, self.row_classes)
+        return self._once(solvers.validated_order, self.graph, self.row_classes, self.tables)
 
     @functools.cached_property
     def coloring(self) -> solvers.ColoringResult:
@@ -208,16 +211,18 @@ def check_null_graph(case: Case) -> VerificationReport:
         return _skip(claim, spec, reason)
     edgeless = case.graph.edge_count() == 0
 
-    ideals = [_ideals(case.tables, n) for n in spec.moduli]
-    units = set(itertools.product(*([y for y, yz in enumerate(ideal) if 1 in yz]
-                                    for ideal in ideals)))
+    tables, ideals = case.tables, [_ideals(case.tables, n) for n in spec.moduli]
+    units = set(itertools.product(*(
+        rings.tabled(tables, (n, "units"), lambda: [y for y, yz in enumerate(ideal) if 1 in yz])
+        for n, ideal in zip(spec.moduli, ideals))))
     nonunits = list(itertools.filterfalse(units.__contains__, spec.elements()))
     # the last non-unit of a product plus (0,...,0,1), the second, is a unit
     local = all(spec.add(a, b) not in units
                 for a in reversed(nonunits) for b in nonunits)
     # only an Rx as large as the non-units (|Rx| = prod |multiples|) can hold
     # them; a non-unit x has a non-unit x_i, so |Rx| <= |x_i Z_{n_i}| * |R| / n_i
-    sizes = [list(map(len, ideal)) for ideal in ideals]
+    sizes = [rings.tabled(tables, (n, "sizes"), list, map(len, ideal))
+             for n, ideal in zip(spec.moduli, ideals)]
     bound = max(max(m for m, yz in zip(size, ideal) if 1 not in yz) * spec.cardinality // n
                 for size, ideal, n in zip(sizes, ideals, spec.moduli))
     principal = bound >= len(nonunits) and any(
@@ -251,15 +256,18 @@ def check_reduction(case: Case) -> VerificationReport:
     n = len(spec.fields)
     expected = f"quotient keeps omega and chi; quotient iso to graph of Z2^{n}"
     g, order, gc = case.graph, case.order, case.coloring
-    supports = list(zip(*(map([int(x % p != 0) for x in range(spec.moduli[i])].__getitem__,
-                              map(operator.itemgetter(i), g.labels)) for i, p in spec.fields)))
+    # per field (i, p), each residue's bit x % p != 0, tabled by modulus and prime
+    support = [rings.tabled(case.tables, (spec.moduli[i], "support", p),
+                            lambda: [int(x % p != 0) for x in range(spec.moduli[i])])
+               for i, p in spec.fields]
+    supports = list(zip(*(map(bit.__getitem__, map(operator.itemgetter(i), g.labels))
+                          for bit, (i, _) in zip(support, spec.fields))))
     if list(graphs.positions(supports).values()) != list(case.row_classes.values()):
         return VerificationReport(claim, spec, expected, passed=False,
                                   observed="associates are not false twins")
     q, gw = order.core, len(gc.clique)
-    if (key := RingSpec((2,) * n)) not in case.tables:
-        case.tables[key] = graphs.build_cozero_graph(key)
-    boolean = case.tables[key]
+    boolean = rings.tabled(case.tables, key := RingSpec((2,) * n),
+                           lambda: graphs.build_cozero_graph(key, tables=case.tables))
     index = {label: v for v, label in enumerate(boolean.labels)}
     bijection = [index.get(supports[rep], -1) for rep in order.keep]
     # a permutation moves bit j of each row to bit bijection[j], a gather by its inverse

@@ -53,6 +53,8 @@ MUTANTS = [
     ("codes-digit", "rings", "signature_codes", "divs.index(math.gcd(x, n))",
      "len(divs) - 1 - divs.index(math.gcd(x, n))"),
     ("codes-zero", "rings", "signature_codes", "del codes[0]", "pass"),
+    # a per-residue table kept under another modulus than its own
+    ("tables-modulus", "rings", "signature_codes", "(n, 'digits')", "(spec.moduli[0], 'digits')"),
     ("ideal-order-size", "graphs", "ideal_order", "m // math.gcd(x, m)", "math.gcd(x, m)"),
     ("clique-duplicates", "solvers", "validate_clique", "len(set(ws)) != len(ws)", "False"),
     ("clique-range", "solvers", "validate_clique", "0 <= v < g.n", "True"),
@@ -63,16 +65,20 @@ MUTANTS = [
     ("rows-width", "solvers", "validate_rows", "not row >> n", "True"),
     ("rows-loop", "solvers", "validate_rows", "not row & m", "True"),
     ("rows-union", "solvers", "validate_rows", "(x := (row & c)) == c or not x", "True"),
-    ("rows-symmetric", "solvers", "validate_rows", "transpose(core.adj) == list(core.adj)",
+    ("rows-symmetric", "solvers", "validated_order", "transpose(core.adj) == list(core.adj)",
      "True"),
     ("orientation-join", "solvers", "validate_orientation", "joined != row", "False"),
-    ("orientation-after", "solvers", "validate_orientation", "after |= 1 << u", "pass"),
+    ("orientation-after", "solvers", "orient", "after |= 1 << u", "pass"),
     ("cover-seen", "solvers", "_chain_cover", "seen = 0", "pass"),
     ("cover-roots", "solvers", "_chain_cover", "succ[u] == -1", "succ[u] != -1"),
     ("cover-antichain", "solvers", "_chain_cover", "left & ~right", "left"),
     ("order-rows", "solvers", "validated_order",
-     "not validate_rows(g, row_classes, core)", "False"),
-    ("order-transitive", "solvers", "validated_order", "out is None", "False"),
+     "not (validate_rows(g, row_classes) and verdicts['symmetric'])", "False"),
+    ("order-transitive", "solvers", "validated_order", "verdicts['out'] is None", "False"),
+    # the shared verdicts keyed by the core's size, not its rows; or by its
+    # rows without the out-rows they were proven for
+    ("verdicts-size", "solvers", "validated_order", "(core.adj, out)", "(core.n, out)"),
+    ("verdicts-out", "solvers", "validated_order", "(core.adj, out)", "core.adj"),
     ("chromatic-size", "solvers", "chromatic_number", "len(antichain) == count", "True"),
     ("chromatic-clique", "solvers", "chromatic_number", "validate_clique(core, antichain)",
      "True"),

@@ -80,6 +80,14 @@ class TestAnalyze:
             assert info["associate_classes"] == len(
                 associate_classes(parse_spec(text)).classes), text
 
+    def test_edges_counted_per_row_class(self, capsys):
+        # each row class adds its row's degree once per member
+        specs = default_ring_set()
+        code, out, _ = run_cli(["analyze", "--format", "json", *map(str, specs)], capsys)
+        assert code == 0
+        assert [info["edges"] for info in json.loads(out)] == [
+            graphs.build_cozero_graph(spec).edge_count() for spec in specs]
+
     @pytest.mark.parametrize("fmt,sha256", [
         ("text", "7fe66a6d78aa026afb9860af522be27875f5c1229bcf5522b806a6c2cd3a5245"),
         ("json", "dd9d45ac6843100567304ceb4819ca68635527a5d5f802b622efce97ffe830c8"),
@@ -328,9 +336,9 @@ class TestVerify:
             adj[v] ^= 1 << u
             return CozeroGraph(g.spec, g.labels, tuple(adj))
 
-        def counted(g, row_classes):
+        def counted(g, row_classes, tables):
             calls[str(g.spec)] += 1
-            return validate(g, row_classes)
+            return validate(g, row_classes, tables)
 
         monkeypatch.setattr(graphs, "build_cozero_graph", flipped)
         monkeypatch.setattr(solvers, "validated_order", counted)

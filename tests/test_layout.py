@@ -1,8 +1,9 @@
 """Module boundaries inside the package: no module of src/cozero reads a
 private (underscore) name of another, whether by ``from .x import _name`` or
 by ``x._name`` on an imported module; no module imports a name it never
-reads; the oracles of verify stay independent of the code they check; and
-importing the CLI loads neither dataclasses nor typing."""
+reads; the oracles of verify stay independent of the code they check;
+importing the CLI loads neither dataclasses nor typing; and no module keeps
+a cache of its own, since a run's tables are the one place results are kept."""
 import ast
 import importlib
 import subprocess
@@ -342,3 +343,76 @@ def test_unread_checker():
         "__init__": "from .rings import unit\nfrom .solvers import solve\n",
     }
     assert unread_public_names(sources) == ["unit", "solve", "count"]
+
+
+# what a function may call to write a dict, list or set in place
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "add", "pop",
+            "popitem", "clear", "remove", "discard", "__setitem__"}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def module_caches(source: str) -> list[str]:
+    """What a module source keeps between calls: each function cached by
+    functools.cache or lru_cache, each module-level name a function rebinds
+    by a global statement, and each module-level dict, list or set that a
+    function writes, by item or by a method that changes it."""
+    tree = ast.parse(source)
+    containers = set()  # the module-level names bound to a new dict, list or set
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if isinstance(node.value, CONTAINERS) or (
+                isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) in {"dict", "list", "set"}):
+            containers.update(t.id for t in targets if isinstance(t, ast.Name))
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in fn.decorator_list:
+            called = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = getattr(called, "attr", None) or getattr(called, "id", None)
+            if name in {"cache", "lru_cache"}:
+                found.add(f"@{name} {fn.name}")
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.update(f"global {name}" for name in node.names)
+            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                  or isinstance(node, ast.Attribute) and node.attr in MUTATORS):
+                if isinstance(node.value, ast.Name) and node.value.id in containers:
+                    found.add(f"{fn.name} writes {node.value.id}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_level_cache(module):
+    assert module_caches((SRC / f"{module}.py").read_text()) == []
+
+
+def test_module_cache_checker():
+    source = ("import functools\n"
+              "from functools import lru_cache\n"
+              "TABLE = {}\n"
+              "SEEN: list = []\n"
+              "KINDS = dict(a=1)\n"
+              "NAMES = ('a', 'b')\n"
+              "COUNT = 0\n"
+              "@functools.cache\n"
+              "def cached(n):\n    return n\n"
+              "@lru_cache(maxsize=None)\n"
+              "def limited(n):\n    return n\n"
+              "def fill(n, tables):\n"
+              "    tables[n] = TABLE.get(n)\n"
+              "    TABLE[n] = n\n"
+              "    KINDS.setdefault(n, 0)\n"
+              "    return NAMES[0], SEEN[-1]\n"
+              "def count():\n"
+              "    global COUNT\n"
+              "    SEEN.append(COUNT)\n")
+    assert module_caches(source) == [
+        "@cache cached", "@lru_cache limited", "count writes SEEN", "fill writes KINDS",
+        "fill writes TABLE", "global COUNT"]

@@ -115,11 +115,11 @@ class TestCheckPerfection:
         wrong = CozeroGraph(spec=g.spec, labels=g.labels,
                             adj=cycle_graph(5).adj + (0,))
         monkeypatch.setattr(graphs, "build_cozero_graph",
-                            lambda spec, max_cardinality: cycle_graph(5))
+                            lambda spec, **caps: cycle_graph(5))
         with pytest.raises(ValueError):
             check_perfection(Case(RingSpec((2, 2))))
         monkeypatch.setattr(graphs, "build_cozero_graph",
-                            lambda spec, max_cardinality: wrong)
+                            lambda spec, **caps: wrong)
         with pytest.raises(AssertionError, match="orientation"):
             check_perfection(Case(RingSpec((2, 2, 2))))
 
@@ -539,7 +539,8 @@ PLANTED_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("text,fault", PLANTED_REPORTS, ids=" ".join)
+@pytest.mark.parametrize("text,fault", PLANTED_REPORTS,
+                         ids=[f"{text}-{fault.replace(' ', '-')}" for text, fault in PLANTED_REPORTS])
 def test_planted_invariant_fault_report(text, fault):
     case = Case(parse_spec(text))
     case.__dict__["graph"] = plant_invariant_fault(case.graph, fault)
@@ -568,7 +569,7 @@ class TestInvariantsOnWrongGraphs:
 
     def report_on(self, monkeypatch, wrong: CozeroGraph):
         monkeypatch.setattr(graphs, "build_cozero_graph",
-                            lambda spec, max_cardinality: wrong)
+                            lambda spec, **caps: wrong)
         return check_invariants(Case(wrong.spec))
 
     @pytest.mark.parametrize("spec", RINGS, ids=str)
@@ -941,9 +942,9 @@ def count_validations(monkeypatch) -> tuple[list, list]:
     validated: list = []
     validated_order, validate = solvers.validated_order, solvers.validate_orientation
 
-    def counting_order(g, row_classes):
+    def counting_order(g, row_classes, tables):
         ordered.append(g)
-        return validated_order(g, row_classes)
+        return validated_order(g, row_classes, tables)
 
     def counting_validate(g, *certificate):
         validated.append(g)
@@ -1148,6 +1149,114 @@ class TestRunTables:
             attr for cls in vars(module).values() if isinstance(cls, type)
             for attr in vars(cls).values()]
         assert [m for m in members if hasattr(m, "cache_info")] == []
+
+
+def flip_in_build(monkeypatch, text: str, bits_: list[tuple[int, int]]) -> None:
+    """graphs.build_cozero_graph, with bit j of row i flipped for each (i, j)
+    in bits_ in the graph of the ring named text as its Case builds it, under
+    the cardinality cap; quotient-reduction's Z2^n, built with no cap, and
+    every other graph are intact."""
+    build = graphs.build_cozero_graph
+
+    def flipped(spec, **caps):
+        g = build(spec, **caps)
+        if str(spec) != text or "max_cardinality" not in caps:
+            return g
+        rows = list(g.adj)
+        for i, j in bits_:
+            rows[i] ^= 1 << j
+        return CozeroGraph(g.spec, g.labels, tuple(rows))
+
+    monkeypatch.setattr(graphs, "build_cozero_graph", flipped)
+
+
+ORDER_CLAIMS = ["clique-formula", "perfection", "quotient-reduction"]
+
+
+class TestSharedVerdicts:
+    """A run keeps each modulus's per-residue tables and each twin core's
+    verdicts once, for all its rings: the reports are those of each ring in
+    a run of its own, and a fault in one of two rings with equal cores and
+    out-rows (Z2xZ3xZ5, Z2xZ3xZ7 and Z2xZ2xZ2 have one core) fails that ring
+    alone, whichever comes first."""
+
+    @pytest.mark.parametrize("specs", [default_ring_set(), list(map(parse_spec, CLASS_RINGS))],
+                             ids=["default", "class-rings"])
+    def test_sharing_changes_no_byte(self, capsys, specs):
+        from cozero.cli import main
+        alone = [r for spec in specs for r in run_suite(sorted(CLAIMS), [spec])]
+        alone.sort(key=lambda r: (r.claim_id, str(r.spec)))
+        assert reports_to_json(run_suite(sorted(CLAIMS), specs)) == reports_to_json(alone)
+        texts = list(map(str, specs))
+        assert main(["analyze", "--format", "json", *texts]) == 0
+        together = json.loads(capsys.readouterr().out)
+        for text, info in zip(texts, together, strict=True):
+            assert main(["analyze", "--format", "json", text]) == 0
+            assert json.loads(capsys.readouterr().out) == [info]
+
+    def reports(self, texts: list[str]) -> dict:
+        return {(r.claim_id, str(r.spec)): r for r in run_suite(sorted(CLAIMS),
+                                                                list(map(parse_spec, texts)))}
+
+    def assert_fails_alone(self, texts: list[str], faulty: str, message: str) -> None:
+        for order in (texts, texts[::-1]):
+            reports = self.reports(order)
+            for (claim, spec), r in reports.items():
+                if spec == faulty and claim in ORDER_CLAIMS:
+                    assert not r.passed and r.observed == f"error: AssertionError: {message}"
+                elif spec != faulty:
+                    assert r.passed, r
+
+    @pytest.mark.parametrize("row,col", [(0, 20), (1, 20)], ids=["core-bit", "twin-bit"])
+    def test_faulty_ring_with_an_equal_core_fails_alone(self, monkeypatch, row, col):
+        # (0, 0, 1) keeps its class, (0, 0, 2) is its twin, (1, 0, 0) is a core vertex
+        flip_in_build(monkeypatch, "Z2xZ3xZ7", [(row, col)])
+        self.assert_fails_alone(["Z2xZ3xZ5", "Z2xZ3xZ7"], "Z2xZ3xZ7",
+                                "the rows of Z2xZ3xZ7 are not a symmetric, loopless graph")
+
+    def test_asymmetric_core_with_equal_out_rows_fails(self, monkeypatch):
+        # Z2^3 has no twins: a bit of (0, 0, 1) added to the row of (0, 1, 1),
+        # which comes after it in the order, keeps every class, the size of
+        # the core and its out-rows, and only the core's transpose tells
+        flip_in_build(monkeypatch, "Z2xZ2xZ2", [(2, 0)])
+        self.assert_fails_alone(["Z2xZ3xZ5", "Z2xZ2xZ2"], "Z2xZ2xZ2",
+                                "the rows of Z2xZ2xZ2 are not a symmetric, loopless graph")
+
+    def test_equal_core_rows_with_other_out_rows_fail(self, monkeypatch):
+        # a rank that puts (0, 1, 1) between (0, 0, 1) and (0, 1, 0): the
+        # core's rows are Z2xZ3xZ5's, its out-rows are not transitive
+        rank = solvers.ideal_order
+        monkeypatch.setattr(solvers, "ideal_order", lambda g, tables=None: (
+            (0, 2, 1, 3, 4, 5) if str(g.spec) == "Z2xZ3xZ7" else rank(g, tables)))
+        self.assert_fails_alone(["Z2xZ3xZ5", "Z2xZ3xZ7"], "Z2xZ3xZ7",
+                                "ideal orientation of Z2xZ3xZ7 does not orient "
+                                "the complement transitively")
+
+    def test_cover_fault_raises_on_the_first_ring(self, monkeypatch):
+        cover = solvers._chain_cover
+
+        def one_more(out):
+            count, colors, antichain = cover(out)
+            return count + 1, colors, antichain
+
+        monkeypatch.setattr(solvers, "_chain_cover", one_more)
+        texts = ["Z2xZ3xZ5", "Z2xZ3xZ7", "Z2xZ2xZ2"]
+        reports = run_suite(["clique-formula"], list(map(parse_spec, texts)))
+        assert [r.observed for r in reports] == [
+            f"error: AssertionError: chain cover of {text} with 4 chains is not matched "
+            f"by a clique of the same size" for text in sorted(texts)]
+
+    def test_each_run_covers_each_core_once(self, monkeypatch):
+        # one cover per distinct core and out-rows in a run, and each run its own
+        covers: list = []
+        cover = solvers._chain_cover
+        monkeypatch.setattr(solvers, "_chain_cover", lambda out: covers.append(out) or cover(out))
+        ordered, validated = count_validations(monkeypatch)
+        specs = list(map(parse_spec, ["Z2xZ3xZ5", "Z2xZ3xZ7", "Z2xZ2xZ2", "Z3xZ5", "Z2xZ3"]))
+        for run in (1, 2):
+            assert all(r.passed for r in run_suite(sorted(CLAIMS), specs))
+            assert len(ordered) == 5 * run and len(validated) == 2 * run
+            assert covers == [(20, 36, 0, 48, 0, 0), (0, 0)] * run
 
 
 class TestCapFirst:
