@@ -596,6 +596,23 @@ class TestRowsAreAGraph:
             assert _validate_rows(g) and _validate_rows(complement(g))
 
 
+class TestVerdictsSharedByEqualCores:
+    """validated_order keeps the verdicts on a core in the tables it is given,
+    keyed by the core's rows and out-rows: Z2xZ3xZ5, Z2xZ3xZ7 and Z2xZ2xZ2
+    have one core and one orientation.  That only equal keys share a verdict
+    is tested on whole runs in test_verify.TestSharedVerdicts."""
+
+    def test_equal_cores_share_one_verdict(self):
+        tables: dict = {}
+        graphs_ = [build_cozero_graph(parse_spec(text))
+                   for text in ["Z2xZ3xZ5", "Z2xZ3xZ7", "Z2xZ2xZ2"]]
+        orders = [solvers.validated_order(g, positions(g.adj), tables) for g in graphs_]
+        assert len({id(order.verdicts) for order in orders}) == 1
+        # the one key held with these out-rows is the core's rows with them
+        assert [key for key in tables if key[1] == orders[0].out] == [
+            (orders[0].core.adj, orders[0].out)]
+
+
 def _core(g: CozeroGraph) -> CozeroGraph:
     return induced_subgraph(g, _false_twin_reduce(g))
 

@@ -540,7 +540,8 @@ PLANTED_REPORTS = {
 
 
 @pytest.mark.parametrize("text,fault", PLANTED_REPORTS,
-                         ids=[f"{text}-{fault.replace(' ', '-')}" for text, fault in PLANTED_REPORTS])
+                         ids=[f"{text}-{fault.replace(' ', '-')}"
+                              for text, fault in PLANTED_REPORTS])
 def test_planted_invariant_fault_report(text, fault):
     case = Case(parse_spec(text))
     case.__dict__["graph"] = plant_invariant_fault(case.graph, fault)
