@@ -90,8 +90,8 @@ def orient(g: CozeroGraph, rank) -> tuple[int, ...]:
     return tuple(out)
 
 
-def validate_orientation(g: CozeroGraph, rank, out=None) -> tuple[int, ...] | None:
-    """out, orient(g, rank) unless given, if transitive; else None.  For each
+def validate_orientation(g: CozeroGraph, rank, out) -> tuple[int, ...] | None:
+    """out, the out-rows orient(g, rank), if transitive; else None.  For each
     u, the vertices of out[u] not yet joined, one rank level at a time and
     lowest first, are picks, each joined with its out-row; out[u] must equal
     the join.
@@ -110,7 +110,6 @@ def validate_orientation(g: CozeroGraph, rank, out=None) -> tuple[int, ...] | No
     if len(rank) != g.n:
         return None
     levels = [mask for _, mask in sorted(positions(rank).items())]
-    out = orient(g, rank) if out is None else out
     for row in out:
         left, joined = row, 0
         for level in levels:

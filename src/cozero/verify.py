@@ -99,29 +99,31 @@ class Case:
 
 
 def _ideals(tables: dict, n: int) -> list[frozenset[int]]:
-    """multiples(y, n) for each y in Z_n, kept by n, each ideal one object: y's
-    walk y, 2y, ... mod n runs through yZ_n, so y shares the ideal of its first
-    z < y with y in zZ_n, or, if the walk reaches 0 first, the walk is yZ_n."""
-    if n not in tables:
-        tables[n] = table = [frozenset({0})]
+    """multiples(y, n) for each y in Z_n, kept by (n, "ideals"), each ideal one
+    object: y's walk y, 2y, ... mod n runs through yZ_n, so y shares the ideal
+    of its first z < y with y in zZ_n, or, if the walk reaches 0 first, the
+    walk is yZ_n."""
+    def make():
+        table = [frozenset({0})]
         for y in range(1, n):
             walk, z = [0], y
             while z and not (z < y and y in table[z]):
                 walk.append(z)
                 z = (z + y) % n
             table.append(table[z] if z else frozenset(walk))
-    return tables[n]
+        return table
+    return rings.tabled(tables, (n, "ideals"), make)
 
 
 def _inclusions(tables: dict, n: int) -> tuple[list, list]:
     """Z_n's distinct ideals in order of first generator (_ideals), kept by
     (n, "<="), each with the indices of those it holds and of those holding it."""
-    if (n, "<=") not in tables:
+    def make():
         distinct = list(dict.fromkeys(_ideals(tables, n)))
-        tables[n, "<="] = distinct, [([d for d, xz in enumerate(distinct) if xz <= yz],
-                                      [d for d, xz in enumerate(distinct) if yz <= xz])
-                                     for yz in distinct]
-    return tables[n, "<="]
+        return distinct, [([d for d, xz in enumerate(distinct) if xz <= yz],
+                           [d for d, xz in enumerate(distinct) if yz <= xz])
+                          for yz in distinct]
+    return rings.tabled(tables, (n, "<="), make)
 
 
 class VerificationReport(namedtuple(
@@ -211,18 +213,16 @@ def check_null_graph(case: Case) -> VerificationReport:
         return _skip(claim, spec, reason)
     edgeless = case.graph.edge_count() == 0
 
-    tables, ideals = case.tables, [_ideals(case.tables, n) for n in spec.moduli]
-    units = set(itertools.product(*(
-        rings.tabled(tables, (n, "units"), lambda: [y for y, yz in enumerate(ideal) if 1 in yz])
-        for n, ideal in zip(spec.moduli, ideals))))
+    ideals = [_ideals(case.tables, n) for n in spec.moduli]
+    units = set(itertools.product(*([y for y, yz in enumerate(ideal) if 1 in yz]
+                                    for ideal in ideals)))
     nonunits = list(itertools.filterfalse(units.__contains__, spec.elements()))
     # the last non-unit of a product plus (0,...,0,1), the second, is a unit
     local = all(spec.add(a, b) not in units
                 for a in reversed(nonunits) for b in nonunits)
     # only an Rx as large as the non-units (|Rx| = prod |multiples|) can hold
     # them; a non-unit x has a non-unit x_i, so |Rx| <= |x_i Z_{n_i}| * |R| / n_i
-    sizes = [rings.tabled(tables, (n, "sizes"), list, map(len, ideal))
-             for n, ideal in zip(spec.moduli, ideals)]
+    sizes = [list(map(len, ideal)) for ideal in ideals]
     bound = max(max(m for m, yz in zip(size, ideal) if 1 not in yz) * spec.cardinality // n
                 for size, ideal, n in zip(sizes, ideals, spec.moduli))
     principal = bound >= len(nonunits) and any(
@@ -256,12 +256,8 @@ def check_reduction(case: Case) -> VerificationReport:
     n = len(spec.fields)
     expected = f"quotient keeps omega and chi; quotient iso to graph of Z2^{n}"
     g, order, gc = case.graph, case.order, case.coloring
-    # per field (i, p), each residue's bit x % p != 0, tabled by modulus and prime
-    support = [rings.tabled(case.tables, (spec.moduli[i], "support", p),
-                            lambda: [int(x % p != 0) for x in range(spec.moduli[i])])
-               for i, p in spec.fields]
-    supports = list(zip(*(map(bit.__getitem__, map(operator.itemgetter(i), g.labels))
-                          for bit, (i, _) in zip(support, spec.fields))))
+    supports = list(zip(*(map([int(x % p != 0) for x in range(spec.moduli[i])].__getitem__,
+                              map(operator.itemgetter(i), g.labels)) for i, p in spec.fields)))
     if list(graphs.positions(supports).values()) != list(case.row_classes.values()):
         return VerificationReport(claim, spec, expected, passed=False,
                                   observed="associates are not false twins")

@@ -30,6 +30,7 @@ from cozero.solvers import (
     find_odd_hole,
     is_perfect_desk_scale,
     max_clique,
+    orient,
     validate_certificate,
     validate_clique,
     validate_coloring,
@@ -306,8 +307,14 @@ def _transitive(out):
     return all(not out[w] & ~out[u] for u in range(len(out)) for w in bits(out[u]))
 
 
+def _validate(g, rank):
+    """validate_orientation of the out-rows orient derives, as validated_order
+    passes them."""
+    return validate_orientation(g, rank, orient(g, rank))
+
+
 def _ideal_out(g):
-    return validate_orientation(g, ideal_order(g))
+    return _validate(g, ideal_order(g))
 
 
 class TestOrientation:
@@ -341,7 +348,7 @@ class TestOrientation:
             for h in (g, induced_subgraph(g, range(1, g.n, 3))):
                 ideals = [principal_ideal(h.spec, a) for a in h.labels]
                 rank = ideal_order(h)
-                out = validate_orientation(h, rank)
+                out = _validate(h, rank)
                 assert list(rank) == list(map(len, ideals))
                 for u, v in itertools.product(range(h.n), repeat=2):
                     arc = ideals[u] < ideals[v] or (ideals[u] == ideals[v] and u < v)
@@ -398,7 +405,7 @@ class TestOrientation:
         # and each such flip breaks transitivity
         g = build_cozero_graph(RingSpec((2,) * 4))
         rank = list(ideal_order(g))
-        out = validate_orientation(g, rank)
+        out = _validate(g, rank)
         assert list(out) == _derived(g, rank)
         order = sorted(range(g.n), key=rank.__getitem__)
         flips = 0
@@ -410,12 +417,12 @@ class TestOrientation:
             moved[v] = moved[u] - 0.5
             flipped = _derived(g, moved)
             assert set(_arcs(flipped)) ^ set(_arcs(out)) == {(u, v), (v, u)}
-            assert validate_orientation(g, moved) is None, (u, v)
+            assert _validate(g, moved) is None, (u, v)
             flips += 1
         assert flips
         # a rank of the wrong length
-        assert validate_orientation(g, rank[:-1]) is None
-        assert validate_orientation(g, rank + [0]) is None
+        assert validate_orientation(g, rank[:-1], out) is None
+        assert validate_orientation(g, rank + [0], out) is None
 
     def test_rejects_a_cycle_disguised_by_false_ranks(self):
         # the rank is not trusted: ranks unlike |Ru| that order the same
@@ -423,21 +430,21 @@ class TestOrientation:
         # u->w->v derives an orientation that is not transitive
         g = build_cozero_graph(RingSpec((2,) * 4))
         rank = list(ideal_order(g))
-        out = validate_orientation(g, rank)
-        assert validate_orientation(g, [0] * g.n) == out
+        out = _validate(g, rank)
+        assert _validate(g, [0] * g.n) == out
         [(u, v)] = [(u, v) for u, v in _arcs(out)
                     if any(out[w] >> v & 1 for w in bits(out[u]))][:1]
         false = [rank[x] if x != v else rank[u] - 1 for x in range(g.n)]
         reversed_ = _derived(g, false)
         assert reversed_[v] >> u & 1 and not _transitive(reversed_)
-        assert validate_orientation(g, false) is None
+        assert _validate(g, false) is None
 
     def test_rejects_an_arc_onto_a_neighbour(self):
         # with the edge 0-1, the order 0, 2, 1 takes 0->2->1 onto 0's
         # neighbour 1; the order 0, 1, 2 is transitive
         g = from_edges(3, [(0, 1)])
-        assert validate_orientation(g, [0, 1, 2]) == (0b100, 0b100, 0)
-        assert validate_orientation(g, [0, 2, 1]) is None
+        assert _validate(g, [0, 1, 2]) == (0b100, 0b100, 0)
+        assert _validate(g, [0, 2, 1]) is None
         # on a ring graph, a neighbour v of u lifted above every rank takes
         # the arcs u->w->v of each w above u that misses v: refused exactly
         # when the definition's rows are not transitive
@@ -449,9 +456,9 @@ class TestOrientation:
             lifted[v] = max(rank) + 1
             out = _derived(g, lifted)
             if _transitive(out):
-                assert validate_orientation(g, lifted) == tuple(out), v
+                assert _validate(g, lifted) == tuple(out), v
             else:
-                assert validate_orientation(g, lifted) is None, v
+                assert _validate(g, lifted) is None, v
                 refused += 1
         assert refused
 
@@ -462,7 +469,7 @@ class TestOrientation:
         for order in itertools.permutations(range(5)):
             rank = [order.index(u) for u in range(5)]
             assert not _transitive(_derived(g, rank))
-            assert validate_orientation(g, rank) is None, order
+            assert _validate(g, rank) is None, order
 
     def test_ring_graphs_skip_hole_search(self, monkeypatch):
         def refuse(adj, min_len):
@@ -509,7 +516,7 @@ def test_orientation_against_brute_force():
         transitive = _transitive(out)
         outcomes[transitive] += 1
         expected = tuple(out) if transitive else None
-        assert validate_orientation(g, rank) == expected, (g.adj, rank)
+        assert _validate(g, rank) == expected, (g.adj, rank)
     assert min(outcomes.values()) >= 500, outcomes
 
 
@@ -747,8 +754,8 @@ class TestChainCover:
     def test_shifted_orientation_raises(self, monkeypatch):
         # an orientation taken as valid whose rows belong to the next vertex:
         # its matching is no chain cover of the core, and no search stands in
-        def shifted(g, rank, *out):
-            out = validate_orientation(g, rank, *out)
+        def shifted(g, rank, out):
+            out = validate_orientation(g, rank, out)
             return out[1:] + out[:1]
 
         monkeypatch.setattr(solvers, "validate_orientation", shifted)
